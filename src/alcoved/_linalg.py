@@ -25,10 +25,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -70,16 +66,3 @@ def det(m: Matrix) -> Fraction:
                 factor = a[r][col] * inv
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return result
-
-
-def int_matrix(m: Matrix) -> Matrix:
-    """Cast a rational matrix with integer entries back to plain ints."""
-    out = []
-    for row in m:
-        int_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError(f"entry {x} is not an integer")
-            int_row.append(int(x))
-        out.append(tuple(int_row))
-    return tuple(out)

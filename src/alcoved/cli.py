@@ -330,7 +330,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--seed", type=int, default=DEFAULT_SELFCHECK_SEED)
         p.add_argument("--budget", type=int, default=10**8)
-        p.add_argument("--jobs", type=int, default=1)
         if name == "hypersimplex":
             p.add_argument("--k", type=int, help="hypersimplex index")
     return parser
@@ -343,8 +342,6 @@ def run(argv) -> int:
             raise UserInputError("no subcommand given")
         if args.budget <= 0:
             raise UserInputError("--budget must be positive")
-        if args.jobs < 1:
-            raise UserInputError("--jobs must be at least 1")
         report = _COMMANDS[args.command](args)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,11 +3,12 @@
 A polytope is a pair of integer bounds ``(k, K)`` per positive root;
 its normalized volume is the number of alcove central points inside it,
 and ``lattice_point_count`` is the number of integral coweights.  Both
-enumerations run over integer boxes with numpy (entries stay far below
-int64 limits, so this is exact).
+enumerations run over integer boxes with numpy; a box whose pairings
+could leave int64 is refused, so every count is exact or raises.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class AlcovedPolytope:
         return all(k <= mi <= K - 1 for mi, (k, K) in zip(m, self.bounds))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; bools, strings and non-integral numbers raise."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise UserInputError(f"{what} must be an integer, got {value!r}")
+
+
 def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
     """Build a polytope from ``(root, min, max)`` constraints.
 
@@ -60,7 +70,8 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
     for root, lo, hi in constraints:
         root = tuple(root)
         idx = rs.root_index(root)
-        lo, hi = int(lo), int(hi)
+        lo = _integer(lo, f"bound min for root {root}")
+        hi = _integer(hi, f"bound max for root {root}")
         if lo > hi:
             raise UserInputError(f"bound min {lo} > max {hi} for root {root}")
         if idx in user:
@@ -84,8 +95,30 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
     return AlcovedPolytope(rs, tuple(bounds))
 
 
-def _root_matrix(rs: RootSystemData) -> np.ndarray:
-    return np.array(rs.positive_roots, dtype=np.int64).T  # rank x nroots
+_INT64_HEADROOM = 2**62
+
+
+def _scan_arrays(P: AlcovedPolytope, scale: int) -> tuple:
+    """The box of a scan (simple bounds times ``scale``), the root matrix
+    (rank x nroots) and the bound vectors of P, as int64 arrays.
+
+    Raises UserInputError unless every pairing of a box point with a
+    root stays below 2^62 in absolute value: a wrapped int64 would give
+    a wrong count silently.
+    """
+    rs = P.rs
+    box = P.simple_bounds()
+    top = max(max(abs(k), abs(K)) for k, K in box)
+    if top * rs.h_star * sum(rs.theta) >= _INT64_HEADROOM:
+        raise UserInputError(
+            f"bounds up to {top} in absolute value are too large to scan "
+            "exactly in int64"
+        )
+    lo_hi = [(k * scale, K * scale) for k, K in box]
+    roots = np.array(rs.positive_roots, dtype=np.int64).T
+    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
+    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
+    return lo_hi, roots, k_vec, K_vec
 
 
 def _box_iter(ranges, budget, chunk_rows=1 << 21):
@@ -116,12 +149,8 @@ def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """Number of alcoves in P, counted through their central points."""
     if P.is_empty:
         return 0
-    rs = P.rs
-    h = rs.h_star
-    lo_hi = [(k * h, K * h) for k, K in P.simple_bounds()]
-    roots = _root_matrix(rs)
-    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
-    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
+    h = P.rs.h_star
+    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, h)
     count = 0
     for ys in _box_iter(lo_hi, budget):
         pairings = ys @ roots
@@ -136,19 +165,15 @@ def central_points(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
     """Central points of the alcoves of P (as geometry.CentralPoint)."""
     if P.is_empty:
         return
-    rs = P.rs
-    h = rs.h_star
-    lo_hi = [(k * h, K * h) for k, K in P.simple_bounds()]
-    roots = _root_matrix(rs)
-    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
-    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
+    h = P.rs.h_star
+    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, h)
     for ys in _box_iter(lo_hi, budget):
         pairings = ys @ roots
         m = pairings // h
         mask = (pairings % h != 0).all(axis=1)
         mask &= (m >= k_vec).all(axis=1) & (m <= K_vec - 1).all(axis=1)
         for y in ys[mask]:
-            yield geometry.CentralPoint(rs, tuple(int(v) for v in y))
+            yield geometry.CentralPoint(P.rs, tuple(int(v) for v in y))
 
 
 def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -180,11 +205,7 @@ def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) 
     """The number of integral coweights in P."""
     if P.is_empty:
         return 0
-    rs = P.rs
-    lo_hi = list(P.simple_bounds())
-    roots = _root_matrix(rs)
-    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
-    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
+    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, 1)
     count = 0
     for lams in _box_iter(lo_hi, budget):
         pairings = lams @ roots
@@ -287,9 +308,9 @@ def thick_identity_check(
 def spec_to_polytope(spec: dict) -> AlcovedPolytope:
     """Parse a PolytopeSpec JSON object {type, rank, constraints}."""
     try:
-        rs = build(spec["type"], int(spec["rank"]))
+        rs = build(spec["type"], _integer(spec["rank"], "rank"))
         constraints = [
-            (tuple(c["root"]), int(c["min"]), int(c["max"]))
+            (tuple(_integer(x, "root coordinate") for x in c["root"]), c["min"], c["max"])
             for c in spec["constraints"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

@@ -10,10 +10,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
+
 from . import polytope as polytope_mod
 from .errors import DefectError, UserInputError
-from .rootsys import RootSystemData, coroot_coordinates, rho, weyl_order
-from .weyl import WeylElement, descents, enumerate_weyl, identity_element
+from .rootsys import RootSystemData, weyl_order
+from .weyl import WeylElement, WeylGroup, descents, enumerate_weyl
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +101,14 @@ def coweight_class(rs: RootSystemData, coweight) -> CosetClass:
     cw = tuple(coweight)
     if any(Fraction(x).denominator != 1 for x in cw):
         raise UserInputError(f"{cw} is not an integral coweight")
-    coords = coroot_coordinates(rs, cw)
-    return CosetClass(tuple(x % 1 for x in coords))
+    # The coroot coordinates are cartan^-1 . cw, and f * cartan^-1 is an
+    # integer matrix (f = |det cartan|): reduce its numerators mod f.
+    f = rs.index_of_connection
+    frac = []
+    for row in rs.cartan_inverse:
+        n = sum(c.numerator * (f // c.denominator) * int(y) for c, y in zip(row, cw))
+        frac.append(Fraction(n % f, f))
+    return CosetClass(tuple(frac))
 
 
 @dataclass
@@ -162,17 +170,23 @@ class CGroup:
         return out
 
 
-_C_CACHE = {}
+def _cdes_table(rs: RootSystemData, W: WeylGroup) -> np.ndarray:
+    """cdes of every element of W, indexed like W."""
+    table = W.descents @ np.array((1,) + rs.marks, dtype=np.int64)
+    if table.min() < 1:
+        raise DefectError("cdes must be positive")
+    return table
 
 
 def group_C(rs: RootSystemData, W=None) -> CGroup:
     """Elements with cdes = 1, cross-validated against the root-permutation
-    descriptions; the class map is built from their delta coweights."""
-    if rs in _C_CACHE:
-        return _C_CACHE[rs]
+    descriptions; the class map is built from their delta coweights.
+
+    ``W``, when given, is the result of ``enumerate_weyl(rs)``.
+    """
     if W is None:
         W = enumerate_weyl(rs)
-    elements = tuple(w for w in W if cdes(w) == 1)
+    elements = tuple(W[k] for k in np.flatnonzero(_cdes_table(rs, W) == 1))
     f = rs.index_of_connection
     if len(elements) != f:
         raise DefectError(
@@ -205,9 +219,7 @@ def group_C(rs: RootSystemData, W=None) -> CGroup:
         for b in elements:
             if a * b not in elements:
                 raise DefectError("C is not closed under multiplication")
-    group = CGroup(rs=rs, elements=elements, identity=ident, class_of=class_of)
-    _C_CACHE[rs] = group
-    return group
+    return CGroup(rs=rs, elements=elements, identity=ident, class_of=class_of)
 
 
 def cmaj(w: WeylElement, group: CGroup = None) -> WeylElement:
@@ -217,13 +229,44 @@ def cmaj(w: WeylElement, group: CGroup = None) -> WeylElement:
     return group.class_of[coweight_class(w.rs, delta(w))]
 
 
-def equivalent(u: WeylElement, w: WeylElement) -> bool:
-    """Whether u(A_o) and w(A_o) differ by an integral coweight translation."""
-    rs = u.rs
-    h = rs.h_star
-    du = u.act_on_coweight(rho(rs))
-    dw = w.act_on_coweight(rho(rs))
-    return all((a - b) % h == 0 for a, b in zip(du, dw))
+class _Tables:
+    """cdes, delta class and cmaj of every element of W, indexed like W.
+
+    ``classes`` maps each delta class to its id, in order of first
+    occurrence in W; ``cls[k]`` is the id of the class of ``w_k`` and
+    ``cmaj[k]`` the index in W of ``cmaj(w_k)``.  One ``coweight_class``
+    is computed per distinct delta bit vector, not one per element.
+    """
+
+    def __init__(self, rs: RootSystemData, W: WeylGroup, group: CGroup):
+        self.cdes = _cdes_table(rs, W)
+        keys = (W.descents[:, 1:] @ (1 << np.arange(rs.rank, dtype=np.int64))).tolist()
+        self.classes = {}
+        key_ids = {}
+        for key in dict.fromkeys(keys):  # distinct deltas, first occurrence first
+            delta = tuple((key >> i) & 1 for i in range(rs.rank))
+            cls = coweight_class(rs, delta)
+            key_ids[key] = self.classes.setdefault(cls, len(self.classes))
+        self.cls = np.array([key_ids[key] for key in keys], dtype=np.intp)
+        cmaj_of_class = [W.index(group.class_of[cls]) for cls in self.classes]
+        self.cmaj = np.array(cmaj_of_class, dtype=np.intp)[self.cls]
+
+
+def _actions(W: WeylGroup, group: CGroup) -> tuple:
+    """Left and right multiplication by each element of C, as index maps on W."""
+    C = [W.index(c) for c in group.elements]
+    return [W.left_action(k) for k in C], [W.right_action(k) for k in C]
+
+
+def _q_sum(classes, ids, degrees) -> GroupAlgebraElement:
+    """The group-algebra sum of ``[class ids[k]] q^degrees[k]`` over k."""
+    counts = np.zeros((len(classes), int(degrees.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (ids, degrees), 1)
+    out = GroupAlgebraElement()
+    for cls, row in zip(classes, counts.tolist()):
+        if any(row):
+            out.add_term(cls, row)
+    return out
 
 
 def coset_representatives(rs: RootSystemData, W=None) -> list:
@@ -231,35 +274,38 @@ def coset_representatives(rs: RootSystemData, W=None) -> list:
 
     The elements with cmaj = id form a transversal of the left cosets;
     their inverses, used here, are pairwise inequivalent under alcove
-    translation and therefore represent W/C.
+    translation and therefore represent W/C.  That is checked apart from
+    the delta classes: u(A_o) and w(A_o) differ by an integral coweight
+    exactly when u(rho) = w(rho) mod h_star.
     """
     if W is None:
         W = enumerate_weyl(rs)
     group = group_C(rs, W)
-    reps = [w for w in W if cmaj(w.inverse(), group).is_identity()]
+    tables = _Tables(rs, W, group)
+    identity = W.index(group.identity)
+    chosen = np.flatnonzero(tables.cmaj[W.inverse] == identity)
     expected = weyl_order(rs) // rs.index_of_connection
-    if len(reps) != expected:
+    if len(chosen) != expected:
         raise DefectError(
-            f"{len(reps)} coset representatives, expected {expected}"
+            f"{len(chosen)} coset representatives, expected {expected}"
         )
-    for i, u in enumerate(reps):
-        for w in reps[i + 1 :]:
-            if equivalent(u, w):
-                raise DefectError("two representatives lie in the same coset")
-    return reps
+    # w(rho) is the z of w^-1
+    centres = W.z[W.inverse[chosen]] % rs.h_star
+    if len(set(map(tuple, centres.tolist()))) != len(chosen):
+        raise DefectError("two representatives lie in the same coset")
+    return [W[k] for k in chosen]
 
 
 # ---------------------------------------------------------------------------
-# Identity checks.
+# Identity checks.  ``W``, when given, is the result of ``enumerate_weyl(rs)``.
 
 def qweyl_check(rs: RootSystemData, W=None) -> dict:
     """Exact check of the group-algebra q-analogue of Weyl's formula."""
     if W is None:
         W = enumerate_weyl(rs)
     group = group_C(rs, W)
-    lhs = GroupAlgebraElement()
-    for w in W:
-        lhs.add_term(coweight_class(rs, delta(w)), q_power(cdes(w)))
+    tables = _Tables(rs, W, group)
+    lhs = _q_sum(tables.classes, tables.cls, tables.cdes)
     rhs_poly = eulerian_polynomial(rs.rank)
     for a in rs.marks:
         rhs_poly = poly_mul(rhs_poly, q_integer(a))
@@ -283,22 +329,27 @@ def hypersimplex_statistic_check(rs: RootSystemData, W=None) -> dict:
         W = enumerate_weyl(rs)
     f = rs.index_of_connection
     reps = coset_representatives(rs, W)
+    rep_index = np.array([W.index(w) for w in reps], dtype=np.intp)
+    cdes_table = _cdes_table(rs, W)
+    cdes_inv = cdes_table[W.inverse]  # cdes(w^-1) for every w
     volumes = {}
     coset_counts = {}
     element_counts = {}
     for k in range(1, rs.h_star):
         volumes[k] = polytope_mod.volume(polytope_mod.hypersimplex(rs, k))
-        coset_counts[k] = sum(1 for w in reps if cdes(w.inverse()) == k)
-        element_counts[k] = sum(1 for w in W if cdes(w.inverse()) == k)
+        coset_counts[k] = int(np.count_nonzero(cdes_inv[rep_index] == k))
+        element_counts[k] = int(np.count_nonzero(cdes_inv == k))
     coset_ok = all(volumes[k] == coset_counts[k] for k in volumes)
     element_ok = all(f * volumes[k] == element_counts[k] for k in volumes)
 
     group = group_C(rs, W)
+    lefts, rights = _actions(W, group)
     constant_ok = all(
-        cdes((c1 * w * c2).inverse()) == cdes(w.inverse())
-        for w in reps
-        for c1 in group.elements
-        for c2 in group.elements
+        np.array_equal(
+            cdes_table[W.inverse[left[right[rep_index]]]], cdes_inv[rep_index]
+        )
+        for left in lefts
+        for right in rights
     )
     genfun = ()
     for k, v in volumes.items():
@@ -322,12 +373,13 @@ def double_coset_check(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     group = group_C(rs, W)
-    for w in W:
-        base = cdes(w)
-        for c1 in group.elements:
-            for c2 in group.elements:
-                if cdes(c1 * w * c2) != base:
-                    return {"holds": False, "witness": (c1, w, c2)}
+    cdes_table = _cdes_table(rs, W)
+    lefts, rights = _actions(W, group)
+    for c1, left in zip(group.elements, lefts):
+        for c2, right in zip(group.elements, rights):
+            bad = np.flatnonzero(cdes_table[left[right]] != cdes_table)
+            if bad.size:
+                return {"holds": False, "witness": (c1, W[int(bad[0])], c2)}
     return {"holds": True}
 
 
@@ -336,22 +388,21 @@ def cmaj_twist_check(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     group = group_C(rs, W)
-    for w in W:
-        base = cmaj(w, group)
-        n = cdes(w)
-        for c1 in group.elements:
-            for c2 in group.elements:
-                expected = c1 * base
-                for _ in range(n):
-                    expected = expected * c2
-                if cmaj(c1 * w * c2, group) != expected:
-                    return {"holds": False, "witness": (c1, w, c2)}
+    tables = _Tables(rs, W, group)
+    lefts, rights = _actions(W, group)
+    for c2, right in zip(group.elements, rights):
+        # powers[n, j] is the index of w_j c2^n
+        powers = [np.arange(len(W))]
+        for _ in range(int(tables.cdes.max())):
+            powers.append(right[powers[-1]])
+        twisted = np.stack(powers)[tables.cdes, tables.cmaj]
+        for c1, left in zip(group.elements, lefts):
+            bad = np.flatnonzero(tables.cmaj[left[right]] != left[twisted])
+            if bad.size:
+                return {"holds": False, "witness": (c1, W[int(bad[0])], c2)}
 
-    lhs = GroupAlgebraElement()
-    rhs = GroupAlgebraElement()
-    for w in W:
-        lhs.add_term(coweight_class(rs, delta(w)), q_power(cdes(w)))
-        rhs.add_term(coweight_class(rs, delta(w.inverse())), q_power(cdes(w)))
+    lhs = _q_sum(tables.classes, tables.cls, tables.cdes)
+    rhs = _q_sum(tables.classes, tables.cls[W.inverse], tables.cdes)
     return {"holds": True, "inverse_symmetry_holds": lhs == rhs}
 
 
@@ -364,13 +415,16 @@ def cmaj_cross_table(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     group = group_C(rs, W)
-    order = {c: i for i, c in enumerate(group.elements)}
+    tables = _Tables(rs, W, group)
     f = len(group.elements)
-    table = [[() for _ in range(f)] for _ in range(f)]
-    for w in W:
-        x = order[cmaj(w, group)]
-        y = order[cmaj(w.inverse(), group)]
-        table[x][y] = poly_add(table[x][y], q_power(cdes(w)))
+    order = np.zeros(len(W), dtype=np.intp)  # position in group.elements
+    for i, c in enumerate(group.elements):
+        order[W.index(c)] = i
+    x = order[tables.cmaj]
+    y = order[tables.cmaj[W.inverse]]
+    counts = np.zeros((f, f, int(tables.cdes.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (x, y, tables.cdes), 1)
+    table = [[poly_trim(p) for p in row] for row in counts.tolist()]
     total = sum(poly_eval(p, 1) for row in table for p in row)
     if total != len(W):
         raise DefectError("cross table does not partition the group")

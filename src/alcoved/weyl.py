@@ -1,138 +1,235 @@
-"""Weyl group elements, enumeration, inversions and descents.
+"""Weyl group elements as orbit points of rho, enumeration and descents.
 
-An element is stored as the integer matrix of its action on root
-coordinates (column ``j`` holds the simple-root coordinates of the image
-of the j-th simple root).  Equality and hashing go through this matrix,
-which makes group arithmetic O(r^2) and deduplication trivial.
+An element ``w`` is stored as the integer vector ``z = w^-1(rho)`` in
+omega-coordinates; ``rho`` is regular, so ``z`` identifies ``w``.  The
+pairing is W-invariant, so ``(z, a) = (rho, w(a))`` is the height of
+``w(a)``: inversions, descents and word length are signs of pairings
+with ``z``, and ``w(alpha_i) < 0`` exactly when ``z_i < 0``.
+
+Why ``z`` and not the central point ``w(rho)``: right multiplication by
+a simple reflection reflects ``z``, ``(w s_i)^-1(rho) = s_i(z)``, so a
+breadth-first search on ``z`` with the generators in index order lists
+W in the order, and with the lengths, of the search ``w -> w s_i``; and
+the signs of ``w(rho)`` are the descents of ``w^-1``, not of ``w``.
+``w(rho)`` is the ``z`` of ``w^-1``, read through the inverse table of
+:class:`WeylGroup`, whose integer tables serve whole-group statistics.
+A single element acts through the reduced word read off ``z``.
 
 The tail of the module houses the concrete one-line models: ordinary
 permutations for type A and signed permutations for type C, with
 conversion in both directions.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 
-from . import _linalg, rootsys
+import numpy as np
+
 from .errors import BudgetExceededError, UserInputError
-from .rootsys import RootSystemData
+from .rootsys import RootSystemData, rho
 
 DEFAULT_GROUP_BUDGET = 10**6
 
 
+def _reflect_coweight(cartan, i: int, v) -> list:
+    """s_i on omega-coordinates: v - v_i * (column i of cartan)."""
+    vi = v[i]
+    return [x - vi * row[i] for x, row in zip(v, cartan)]
+
+
 class WeylElement:
-    """An element of a finite Weyl group acting on root coordinates."""
+    """An element ``w`` of a finite Weyl group, stored as ``z = w^-1(rho)``."""
 
-    __slots__ = ("rs", "matrix", "_coweight_matrix", "_length", "_inverse")
+    __slots__ = ("rs", "z", "word_length")
 
-    def __init__(self, rs: RootSystemData, matrix):
+    def __init__(self, rs: RootSystemData, z, word_length: int = None):
         self.rs = rs
-        self.matrix = tuple(tuple(row) for row in matrix)
-        self._coweight_matrix = None
-        self._length = None
-        self._inverse = None
+        self.z = tuple(z)
+        if word_length is None:  # the positive roots a with (z, a) < 0
+            word_length = sum(
+                1 for a in rs.positive_roots if sum(x * c for x, c in zip(z, a)) < 0
+            )
+        #: number of positive roots sent to negative roots
+        self.word_length = word_length
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return (
+            isinstance(other, WeylElement)
+            and self.z == other.z
+            and self.rs == other.rs
+        )
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.z)
 
     def __repr__(self):
-        return f"WeylElement({self.rs.type_label}{self.rs.rank}, {self.matrix})"
+        return f"WeylElement({self.rs.type_label}{self.rs.rank}, z={self.z})"
+
+    def _word(self) -> list:
+        """A reduced word: ``w = s_{a_1} ... s_{a_l}`` for the returned
+        0-based letters ``[a_1, ..., a_l]``.
+
+        ``z_i < 0`` means ``w s_i`` is shorter, and ``s_i(z)`` is its
+        ``z``; stripping such letters from the right ends at ``rho``.
+        """
+        cartan = self.rs.cartan
+        z = list(self.z)
+        letters = []
+        while True:
+            for i, x in enumerate(z):
+                if x < 0:
+                    break
+            else:
+                break
+            letters.append(i)
+            z = _reflect_coweight(cartan, i, z)
+        letters.reverse()
+        return letters
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise UserInputError("elements of different root systems")
-        return WeylElement(self.rs, _linalg.mat_mul(self.matrix, other.matrix))
+        # (uv)^-1(rho) = v^-1(u^-1(rho)), and v^-1 = s_{a_l} ... s_{a_1}
+        cartan = self.rs.cartan
+        z = list(self.z)
+        for i in other._word():
+            z = _reflect_coweight(cartan, i, z)
+        return WeylElement(self.rs, z)
 
     def inverse(self) -> "WeylElement":
-        if self._inverse is None:
-            inv = _linalg.int_matrix(_linalg.mat_inv(self.matrix))
-            self._inverse = WeylElement(self.rs, inv)
-            self._inverse._inverse = self
-        return self._inverse
-
-    @property
-    def coweight_matrix(self):
-        """Matrix of the action on omega-coordinates, ``(M^-1)^T``."""
-        if self._coweight_matrix is None:
-            self._coweight_matrix = _linalg.transpose(self.inverse().matrix)
-        return self._coweight_matrix
+        return WeylElement(self.rs, self.act_on_coweight(rho(self.rs)), self.word_length)
 
     def act_on_root(self, root) -> tuple:
-        return _linalg.mat_vec(self.matrix, tuple(root))
+        """Simple-root coordinates of ``w(root)``."""
+        cartan = self.rs.cartan
+        v = list(root)
+        for i in reversed(self._word()):
+            # s_i(a) = a - (a, alpha_i^vee) alpha_i
+            v[i] -= sum(c * row[i] for c, row in zip(v, cartan))
+        return tuple(v)
 
     def act_on_coweight(self, coweight) -> tuple:
-        return _linalg.mat_vec(self.coweight_matrix, tuple(coweight))
-
-    @property
-    def word_length(self) -> int:
-        """Number of positive roots sent to negative roots."""
-        if self._length is None:
-            self._length = sum(
-                1 for a in self.rs.positive_roots if _is_negative(self.act_on_root(a))
-            )
-        return self._length
+        """Omega-coordinates of ``w(coweight)``."""
+        cartan = self.rs.cartan
+        v = list(coweight)
+        for i in reversed(self._word()):
+            v = _reflect_coweight(cartan, i, v)
+        return tuple(v)
 
     def is_identity(self) -> bool:
-        return self.matrix == _linalg.identity(self.rs.rank)
+        return all(x == 1 for x in self.z)
 
 
-def _is_negative(root_coords) -> bool:
-    # root coordinate vectors are all-nonnegative or all-nonpositive
-    return any(c < 0 for c in root_coords)
+class WeylGroup(Sequence):
+    """The elements of W in breadth-first order, with integer tables.
+
+    Row ``k`` of every table belongs to ``self[k]``; element 0 is the
+    identity.  ``z[k]`` is its orbit vector, ``length[k]`` its word
+    length and ``descents[k]`` its descent bits (see :func:`descents`).
+    ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
+    ``letter[k]`` give ``w_k = w_parent s_{letter+1}``, the breadth-first
+    tree (both are -1 at the identity); ``inverse[k]`` is the index of
+    ``w_k^-1``.
+    """
+
+    def __init__(self, rs: RootSystemData, zs, index, length, parent, letter, rmul):
+        self.rs = rs
+        self._elements = [WeylElement(rs, z, n) for z, n in zip(zs, length)]
+        self._index = index
+        self.z = np.array(zs, dtype=np.int64)
+        self.length = np.array(length, dtype=np.intp)
+        self.parent = np.array(parent, dtype=np.intp)
+        self.letter = np.array(letter, dtype=np.intp)
+        self.rmul = np.array(rmul, dtype=np.intp)
+        # w_k^-1 is the word of w_k read backwards: walk every element up
+        # the tree at once, right-multiplying by one letter per step
+        self.inverse = np.zeros(len(zs), dtype=np.intp)
+        node = np.arange(len(zs))
+        for _ in range(length[-1]):
+            live = node > 0
+            self.inverse[live] = self.rmul[self.inverse[live], self.letter[node[live]]]
+            node[live] = self.parent[node[live]]
+        self.descents = np.column_stack(
+            [self.z @ np.array(rs.theta, dtype=np.int64) > 0, self.z < 0]
+        ).astype(np.int64)
+
+    def __len__(self):
+        return len(self._elements)
+
+    def __getitem__(self, k):
+        return self._elements[k]
+
+    def __iter__(self):
+        return iter(self._elements)
+
+    def __contains__(self, w):
+        return isinstance(w, WeylElement) and w.rs == self.rs and w.z in self._index
+
+    def index(self, w) -> int:
+        """Position of ``w``; raises ValueError when ``w`` is not in W."""
+        if w not in self:
+            raise ValueError(f"{w!r} is not in the group")
+        return self._index[w.z]
+
+    def right_action(self, k: int) -> np.ndarray:
+        """``perm[j]`` is the index of ``w_j w_k``."""
+        perm = np.arange(len(self))
+        for i in self[k]._word():
+            perm = self.rmul[perm, i]
+        return perm
+
+    def left_action(self, k: int) -> np.ndarray:
+        """``perm[j]`` is the index of ``w_k w_j = (w_j^-1 w_k^-1)^-1``."""
+        inv = self.inverse
+        return inv[self.right_action(inv[k])[inv]]
 
 
 def identity_element(rs: RootSystemData) -> WeylElement:
-    return WeylElement(rs, _linalg.identity(rs.rank))
+    return WeylElement(rs, rho(rs), 0)
 
 
 def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
     """The reflection s_i, acting by a_j -> a_j - cartan[j][i] * a_i."""
     if not 1 <= i <= rs.rank:
         raise UserInputError(f"simple-reflection index {i} out of range 1..{rs.rank}")
-    k = i - 1
-    r = rs.rank
-    cols = []
-    for j in range(r):
-        col = [1 if idx == j else 0 for idx in range(r)]
-        col[k] -= rs.cartan[j][k]
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][idx] for j in range(r)) for idx in range(r))
-    return WeylElement(rs, matrix)
+    return WeylElement(rs, _reflect_coweight(rs.cartan, i - 1, rho(rs)), 1)
 
 
-def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> list:
+def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> WeylGroup:
     """Breadth-first closure of the identity under the simple reflections.
 
     Deterministic: generators are applied in index order, so element
-    positions in the returned list are stable across runs.  BFS depth is
-    recorded as the word length.
+    positions in the returned sequence are stable across runs.  BFS depth
+    is recorded as the word length.
+
+    Every edge ``{w, w s_i}`` of the Cayley graph is followed from its
+    lower end: ``w s_i`` is longer than ``w`` exactly when ``z_i > 0``.
     """
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
-    start = identity_element(rs)
-    start._length = 0
-    seen = {start.matrix}
-    elements = [start]
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        new_frontier = []
-        for w in frontier:
-            for s in gens:
-                ws = w * s
-                if ws.matrix not in seen:
-                    if len(elements) >= budget:
-                        raise BudgetExceededError(
-                            f"Weyl group of {rs} exceeds budget {budget}"
-                        )
-                    ws._length = depth
-                    seen.add(ws.matrix)
-                    elements.append(ws)
-                    new_frontier.append(ws)
-        frontier = new_frontier
-    return elements
+    cartan = rs.cartan
+    start = tuple(rho(rs))
+    zs, index = [start], {start: 0}
+    parent, letter, length, rmul = [-1], [-1], [0], [[-1] * rs.rank]
+    for k, z in enumerate(zs):  # zs grows while it is read: a FIFO queue
+        for i in range(rs.rank):
+            if z[i] < 0:
+                continue
+            t = tuple(_reflect_coweight(cartan, i, z))
+            j = index.get(t)
+            if j is None:
+                j = len(zs)
+                if j >= budget:
+                    raise BudgetExceededError(
+                        f"Weyl group of {rs} exceeds budget {budget}"
+                    )
+                index[t] = j
+                zs.append(t)
+                parent.append(k)
+                letter.append(i)
+                length.append(length[k] + 1)
+                rmul.append([-1] * rs.rank)
+            rmul[k][i] = j
+            rmul[j][i] = k
+    return WeylGroup(rs, zs, index, length, parent, letter, rmul)
 
 
 def inv(w: WeylElement, root) -> int:
@@ -140,22 +237,19 @@ def inv(w: WeylElement, root) -> int:
     root = tuple(root)
     if not w.rs.is_positive_root(root):
         raise UserInputError(f"{root} is not a positive root of {w.rs}")
-    return 1 if _is_negative(w.act_on_root(root)) else 0
+    return 1 if sum(x * c for x, c in zip(w.z, root)) < 0 else 0
 
 
 def descents(w: WeylElement) -> tuple:
     """The bit vector (d_0, d_1, ..., d_r).
 
-    ``d_i`` for i >= 1 records an inversion at the i-th simple root;
-    ``d_0`` is the descent at ``-theta``, i.e. w(theta) > 0.
+    ``d_i`` for i >= 1 records an inversion at the i-th simple root, that
+    is ``z_i < 0``; ``d_0`` is the descent at ``-theta``, i.e.
+    ``w(theta) > 0``, that is ``(z, theta) > 0``.
     """
-    r = w.rs.rank
-    d = [0] * (r + 1)
-    d[0] = 0 if _is_negative(w.act_on_root(w.rs.theta)) else 1
-    for i in range(r):
-        image = w.act_on_root(tuple(1 if j == i else 0 for j in range(r)))
-        d[i + 1] = 1 if _is_negative(image) else 0
-    return tuple(d)
+    z = w.z
+    d0 = 1 if sum(x * c for x, c in zip(z, w.rs.theta)) > 0 else 0
+    return (d0,) + tuple(1 if x < 0 else 0 for x in z)
 
 
 def longest_element(rs: RootSystemData, group=None) -> WeylElement:
@@ -190,26 +284,17 @@ def _decode_difference(ambient):
 
 
 def from_permutation(rs: RootSystemData, window) -> WeylElement:
-    """Weyl element of A_{n-1} from one-line notation ``(w_1, ..., w_n)``."""
+    """Weyl element of A_{n-1} from one-line notation ``(w_1, ..., w_n)``.
+
+    ``z_j`` is the height of ``w(alpha_j) = e_{w_j} - e_{w_{j+1}}``,
+    which is ``w_{j+1} - w_j``.
+    """
     _check_type(rs, "A", "from_permutation")
     n = rs.rank + 1
     window = tuple(window)
     if sorted(window) != list(range(1, n + 1)):
         raise UserInputError(f"{window} is not a permutation of 1..{n}")
-    cols = []
-    for j in range(rs.rank):
-        # image of alpha_j = e_j - e_{j+1} is e_{w_j} - e_{w_{j+1}}
-        ambient = [0] * n
-        ambient[window[j] - 1] += 1
-        ambient[window[j + 1] - 1] -= 1
-        # alpha-coordinates of a zero-sum ambient vector are its partial sums
-        coords, acc = [], 0
-        for x in ambient[:-1]:
-            acc += x
-            coords.append(acc)
-        cols.append(coords)
-    matrix = tuple(tuple(cols[j][i] for j in range(rs.rank)) for i in range(rs.rank))
-    return WeylElement(rs, matrix)
+    return WeylElement(rs, [b - a for a, b in zip(window, window[1:])])
 
 
 def to_permutation(w: WeylElement) -> tuple:
@@ -231,7 +316,7 @@ def to_permutation(w: WeylElement) -> tuple:
         if first is None:
             first = a
         elif first != a:
-            raise UserInputError("matrix is not a type-A permutation action")
+            raise UserInputError("element is not a type-A permutation action")
         window[j] = b
     window[1] = first
     return tuple(window[1:])
@@ -267,49 +352,24 @@ def long_cycle(rs: RootSystemData) -> WeylElement:
 # ---------------------------------------------------------------------------
 # Type C model: signed permutations acting on e_i -> sign(w_i) e_{|w_i|}.
 
-def _signed_images(window, n):
-    for v in window:
-        yield (abs(v) - 1, 1 if v > 0 else -1)
-
-
 def from_signed_permutation(rs: RootSystemData, window) -> WeylElement:
-    """Weyl element of C_n from a signed one-line window ``(w_1, ..., w_n)``."""
+    """Weyl element of C_n from a signed one-line window ``(w_1, ..., w_n)``.
+
+    With ``alpha_j = e_j - e_{j+1}`` and ``alpha_n = 2 e_n``, ``e_i`` has
+    height ``n - i + 1/2``; ``z_j`` is the height of ``w(alpha_j)``.
+    """
     _check_type(rs, "C", "from_signed_permutation")
     n = rs.rank
     window = tuple(window)
     if sorted(abs(v) for v in window) != list(range(1, n + 1)) or 0 in window:
         raise UserInputError(f"{window} is not a signed permutation of 1..{n}")
 
-    def ambient_of(j):  # ambient image of e_j (0-based j)
-        vec = [0] * n
-        pos, sign = abs(window[j]) - 1, (1 if window[j] > 0 else -1)
-        vec[pos] = sign
-        return vec
+    def twice_height(v):  # of sign(v) e_|v|
+        return (2 * (n - abs(v)) + 1) * (1 if v > 0 else -1)
 
-    cols = []
-    for j in range(n):
-        if j < n - 1:  # alpha_j = e_j - e_{j+1}
-            ambient = [x - y for x, y in zip(ambient_of(j), ambient_of(j + 1))]
-        else:  # alpha_n = 2 e_n
-            ambient = [2 * x for x in ambient_of(n - 1)]
-        coords = _ambient_to_alpha_c(ambient, n)
-        cols.append(coords)
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return WeylElement(rs, matrix)
-
-
-def _ambient_to_alpha_c(ambient, n):
-    """Solve v = sum c_j alpha_j for type C_n; exact, integer output."""
-    coords = []
-    acc = 0
-    for x in ambient[: n - 1]:
-        acc += x
-        coords.append(acc)
-    last2 = ambient[n - 1] + (coords[-1] if n > 1 else 0)
-    if last2 % 2 != 0:
-        raise UserInputError("vector is not in the type-C root lattice")
-    coords.append(last2 // 2)
-    return coords
+    heights = [twice_height(v) for v in window]
+    z = [(a - b) // 2 for a, b in zip(heights, heights[1:])] + [heights[-1]]
+    return WeylElement(rs, z)
 
 
 def to_signed_permutation(w: WeylElement) -> tuple:
@@ -332,7 +392,7 @@ def to_signed_permutation(w: WeylElement) -> tuple:
         ambient.append(2 * image[n - 1] - prev)
         nonzero = [(j, x) for j, x in enumerate(ambient) if x != 0]
         if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            raise UserInputError("matrix is not a signed-permutation action")
+            raise UserInputError("element is not a signed-permutation action")
         j, sign = nonzero[0]
         window.append((j + 1) * (1 if sign > 0 else -1))
     return tuple(window)

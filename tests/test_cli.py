@@ -69,6 +69,21 @@ def test_volume_and_identity_from_spec(tmp_path, capsys):
     assert report["identity_holds"] is True
 
 
+def test_non_integer_spec_bound_is_a_user_error(tmp_path, capsys):
+    spec = {
+        "type": "A",
+        "rank": 2,
+        "constraints": [
+            {"root": [1, 0], "min": 0.9, "max": 1.7},
+            {"root": [0, 1], "min": 0, "max": 1},
+        ],
+    }
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(spec))
+    assert cli.run(["volume", "--spec", str(path)]) == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_groebner_and_triangulate_from_spec(tmp_path, capsys):
     spec = {
         "type": "A",

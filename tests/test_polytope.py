@@ -143,3 +143,56 @@ def test_volume_budget():
     rs = build("C", 3)
     with pytest.raises(BudgetExceededError):
         volume(adjacent_star(rs), budget=10)
+
+
+def _a2_spec(lo, hi):
+    return {
+        "type": "A",
+        "rank": 2,
+        "constraints": [
+            {"root": [1, 0], "min": lo, "max": hi},
+            {"root": [0, 1], "min": 0, "max": 1},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.9, 1.7), (0, 1.5), (True, 1), (0, False), ("0", 1), (0, "1"), (None, 1)],
+)
+def test_spec_rejects_non_integer_bounds(lo, hi):
+    with pytest.raises(UserInputError):
+        spec_to_polytope(_a2_spec(lo, hi))
+    rs = build("A", 2)
+    with pytest.raises(UserInputError):
+        make_polytope(rs, [((1, 0), lo, hi), ((0, 1), 0, 1)])
+
+
+def test_spec_rejects_non_integer_rank_and_roots():
+    for rank in (2.5, True, "2"):
+        spec = _a2_spec(0, 1)
+        spec["rank"] = rank
+        with pytest.raises(UserInputError):
+            spec_to_polytope(spec)
+    spec = _a2_spec(0, 1)
+    spec["constraints"][0]["root"] = [True, False]
+    with pytest.raises(UserInputError):
+        spec_to_polytope(spec)
+
+
+def test_spec_accepts_integral_floats():
+    assert spec_to_polytope(_a2_spec(0.0, 1.0)) == spec_to_polytope(_a2_spec(0, 1))
+
+
+def test_huge_bounds_raise_instead_of_overflowing():
+    # the scan pairs h_star * 3e18 with roots of height 2, past int64;
+    # a wrapped pairing would give a wrong count (0 instead of 2)
+    base = 3 * 10**18
+    rs = build("A", 2)
+    P = make_polytope(rs, [((1, 0), base, base + 1), ((0, 1), base, base + 1)])
+    with pytest.raises(UserInputError):
+        volume(P)
+    with pytest.raises(UserInputError):
+        lattice_point_count(P)
+    with pytest.raises(UserInputError):
+        next(polytope.central_points(P))

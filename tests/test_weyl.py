@@ -20,10 +20,12 @@ from alcoved.weyl import (
     major_index,
     negative_rotation,
     permutation_descents,
+    signed_permutation_descents,
     simple_reflection,
     to_permutation,
     to_signed_permutation,
 )
+from alcoved.statistics import coset_representatives
 
 
 def test_enumeration_counts():
@@ -138,3 +140,144 @@ def test_model_functions_reject_wrong_type():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_weyl(build("A", 4), budget=5)
+
+
+# -- the orbit tables of enumerate_weyl ----------------------------------------
+
+TABLE_TYPES = [("A", n) for n in range(1, 6)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("D", 5), ("F", 4), ("G", 2),
+]
+
+
+def _matrix_bfs(rs):
+    """Oracle: breadth-first search on root-coordinate matrices, w -> w s_i
+    with the generators in index order.  Yields (z, length) per element,
+    where z_j is the height of w(alpha_j), the j-th column sum."""
+    r = rs.rank
+    identity = tuple(tuple(int(a == b) for b in range(r)) for a in range(r))
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(r)) for j in range(r))
+            for i in range(r)
+        )
+
+    gens = []
+    for i in range(r):
+        # s_i(alpha_j) = alpha_j - cartan[j][i] alpha_i is column j
+        m = [list(row) for row in identity]
+        for j in range(r):
+            m[i][j] -= rs.cartan[j][i]
+        gens.append(tuple(map(tuple, m)))
+    order, seen, frontier, depth = [(identity, 0)], {identity}, [identity], 0
+    while frontier:
+        depth += 1
+        new_frontier = []
+        for w in frontier:
+            for s in gens:
+                ws = mul(w, s)
+                if ws not in seen:
+                    seen.add(ws)
+                    order.append((ws, depth))
+                    new_frontier.append(ws)
+        frontier = new_frontier
+    return [(tuple(sum(col) for col in zip(*m)), d) for m, d in order]
+
+
+@pytest.mark.parametrize("t, r", TABLE_TYPES)
+def test_orbit_order_and_lengths_match_matrix_bfs(t, r):
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    expected = _matrix_bfs(rs)
+    assert [(w.z, w.word_length) for w in W] == expected
+    assert W.length.tolist() == [d for _, d in expected]
+    assert [tuple(row) for row in W.z.tolist()] == [z for z, _ in expected]
+
+
+@pytest.mark.parametrize("t, r", TABLE_TYPES)
+def test_inverse_table_is_an_involution(t, r):
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    e = identity_element(rs)
+    assert W[0] == e
+    assert (W.inverse[W.inverse] == range(len(W))).all()
+    for k, w in enumerate(W):
+        assert W[W.inverse[k]] == w.inverse()
+        assert w * w.inverse() == e
+
+
+def _swap(window, i):
+    out = list(window)
+    out[i], out[i + 1] = out[i + 1], out[i]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_right_multiplication_table_matches_permutations(n):
+    rs = build("A", n - 1)
+    W = enumerate_weyl(rs)
+    identity = tuple(range(1, n + 1))
+    for k, w in enumerate(W):
+        window = to_permutation(w)
+        for i in range(n - 1):
+            ws = W[W.rmul[k, i]]
+            assert ws == from_permutation(rs, _swap(window, i))
+            assert ws == from_permutation(rs, window) * from_permutation(
+                rs, _swap(identity, i)
+            )
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_right_multiplication_table_matches_signed_permutations(n):
+    rs = build("C", n)
+    W = enumerate_weyl(rs)
+    identity = tuple(range(1, n + 1))
+    gens = [_swap(identity, i) for i in range(n - 1)] + [identity[:-1] + (-n,)]
+    for k, w in enumerate(W):
+        window = to_signed_permutation(w)
+        for i, s in enumerate(gens):
+            # w s_i permutes the positions of w like s_i permutes 1..n
+            moved = tuple(
+                window[abs(v) - 1] * (1 if v > 0 else -1) for v in s
+            )
+            ws = W[W.rmul[k, i]]
+            assert ws == from_signed_permutation(rs, moved)
+            assert ws == from_signed_permutation(rs, window) * from_signed_permutation(rs, s)
+
+
+@pytest.mark.parametrize("t, r", (("A", 3), ("C", 3), ("G", 2)))
+def test_left_and_right_actions_match_products(t, r):
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    for k, w in enumerate(W):
+        right = W.right_action(k)
+        left = W.left_action(k)
+        for j, u in enumerate(W):
+            assert W[right[j]] == u * w
+            assert W[left[j]] == w * u
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_descents_match_permutation_descents(n):
+    W = enumerate_weyl(build("A", n - 1))
+    for k, w in enumerate(W):
+        assert descents(w) == permutation_descents(to_permutation(w))
+        assert tuple(W.descents[k].tolist()) == descents(w)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_descents_match_signed_permutation_descents(n):
+    W = enumerate_weyl(build("C", n))
+    for k, w in enumerate(W):
+        assert descents(w) == signed_permutation_descents(to_signed_permutation(w))
+        assert tuple(W.descents[k].tolist()) == descents(w)
+
+
+@pytest.mark.parametrize("t, r", TABLE_TYPES)
+def test_coset_representative_count_is_order_over_f(t, r):
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    reps = coset_representatives(rs, W)
+    assert len(reps) == len(W) // rs.index_of_connection
+    assert len(set(reps)) == len(reps)
