@@ -5,10 +5,13 @@ Exit codes: 0 success, 1 user error, 2 violated mathematical identity,
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import geometry, groebner, polytope, rootsys, statistics, weyl
 from .errors import BudgetExceededError, DefectError, UserInputError
@@ -98,11 +101,8 @@ def _cmd_enumerate(args) -> dict:
     return report
 
 
-def _length_histogram(elements) -> dict:
-    hist = {}
-    for w in elements:
-        hist[w.word_length] = hist.get(w.word_length, 0) + 1
-    return dict(sorted(hist.items()))
+def _length_histogram(W) -> dict:
+    return dict(enumerate(np.bincount(W.length).tolist()))
 
 
 def _cmd_stats(args) -> dict:
@@ -319,6 +319,7 @@ class _Parser(argparse.ArgumentParser):
         raise UserInputError(message)
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alcoved", description=__doc__)
     sub = parser.add_subparsers(dest="command")

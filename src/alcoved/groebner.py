@@ -12,15 +12,17 @@ alcoved polytope gives the marked quadratic binomial basis whose
 irreducible monomials are the faces of the alcove triangulation.
 """
 
+import math
 import random
 from dataclasses import dataclass
-from math import gcd as _gcd
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from . import _linalg, geometry, polytope as polytope_mod
-from .errors import BudgetExceededError, DefectError, UserInputError
+from .errors import DefectError, UserInputError
 from .polytope import AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
@@ -194,7 +196,7 @@ def _nearest_on_line(rs: RootSystemData, a, b) -> tuple:
     diff = tuple(x - y for x, y in zip(b, a))
     g = 0
     for x in diff:
-        g = _gcd(g, x)
+        g = math.gcd(g, x)
     double_mid = tuple(x + y for x, y in zip(a, b))
     for j in range(1, g + 1):
         # candidate points (a+b)/2 +- (j/(2g)) * (b-a)
@@ -277,39 +279,30 @@ def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
 
 
 def polytope_vertices(P: AlcovedPolytope, budget: int = 10**7) -> list:
-    """All arrangement vertices inside the polytope."""
+    """All arrangement vertices inside the polytope.
+
+    The vertex lattice lies inside the diagonal lattice ``{y : d*y_i
+    integral}`` for d the lcm of the basis denominators, so the box scan
+    at scale d lists the candidates ``d*omega``.  With ``M = q*B^-1``
+    integral, a candidate is a vertex when ``M (d*omega)`` is divisible
+    by ``q*d``.  The scan's offset is ``d`` times an integral coweight,
+    itself a vertex, which is added back.  ``M`` is nonnegative with
+    rows at most twice theta in types A, C and D4, so ``M y`` stays
+    within int64 wherever the scan does.
+    """
     _require_supported(P.rs)
     rs = P.rs
-    if P.is_empty:
-        return []
-    # The vertex lattice lies inside the diagonal lattice {y : d*y_i
-    # integral} for d = lcm over the basis denominators, so candidates
-    # come from a diagonal box and are filtered by lattice membership.
-    denom = 1
-    for row in _lattice_basis(rs):
-        for entry in row:
-            denom = denom * entry.denominator // _gcd(denom, entry.denominator)
-    ranges = [range(k * denom, K * denom + 1) for k, K in P.simple_bounds()]
-    total = 1
-    for r in ranges:
-        total *= len(r)
-    if total > budget:
-        raise BudgetExceededError(f"vertex box of {total} points exceeds budget")
-    grid = [()]
-    for rng in ranges:
-        grid = [prefix + (v,) for prefix in grid for v in rng]
+    denom = math.lcm(*(x.denominator for row in _lattice_basis(rs) for x in row))
+    inverse = _lattice_basis_inverse(rs)
+    q = math.lcm(*(x.denominator for row in inverse for x in row))
+    M = np.array([[int(x * q) for x in row] for row in inverse], dtype=np.int64)
+    offset, chunks = polytope_mod._scan(P, denom, budget)
+    base = omega_to_vertex(rs, [o // denom for o in offset])
     out = []
-    for scaled in grid:
-        omega = tuple(Fraction(v, denom) for v in scaled)
-        if not all(
-            k <= pairing(omega, root) <= K
-            for root, (k, K) in zip(rs.positive_roots, P.bounds)
-        ):
-            continue
-        try:
-            out.append(omega_to_vertex(rs, omega))
-        except UserInputError:
-            continue
+    for ys, _ in chunks:
+        coords = ys @ M.T
+        coords = coords[(coords % (q * denom) == 0).all(axis=1)] // (q * denom)
+        out.extend(tuple(c + b for c, b in zip(n, base)) for n in coords.tolist())
     return sorted(out)
 
 

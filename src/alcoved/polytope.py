@@ -2,11 +2,15 @@
 
 A polytope is a pair of integer bounds ``(k, K)`` per positive root;
 its normalized volume is the number of alcove central points inside it,
-and ``lattice_point_count`` is the number of integral coweights.  Both
-enumerations run over integer boxes with numpy; a box whose pairings
-could leave int64 is refused, so every count is exact or raises.
+and ``lattice_point_count`` is the number of integral coweights.  Both,
+and the arrangement vertices of ``groebner``, come from one numpy scan
+of the integer box spanned by the dilated simple bounds.  The box is
+translated to start at 0, so any integer bounds are exact; only a box
+whose widths could take a pairing past int64 is refused, so every count
+is exact or raises.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -98,82 +102,84 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
 _INT64_HEADROOM = 2**62
 
 
-def _scan_arrays(P: AlcovedPolytope, scale: int) -> tuple:
-    """The box of a scan (simple bounds times ``scale``), the root matrix
-    (rank x nroots) and the bound vectors of P, as int64 arrays.
+def _scan(P: AlcovedPolytope, scale: int, budget: int) -> tuple:
+    """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
+    every bound ``(k, K)`` of P, in int64 after a translation.
 
-    Raises UserInputError unless every pairing of a box point with a
-    root stays below 2^62 in absolute value: a wrapped int64 would give
-    a wrong count silently.
+    Returns ``(offset, chunks)``: ``offset`` is ``scale`` times the
+    coweight of P's lower simple bounds, and ``chunks`` yields int64
+    pairs ``(y - offset, pairings)``, one row per point, in lexicographic
+    order of y.  The scan runs over the box ``[0, (K_i - k_i)*scale]``
+    with every root bound shifted by ``(offset, a)``, so int64
+    only holds box pairings.  Raises UserInputError when one could reach
+    2^62 (a wrapped int64 would give a wrong count silently) and
+    BudgetExceededError when the box has more than ``budget`` points.
     """
     rs = P.rs
     box = P.simple_bounds()
-    top = max(max(abs(k), abs(K)) for k, K in box)
-    if top * rs.h_star * sum(rs.theta) >= _INT64_HEADROOM:
+    offset = tuple(scale * k for k, _ in box)
+    if P.is_empty:
+        return offset, iter(())
+    widths = [(K - k) * scale for k, K in box]
+    reach = pairing(widths, rs.theta)  # the largest pairing in the box
+    if reach >= _INT64_HEADROOM:
         raise UserInputError(
-            f"bounds up to {top} in absolute value are too large to scan "
-            "exactly in int64"
+            f"a box of widths {widths} is too large to scan exactly in int64"
         )
-    lo_hi = [(k * scale, K * scale) for k, K in box]
-    roots = np.array(rs.positive_roots, dtype=np.int64).T
-    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
-    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
-    return lo_hi, roots, k_vec, K_vec
-
-
-def _box_iter(ranges, budget, chunk_rows=1 << 21):
-    """Yield int64 arrays of all integer points of a box, in chunks."""
-    sizes = [hi - lo + 1 for lo, hi in ranges]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(w + 1 for w in widths)
     if total > budget:
         raise BudgetExceededError(
             f"box of {total} candidate points exceeds budget {budget}"
         )
-    if total == 0:
-        return
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
-    tail_size = total // sizes[0]
-    if tail_size == 0:
-        return
-    per_chunk = max(1, chunk_rows // max(tail_size, 1))
-    tail = axes[1:]
-    for start in range(0, sizes[0], per_chunk):
-        head = axes[0][start : start + per_chunk]
-        grids = np.meshgrid(head, *tail, indexing="ij")
-        yield np.stack([g.ravel() for g in grids], axis=1)
+    # box pairings lie in [0, reach]: clipping to [-1, reach + 1] keeps
+    # every comparison and fits any bound of a directly built polytope
+    shifted = [
+        [min(max(b * scale - pairing(offset, root), -1), reach + 1) for b in bound]
+        for root, bound in zip(rs.positive_roots, P.bounds)
+    ]
+    lo, hi = np.array(shifted, dtype=np.int64).T
+    roots = np.array(rs.positive_roots, dtype=np.int64).T
+    return offset, _box_chunks(widths, roots, lo, hi)
+
+
+def _box_chunks(widths, roots, lo, hi, chunk_rows=1 << 21):
+    """Points of the box ``[0, widths]`` whose pairings lie in ``[lo, hi]``."""
+    axes = [np.arange(w + 1, dtype=np.int64) for w in widths]
+    per_chunk = max(1, chunk_rows // math.prod(len(a) for a in axes[1:]))
+    for start in range(0, len(axes[0]), per_chunk):
+        grids = np.meshgrid(axes[0][start : start + per_chunk], *axes[1:], indexing="ij")
+        ys = np.stack([g.ravel() for g in grids], axis=1)
+        del grids  # with the rebinding below, keeps one full chunk alive at a time
+        pairings = ys @ roots
+        keep = (pairings >= lo).all(axis=1) & (pairings <= hi).all(axis=1)
+        ys, pairings = ys[keep], pairings[keep]
+        yield ys, pairings
+
+
+def _central_rows(P: AlcovedPolytope, budget: int) -> tuple:
+    """The scan at scale h_star, kept to rows on no hyperplane.
+
+    Those are the central points ``y / h_star``: ``k*h < (y, a) < K*h``
+    with ``(y, a)`` not divisible by h puts the alcove's ``m_a`` in
+    ``[k, K - 1]``.  The offset is a multiple of h, so the translated
+    pairings have the same residues.
+    """
+    h = P.rs.h_star
+    offset, chunks = _scan(P, h, budget)
+    return offset, (ys[(p % h != 0).all(axis=1)] for ys, p in chunks)
 
 
 def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """Number of alcoves in P, counted through their central points."""
-    if P.is_empty:
-        return 0
-    h = P.rs.h_star
-    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, h)
-    count = 0
-    for ys in _box_iter(lo_hi, budget):
-        pairings = ys @ roots
-        m = pairings // h
-        mask = (pairings % h != 0).all(axis=1)
-        mask &= (m >= k_vec).all(axis=1) & (m <= K_vec - 1).all(axis=1)
-        count += int(mask.sum())
-    return count
+    return sum(len(ys) for ys in _central_rows(P, budget)[1])
 
 
 def central_points(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
     """Central points of the alcoves of P (as geometry.CentralPoint)."""
-    if P.is_empty:
-        return
-    h = P.rs.h_star
-    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, h)
-    for ys in _box_iter(lo_hi, budget):
-        pairings = ys @ roots
-        m = pairings // h
-        mask = (pairings % h != 0).all(axis=1)
-        mask &= (m >= k_vec).all(axis=1) & (m <= K_vec - 1).all(axis=1)
-        for y in ys[mask]:
-            yield geometry.CentralPoint(P.rs, tuple(int(v) for v in y))
+    offset, rows = _central_rows(P, budget)
+    for ys in rows:
+        for y in ys.tolist():
+            yield geometry.CentralPoint(P.rs, tuple(v + o for v, o in zip(y, offset)))
 
 
 def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -203,15 +209,7 @@ def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> 
 
 def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """The number of integral coweights in P."""
-    if P.is_empty:
-        return 0
-    lo_hi, roots, k_vec, K_vec = _scan_arrays(P, 1)
-    count = 0
-    for lams in _box_iter(lo_hi, budget):
-        pairings = lams @ roots
-        mask = (pairings >= k_vec).all(axis=1) & (pairings <= K_vec).all(axis=1)
-        count += int(mask.sum())
-    return count
+    return sum(len(ys) for ys, _ in _scan(P, 1, budget)[1])
 
 
 def translated_polytope(P: AlcovedPolytope, w: WeylElement) -> AlcovedPolytope:

@@ -124,9 +124,10 @@ class WeylGroup(Sequence):
     """The elements of W in breadth-first order, with integer tables.
 
     Row ``k`` of every table belongs to ``self[k]``; element 0 is the
-    identity.  ``z[k]`` is its orbit vector, ``length[k]`` its word
-    length and ``descents[k]`` its descent bits (see :func:`descents`).
-    ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
+    identity.  ``z[k]`` is its orbit vector and ``length[k]`` its word
+    length, from which ``self[k]`` is built on access; the tables are
+    the only stored form of the group.  ``descents[k]`` holds its
+    descent bits (see :func:`descents`).  ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
     ``letter[k]`` give ``w_k = w_parent s_{letter+1}``, the breadth-first
     tree (both are -1 at the identity); ``inverse[k]`` is the index of
     ``w_k^-1``.
@@ -134,7 +135,6 @@ class WeylGroup(Sequence):
 
     def __init__(self, rs: RootSystemData, zs, index, length, parent, letter, rmul):
         self.rs = rs
-        self._elements = [WeylElement(rs, z, n) for z, n in zip(zs, length)]
         self._index = index
         self.z = np.array(zs, dtype=np.int64)
         self.length = np.array(length, dtype=np.intp)
@@ -154,13 +154,14 @@ class WeylGroup(Sequence):
         ).astype(np.int64)
 
     def __len__(self):
-        return len(self._elements)
+        return len(self.length)
 
     def __getitem__(self, k):
-        return self._elements[k]
+        return WeylElement(self.rs, self.z[k].tolist(), int(self.length[k]))
 
     def __iter__(self):
-        return iter(self._elements)
+        for z, n in zip(self.z.tolist(), self.length.tolist()):
+            yield WeylElement(self.rs, z, n)
 
     def __contains__(self, w):
         return isinstance(w, WeylElement) and w.rs == self.rs and w.z in self._index

@@ -49,6 +49,19 @@ def test_hypersimplex_single_index(capsys):
     assert report["volumes"] == {"2": 4}
 
 
+def test_parser_is_reused_without_stale_options(capsys):
+    # the parser is built once per process; an option given to one run
+    # must not leak into the next
+    assert cli._make_parser() is cli._make_parser()
+    argv = ["hypersimplex", "--type", "A", "--rank", "3"]
+    code, report = run_json(capsys, argv + ["--k", "2"])
+    assert code == 0
+    assert report["volumes"] == {"2": 4}
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert report["volumes"] == {"1": 1, "2": 4, "3": 1}
+
+
 def test_volume_and_identity_from_spec(tmp_path, capsys):
     spec = {
         "type": "A",

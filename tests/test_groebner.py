@@ -1,5 +1,7 @@
 """Quadratic binomial rewriting and the induced alcove triangulation."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from alcoved.groebner import (
     vertex_to_omega,
 )
 from alcoved.polytope import adjacent_star, hypersimplex, make_polytope, parallelepiped, volume
-from alcoved.rootsys import build
+from alcoved.rootsys import build, pairing
 
 
 def d4_two_alcove_slab():
@@ -196,3 +198,43 @@ def test_simplices_are_alcove_vertex_sets():
         for u in simplex:
             for v in simplex:
                 assert is_standard(P, tuple(sorted((u, v))))
+
+
+def _fraction_grid_vertices(P):
+    """The candidate grid of exact rationals that polytope_vertices used
+    before it shared the numpy box scan."""
+    rs = P.rs
+    if P.is_empty:
+        return []
+    denom = 1
+    for row in groebner._lattice_basis(rs):
+        for entry in row:
+            denom = math.lcm(denom, entry.denominator)
+    ranges = [range(k * denom, K * denom + 1) for k, K in P.simple_bounds()]
+    out = []
+    for scaled in itertools.product(*ranges):
+        omega = tuple(Fraction(v, denom) for v in scaled)
+        if not all(
+            k <= pairing(omega, root) <= K
+            for root, (k, K) in zip(rs.positive_roots, P.bounds)
+        ):
+            continue
+        try:
+            out.append(omega_to_vertex(rs, omega))
+        except UserInputError:
+            continue
+    return sorted(out)
+
+
+def test_vertices_agree_with_fraction_grid():
+    for t, r in (("A", 2), ("A", 3), ("C", 2), ("C", 3), ("D", 4)):
+        rs = build(t, r)
+        for lo, hi in ((-2, 0), (5, 7), (10**12, 10**12 + 1)):
+            P = make_polytope(rs, [(s, lo, hi) for s in rs.simple_roots])
+            assert polytope_vertices(P) == _fraction_grid_vertices(P)
+        # a theta slice, so that a non-simple bound cuts the box
+        cons = [(s, -2, 0) for s in rs.simple_roots] + [(rs.theta, -5, -4)]
+        P = make_polytope(rs, cons)
+        assert polytope_vertices(P) == _fraction_grid_vertices(P)
+    P = d4_two_alcove_slab()
+    assert polytope_vertices(P) == _fraction_grid_vertices(P)

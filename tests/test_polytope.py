@@ -3,11 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from alcoved import polytope
+from alcoved import groebner, polytope
 from alcoved.errors import BudgetExceededError, UserInputError
 from alcoved.polytope import (
+    AlcovedPolytope,
     adjacent_star,
     alcove_count_bfs,
     hypersimplex,
@@ -82,24 +84,32 @@ def test_empty_polytope():
     assert lattice_point_count(P) == 0
 
 
-def _random_polytope(rs, rng):
+def _random_polytope(rs, rng, max_volume=10**4):
     while True:
         cons = []
         for root in rs.simple_roots:
             lo = rng.randint(-2, 1)
             cons.append((root, lo, rng.randint(lo + 1, 2)))
         P = make_polytope(rs, cons)
-        if not P.is_empty and 0 < volume(P) <= 10**4:
+        if not P.is_empty and 0 < volume(P) <= max_volume:
             return P
 
 
 def test_volume_agrees_with_alcove_walk():
     # numpy box filtering against an independent breadth-first walk
     rng = random.Random(11)
-    for t, r in (("A", 2), ("C", 2), ("G", 2)):
+    for t, r, draws, max_volume in (
+        ("A", 2, 5, 10**4),
+        ("C", 2, 5, 10**4),
+        ("G", 2, 5, 10**4),
+        ("B", 2, 5, 10**4),
+        # the walk costs milliseconds per alcove in rank 3 and 4
+        ("B", 3, 3, 100),
+        ("D", 4, 2, 100),
+    ):
         rs = build(t, r)
-        for _ in range(5):
-            P = _random_polytope(rs, rng)
+        for _ in range(draws):
+            P = _random_polytope(rs, rng, max_volume)
             assert volume(P) == alcove_count_bfs(P)
 
 
@@ -185,14 +195,71 @@ def test_spec_accepts_integral_floats():
 
 
 def test_huge_bounds_raise_instead_of_overflowing():
-    # the scan pairs h_star * 3e18 with roots of height 2, past int64;
-    # a wrapped pairing would give a wrong count (0 instead of 2)
+    # the scan translates by the lower simple bounds, so int64 holds only
+    # box pairings: 3e18 * h_star * 2 would wrap, and once gave 0, not 2
     base = 3 * 10**18
     rs = build("A", 2)
     P = make_polytope(rs, [((1, 0), base, base + 1), ((0, 1), base, base + 1)])
+    assert volume(P) == 2
+    assert lattice_point_count(P) == 4
+    first = next(polytope.central_points(P))
+    assert first.y == (9 * 10**18 + 1, 9 * 10**18 + 1)
+    # far non-simple bounds of a directly built polytope are clipped
+    wide = AlcovedPolytope(rs, ((0, 1), (0, 1), (-(10**30), 10**30)))
+    assert (volume(wide), lattice_point_count(wide)) == (2, 4)
+    far = AlcovedPolytope(rs, ((0, 1), (0, 1), (10**30, 10**30 + 1)))
+    assert (volume(far), lattice_point_count(far)) == (0, 0)
+    # only a box too wide for int64 pairings is refused
+    P = make_polytope(rs, [((1, 0), 0, 2**61), ((0, 1), 0, 2**61)])
     with pytest.raises(UserInputError):
         volume(P)
     with pytest.raises(UserInputError):
         lattice_point_count(P)
     with pytest.raises(UserInputError):
         next(polytope.central_points(P))
+    with pytest.raises(UserInputError):
+        groebner.polytope_vertices(P)
+
+
+# -- the numpy masks that volume, central_points and lattice_point_count
+# -- used before they shared one translated scan, kept as oracles
+
+def _untranslated_scan(P, scale):
+    box = [np.arange(k * scale, K * scale + 1) for k, K in P.simple_bounds()]
+    ys = np.stack([g.ravel() for g in np.meshgrid(*box, indexing="ij")], axis=1)
+    roots = np.array(P.rs.positive_roots, dtype=np.int64).T
+    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
+    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
+    return ys, ys @ roots, k_vec, K_vec
+
+
+def _central_mask_oracle(P):
+    h = P.rs.h_star
+    ys, pairings, k_vec, K_vec = _untranslated_scan(P, h)
+    m = pairings // h
+    mask = (pairings % h != 0).all(axis=1)
+    mask &= (m >= k_vec).all(axis=1) & (m <= K_vec - 1).all(axis=1)
+    return [tuple(int(v) for v in y) for y in ys[mask]]
+
+
+def _lattice_mask_oracle(P):
+    _, pairings, k_vec, K_vec = _untranslated_scan(P, 1)
+    return int(((pairings >= k_vec).all(axis=1) & (pairings <= K_vec).all(axis=1)).sum())
+
+
+def test_scans_agree_with_untranslated_masks():
+    rng = random.Random(31)
+    for t, r in (("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
+        rs = build(t, r)
+        for lo, hi in ((-2, 0), (5, 7), (10**12, 10**12 + 1)):
+            cons = [(s, lo, hi) for s in rs.simple_roots]
+            # random cuts on non-simple roots, some of them empty
+            for root in rng.sample(rs.positive_roots, 2):
+                top = sum(root) * lo + rng.randint(0, sum(root) * (hi - lo))
+                cons.append((root, top, top + rng.randint(0, 2)))
+            for P in (make_polytope(rs, cons[:r]), make_polytope(rs, cons)):
+                points = _central_mask_oracle(P) if not P.is_empty else []
+                assert [c.y for c in polytope.central_points(P)] == points
+                assert volume(P) == len(points)
+                expected = _lattice_mask_oracle(P) if not P.is_empty else 0
+                assert lattice_point_count(P) == expected
