@@ -21,6 +21,8 @@ DEFAULT_SELFCHECK_SEED = 20240521
 
 def _jsonable(value):
     """Recursively convert library values to JSON-friendly structures."""
+    if type(value) in (int, str):  # most leaves: skip the isinstance chain
+        return value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -190,7 +192,7 @@ def _cmd_groebner(args) -> dict:
     return {
         "type": P.rs.type_label,
         "rank": P.rs.rank,
-        "vertices": [list(v) for v in groebner.polytope_vertices(P)],
+        "vertices": [list(v) for v in groebner._rewriter(P).vertices],
         "binomials": [
             {
                 "lead": [list(v) for v in binomial.lead],

@@ -10,6 +10,12 @@ common alcove or rewrites to the pair of closest vertices around its
 midpoint; collecting the nontrivial rewrites over the vertices of an
 alcoved polytope gives the marked quadratic binomial basis whose
 irreducible monomials are the faces of the alcove triangulation.
+
+The coherent weights that pick the rewrites and the self-check of the
+triangulation are int64 numpy code on scaled integers: pairings times
+``denom`` (barycenters times ``denom * (rank + 1)``), taken from the
+vertex at the polytope's lower simple bounds, so far-away bounds stay
+exact; where a value could pass 2^62 they raise UserInputError instead.
 """
 
 import math
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import _linalg, geometry, polytope as polytope_mod
 from .errors import DefectError, UserInputError
-from .polytope import AlcovedPolytope
+from .polytope import _INT64_HEADROOM, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
 REWRITE_STEP_GUARD = 10**6
@@ -84,14 +90,8 @@ def _alcove_index(rs: RootSystemData) -> int:
     the span of the fundamental-alcove vertices, so each alcove has
     normalized volume 2.
     """
-    corners = [
-        omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)
-    ]
-    base = corners[0]
-    edges = tuple(
-        tuple(x - y for x, y in zip(c, base)) for c in corners[1:]
-    )
-    return abs(int(_linalg.det(edges)))
+    corners = np.array([omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)])
+    return abs(int(_exact_dets((corners[1:] - corners[0])[None])[0]))
 
 
 def omega_to_vertex(rs: RootSystemData, point) -> tuple:
@@ -104,6 +104,39 @@ def omega_to_vertex(rs: RootSystemData, point) -> tuple:
             raise UserInputError(f"{tuple(point)} is not an arrangement vertex")
         out.append(int(v))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pairing_matrix(rs: RootSystemData) -> tuple:
+    """``(denom, G)``, G integral: ``v @ G`` is ``denom`` times the
+    pairings of the vertex v with the positive roots."""
+    basis = np.array(_lattice_basis(rs), dtype=object)
+    denom = math.lcm(*(x.denominator for x in basis.flat))
+    G = (denom * basis).T @ np.array(rs.positive_roots, dtype=np.int64).T
+    return denom, G.astype(np.int64)
+
+
+def _exact_dets(M: np.ndarray) -> np.ndarray:
+    """Exact determinants of a stack of square integer matrices.
+
+    Bareiss elimination: every entry is a minor, at most the Hadamard
+    bound ``(r*top^2)^(r/2)``, so where a product of two could pass 2^62
+    the elimination runs on Python ints instead of int64.
+    """
+    n, r, _ = M.shape
+    top = int(np.abs(M).max(initial=0))
+    M = M.astype(object if (r * top * top) ** r >= _INT64_HEADROOM else np.int64)
+    every, sign = np.arange(n), np.ones(n, dtype=np.int64)
+    prev = np.ones((n, 1, 1), dtype=M.dtype)
+    for k in range(r):
+        p = k + (M[:, k:, k] != 0).argmax(axis=1)  # the first nonzero pivot, if any
+        M[every, p], M[:, k] = M[:, k].copy(), M[every, p]
+        sign[p != k] *= -1
+        rest = M[:, k + 1 :, k + 1 :]
+        column, row = M[:, k + 1 :, k, None], M[:, None, k, k + 1 :]
+        rest[...] = (M[:, k, k, None, None] * rest - column * row) // prev
+        prev = (M[:, k, k] + (M[:, k, k] == 0))[:, None, None]  # no pivot: rest is 0
+    return sign * M[:, -1, -1]
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +325,7 @@ def polytope_vertices(P: AlcovedPolytope, budget: int = 10**7) -> list:
     """
     _require_supported(P.rs)
     rs = P.rs
-    denom = math.lcm(*(x.denominator for row in _lattice_basis(rs) for x in row))
+    denom = _pairing_matrix(rs)[0]
     inverse = _lattice_basis_inverse(rs)
     q = math.lcm(*(x.denominator for row in inverse for x in row))
     M = np.array([[int(x * q) for x in row] for row in inverse], dtype=np.int64)
@@ -322,8 +355,29 @@ class Rewriter:
         self.P = P
         self.rs = P.rs
         self.vertices = polytope_vertices(P)
-        self._weights = {}
+        # Weights and check use pairings times denom, taken from the vertex
+        # of P's lower simple bounds, with the bounds moved to match.
+        self._denom, self._G = _pairing_matrix(self.rs)
+        low = [k for k, _ in P.simple_bounds()]
+        self._origin = omega_to_vertex(self.rs, low)
+        self._bounds = [
+            (k - pairing(low, root), K - pairing(low, root))
+            for root, (k, K) in zip(self.rs.positive_roots, P.bounds)
+        ]
+        weights = self._scaled_weights(self.vertices).tolist()
+        self._scaled = dict(zip(self.vertices, weights))  # denom * weight
         self.rules = self._build_rules()
+
+    def _translated(self, vertices) -> tuple:
+        """``(X, reach)``: the vertices minus the origin as int64 rows,
+        and a bound on the scaled pairings ``X @ G``.  Raises
+        UserInputError where rank + 1 of those could sum past 2^62."""
+        rows = [[x - o for x, o in zip(v, self._origin)] for v in vertices]
+        top = max((abs(x) for row in rows for x in row), default=0)
+        reach = top * int(np.abs(self._G).sum(axis=0).max())
+        if reach * (self.rs.rank + 1) >= _INT64_HEADROOM:
+            raise UserInputError(f"vertices {top} from {self._origin} overflow int64")
+        return np.array(rows, dtype=np.int64).reshape(-1, self.rs.rank), reach
 
     def _build_rules(self) -> dict:
         """One rewrite per non-minimal decomposition class.
@@ -336,38 +390,50 @@ class Rewriter:
         can sit on higher-dimensional faces of the arrangement, where
         the weight minimum is the only canonical choice left.
         """
-        by_sum = {}
-        for u, v in combinations(self.vertices, 2):
-            total = tuple(x + y for x, y in zip(u, v))
-            by_sum.setdefault(total, []).append((u, v))
-        for u in self.vertices:
-            total = tuple(2 * x for x in u)
-            by_sum.setdefault(total, []).append((u, u))
-        rules = {}
-        for group in by_sum.values():
-            if len(group) == 1:
-                continue
-            weighted = sorted(
-                (self.weight(u) + self.weight(v), (u, v)) for u, v in group
-            )
-            best_weight, best = weighted[0]
-            for w, pair in weighted[1:]:
-                if w > best_weight and pair[0] != pair[1]:
-                    rules[pair] = best
-        return rules
+        V = self.vertices
+        w = np.array([self._scaled[v] for v in V], dtype=np.int64)
+        i, j = np.triu_indices(len(V))  # the pairs (u, v), u <= v, in order
+        sums = self._translated(V)[0]
+        sums = sums[i] + sums[j]
+        # by sum, then weight, then (stable) pair: a group's first pair is its best
+        order = np.lexsort((w[i] + w[j], *sums.T))
+        sums, i, j = sums[order], i[order], j[order]
+        new = np.ones(len(i), dtype=bool)
+        new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+        best = np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))
+        keep = (w[i] + w[j] > w[i[best]] + w[j[best]]) & (i != j)
+        return {
+            (V[a], V[b]): (V[c], V[d])
+            for a, b, c, d in zip(*(x[keep].tolist() for x in (i, j, i[best], j[best])))
+        }
 
     # -- coherent weight -------------------------------------------------
     def weight(self, vertex) -> Fraction:
         """Sum of |distance| to every arrangement hyperplane meeting P."""
-        if vertex not in self._weights:
-            omega = vertex_to_omega(self.rs, vertex)
-            total = Fraction(0)
-            for root, (k, K) in zip(self.rs.positive_roots, self.P.bounds):
-                value = pairing(omega, root)
-                for level in range(k, K + 1):
-                    total += abs(value - level)
-            self._weights[vertex] = total
-        return self._weights[vertex]
+        if vertex not in self._scaled:
+            self._scaled[vertex] = int(self._scaled_weights([vertex])[0])
+        return Fraction(self._scaled[vertex], self._denom)
+
+    def _scaled_weights(self, vertices) -> np.ndarray:
+        """``denom * weight(v)`` per vertex, exact in int64.
+
+        Per root, let ``u = denom * ((v, a) - k)``, ``W = K - k`` and
+        ``g = u // denom`` clipped to ``[-1, W]``: the levels ``k .. k+g``
+        lie at or below v and the others above, so the sum over levels
+        of ``|u - m*denom|`` is ``(2g+1-W) u - denom g (g+1) + denom W (W+1) / 2``.
+        """
+        d = self._denom
+        X, reach = self._translated(vertices)
+        lows = [d * k for k, _ in self._bounds]
+        widths = [max(K - k, -1) for k, K in self._bounds]  # -1: no levels
+        terms = ((w + 1) * (reach + abs(lo) + 2 * d * w) for w, lo in zip(widths, lows))
+        if sum(terms) >= _INT64_HEADROOM:
+            raise UserInputError(f"bounds {self.P.bounds} too wide to weigh in int64")
+        W = np.array(widths, dtype=np.int64)
+        u = X @ self._G - np.array(lows, dtype=np.int64)
+        g = np.clip(u // d, -1, W)
+        levels = (2 * g + 1 - W) * u - d * g * (g + 1) + d * W * (W + 1) // 2
+        return levels.sum(axis=1)
 
     def monomial_weight(self, monomial) -> Fraction:
         return sum((self.weight(v) for v in monomial), Fraction(0))
@@ -451,51 +517,51 @@ class Rewriter:
         return simplices
 
     def _validate_triangulation(self, simplices) -> None:
+        """The count against the volume scan, then all simplices at once:
+        corner pairings times ``denom``, barycenters times ``s``.  Reports
+        the first failing simplex and its first failing check."""
         vol = polytope_mod.volume(self.P)
         if len(simplices) != vol:
             raise DefectError(
                 f"triangulation produced {len(simplices)} simplices for a "
                 f"polytope of volume {vol}"
             )
-        seen_alcoves = set()
-        for simplex in simplices:
-            base = simplex[0]
-            edges = tuple(
-                tuple(x - y for x, y in zip(v, base)) for v in simplex[1:]
-            )
-            if abs(_linalg.det(edges)) != _alcove_index(self.rs):
-                raise DefectError(
-                    f"simplex {simplex} does not have the normalized "
-                    "volume of an alcove"
-                )
-            corners = [vertex_to_omega(self.rs, v) for v in simplex]
-            barycenter = tuple(
-                sum(c[i] for c in corners) / (self.rs.rank + 1)
-                for i in range(self.rs.rank)
-            )
-            m = []
-            for root, (k, K) in zip(self.rs.positive_roots, self.P.bounds):
-                value = pairing(barycenter, root)
-                if value.denominator == 1:
-                    raise DefectError(
-                        f"simplex {simplex} barycenter lies on a hyperplane"
-                    )
-                floor = value.numerator // value.denominator
-                if not k <= floor <= K - 1:
-                    raise DefectError(f"simplex {simplex} leaves the polytope")
-                if any(
-                    not floor <= pairing(c, root) <= floor + 1 for c in corners
-                ):
-                    raise DefectError(
-                        f"simplex {simplex} is not contained in the closed "
-                        "alcove of its barycenter"
-                    )
-                m.append(floor)
-            m = tuple(m)
-            if m in seen_alcoves:
-                raise DefectError("two simplices occupy the same alcove")
-            seen_alcoves.add(m)
+        if not simplices:
+            return
+        index = {}
+        ids = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
+        X = self._translated(index)[0][np.array(ids)]  # simplex, corner, coordinate
+        d = self._denom
+        s = d * (self.rs.rank + 1)
+        corners = X @ self._G
+        bary = corners.sum(axis=1)
+        floor = bary // s
+        lo, hi = np.array(self._bounds, dtype=np.int64).T  # the weight guard holds them
+        inside = (corners >= d * floor[:, None]) & (corners <= d * floor[:, None] + d)
+        faults = np.select(
+            [bary % s == 0, (floor < lo) | (floor >= hi), ~inside.all(axis=1)],
+            [2, 3, 4],
+        )
+        fault = faults[np.arange(len(faults)), (faults != 0).argmax(axis=1)]
+        fault[abs(_exact_dets(X[:, 1:] - X[:, :1])) != _alcove_index(self.rs)] = 1
+        order = np.lexsort(floor.T)  # stable; np.unique(axis=0) would import numpy.ma
+        repeated = np.zeros(len(fault), dtype=bool)
+        repeated[order[1:]] = (floor[order[1:]] == floor[order[:-1]]).all(axis=1)
+        fault[repeated & (fault == 0)] = 5
+        if fault.any():
+            i = int(fault.nonzero()[0][0])
+            raise DefectError(_FAULTS[fault[i]].format(simplices[i]))
 
+
+# The triangulation check's messages, indexed by its fault codes.
+_FAULTS = (
+    None,
+    "simplex {} does not have the normalized volume of an alcove",
+    "simplex {} barycenter lies on a hyperplane",
+    "simplex {} leaves the polytope",
+    "simplex {} is not contained in the closed alcove of its barycenter",
+    "two simplices occupy the same alcove",
+)
 
 _REWRITERS = {}
 

@@ -5,10 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from alcoved import groebner
-from alcoved.errors import UserInputError
+from alcoved import _linalg, groebner
+from alcoved.errors import DefectError, UserInputError
 from alcoved.groebner import (
     groebner_basis,
     is_standard,
@@ -20,7 +21,14 @@ from alcoved.groebner import (
     triangulate,
     vertex_to_omega,
 )
-from alcoved.polytope import adjacent_star, hypersimplex, make_polytope, parallelepiped, volume
+from alcoved.polytope import (
+    AlcovedPolytope,
+    adjacent_star,
+    hypersimplex,
+    make_polytope,
+    parallelepiped,
+    volume,
+)
 from alcoved.rootsys import build, pairing
 
 
@@ -238,3 +246,231 @@ def test_vertices_agree_with_fraction_grid():
         assert polytope_vertices(P) == _fraction_grid_vertices(P)
     P = d4_two_alcove_slab()
     assert polytope_vertices(P) == _fraction_grid_vertices(P)
+
+
+class _FractionRewriter(groebner.Rewriter):
+    """The Fraction weights, rewrite rules and triangulation check that
+    the scaled-integer ones replaced, kept as their oracle."""
+
+    def weight(self, vertex) -> Fraction:
+        cache = self.__dict__.setdefault("_fraction_weights", {})
+        if vertex not in cache:
+            omega = vertex_to_omega(self.rs, vertex)
+            total = Fraction(0)
+            for root, (k, K) in zip(self.rs.positive_roots, self.P.bounds):
+                value = pairing(omega, root)
+                for level in range(k, K + 1):
+                    total += abs(value - level)
+            cache[vertex] = total
+        return cache[vertex]
+
+    def _build_rules(self) -> dict:
+        by_sum = {}
+        for u, v in itertools.combinations(self.vertices, 2):
+            total = tuple(x + y for x, y in zip(u, v))
+            by_sum.setdefault(total, []).append((u, v))
+        for u in self.vertices:
+            total = tuple(2 * x for x in u)
+            by_sum.setdefault(total, []).append((u, u))
+        rules = {}
+        for group in by_sum.values():
+            if len(group) == 1:
+                continue
+            weighted = sorted(
+                (self.weight(u) + self.weight(v), (u, v)) for u, v in group
+            )
+            best_weight, best = weighted[0]
+            for w, pair in weighted[1:]:
+                if w > best_weight and pair[0] != pair[1]:
+                    rules[pair] = best
+        return rules
+
+    def _validate_triangulation(self, simplices) -> None:
+        vol = volume(self.P)
+        if len(simplices) != vol:
+            raise DefectError(
+                f"triangulation produced {len(simplices)} simplices for a "
+                f"polytope of volume {vol}"
+            )
+        seen_alcoves = set()
+        for simplex in simplices:
+            base = simplex[0]
+            edges = tuple(
+                tuple(x - y for x, y in zip(v, base)) for v in simplex[1:]
+            )
+            if abs(_linalg.det(edges)) != groebner._alcove_index(self.rs):
+                raise DefectError(
+                    f"simplex {simplex} does not have the normalized "
+                    "volume of an alcove"
+                )
+            corners = [vertex_to_omega(self.rs, v) for v in simplex]
+            barycenter = tuple(
+                sum(c[i] for c in corners) / (self.rs.rank + 1)
+                for i in range(self.rs.rank)
+            )
+            m = []
+            for root, (k, K) in zip(self.rs.positive_roots, self.P.bounds):
+                value = pairing(barycenter, root)
+                if value.denominator == 1:
+                    raise DefectError(
+                        f"simplex {simplex} barycenter lies on a hyperplane"
+                    )
+                floor = value.numerator // value.denominator
+                if not k <= floor <= K - 1:
+                    raise DefectError(f"simplex {simplex} leaves the polytope")
+                if any(
+                    not floor <= pairing(c, root) <= floor + 1 for c in corners
+                ):
+                    raise DefectError(
+                        f"simplex {simplex} is not contained in the closed "
+                        "alcove of its barycenter"
+                    )
+                m.append(floor)
+            m = tuple(m)
+            if m in seen_alcoves:
+                raise DefectError("two simplices occupy the same alcove")
+            seen_alcoves.add(m)
+
+
+def _box(t, r, lo, hi):
+    rs = build(t, r)
+    return make_polytope(rs, [(s, lo, hi) for s in rs.simple_roots])
+
+
+def _translate(P, coweight):
+    """P moved by an integral coweight, built directly from its bounds."""
+    return AlcovedPolytope(P.rs, tuple(
+        (k + pairing(coweight, root), K + pairing(coweight, root))
+        for root, (k, K) in zip(P.rs.positive_roots, P.bounds)
+    ))
+
+
+def _outcome(check, simplices):
+    try:
+        check(simplices)
+    except DefectError as exc:
+        return str(exc)
+    return None
+
+
+def test_weights_and_rules_agree_with_fraction_oracle():
+    cases = [
+        _box(t, r, lo, lo + width)
+        for t, r, width in (
+            ("A", 2, 2), ("A", 3, 2), ("C", 2, 2), ("C", 3, 1), ("D", 4, 1)
+        )
+        for lo in (0, 5, 10**12)
+    ]
+    slab = d4_two_alcove_slab()
+    cases += [slab, _translate(slab, (10**12, 0, 3, -7))]
+    for P in cases:
+        new, old = groebner.Rewriter(P), _FractionRewriter(P)
+        assert new.rules == old.rules
+        for v in new.vertices:
+            assert new.weight(v) == old.weight(v)
+        # a vertex outside P takes the same linear continuation of the weight
+        outside = tuple(x + 3 for x in new.vertices[-1])
+        assert new.weight(outside) == old.weight(outside)
+    # an empty polytope: a root whose bounds are crossed has no levels at all
+    P = _box("A", 2, 0, 2)
+    P = AlcovedPolytope(P.rs, P.bounds[:-1] + ((4, 1),))
+    new, old = groebner.Rewriter(P), _FractionRewriter(P)
+    assert new.vertices == [] and new.rules == {}
+    assert new.weight((1, 1)) == old.weight((1, 1))
+
+
+_CHECK_KINDS = {
+    "produced": "count",
+    "normalized volume": "volume",
+    "on a hyperplane": "wall",
+    "leaves the polytope": "range",
+    "closed alcove": "corners",
+    "same alcove": "repeat",
+}
+
+
+def test_triangulation_check_agrees_with_fraction_oracle():
+    """Both checks accept the triangulations and raise the same message
+    on corrupted lists that reach every branch of the check."""
+    cases = [
+        _box("A", 2, 0, 3), _box("A", 2, 5, 7), _box("A", 2, 10**12, 10**12 + 1),
+        _box("A", 3, 0, 1), _box("A", 3, 5, 7),
+        _box("C", 2, 0, 2), _box("C", 2, 10**12, 10**12 + 2), _box("C", 3, 0, 1),
+        d4_two_alcove_slab(), _translate(d4_two_alcove_slab(), (5, 0, 0, 0)),
+    ]
+    kinds = set()
+    for P in cases:
+        new, old = groebner.Rewriter(P), _FractionRewriter(P)
+        simplices = new.triangulate()
+        assert old.triangulate() == simplices
+        rs = P.rs
+        base, *rest = simplices[-1]
+        stretched = tuple(b + 2 * (x - b) for x, b in zip(rest[-1], base))
+        width = max(K - k for k, K in P.simple_bounds())
+
+        def moved(simplex, steps):  # by steps times the first fundamental coweight
+            shift = omega_to_vertex(rs, (steps,) + (0,) * (rs.rank - 1))
+            return tuple(tuple(x + t for x, t in zip(v, shift)) for v in simplex)
+
+        corrupted = [
+            simplices[:-1],
+            simplices[:-1] + [simplices[0]],
+            simplices[:-1] + [(base, *rest[:-1], stretched)],
+            simplices[:-1] + [moved(simplices[-1], width + 1)],
+        ]
+        if len(new.vertices) <= 16:
+            # one step out of P on the upper side, and every other vertex set
+            corrupted += [[moved(simplex, 1)] + simplices[1:] for simplex in simplices]
+            corrupted += [
+                [candidate] + simplices[1:]
+                for candidate in itertools.combinations(new.vertices, rs.rank + 1)
+            ]
+        for bad in corrupted:
+            expected = _outcome(old._validate_triangulation, bad)
+            assert _outcome(new._validate_triangulation, bad) == expected
+            if expected is not None:
+                kinds.add(next(k for s, k in _CHECK_KINDS.items() if s in expected))
+    assert kinds == set(_CHECK_KINDS.values())
+
+
+def test_far_translation_is_exact():
+    for t in ("A", "C"):
+        rs = build(t, 2)
+        near, far = _box(t, 2, 0, 2), _box(t, 2, 10**12, 10**12 + 2)
+        offset = omega_to_vertex(rs, (10**12, 10**12))
+        moved = [
+            tuple(tuple(x + o for x, o in zip(v, offset)) for v in simplex)
+            for simplex in triangulate(near)
+        ]
+        simplices = triangulate(far)
+        assert simplices == moved
+        groebner._rewriter(far)._validate_triangulation(simplices)
+    # simple bounds whose scaled width overflows the box scan
+    with pytest.raises(UserInputError):
+        triangulate(_box("A", 2, 0, 2**61))
+    # a far non-simple bound, which the scan clips, overflows the weights
+    P = _box("A", 2, 0, 1)
+    bounds = P.bounds[:-1] + ((P.bounds[-1][0], 2**62),)
+    with pytest.raises(UserInputError):
+        groebner.Rewriter(AlcovedPolytope(P.rs, bounds))
+    # so do the weight of a far vertex and the check of a far simplex
+    with pytest.raises(UserInputError):
+        groebner._rewriter(P).weight((2**62, 0))
+    simplices = triangulate(P)
+    far = [tuple((x + 2**62, y) for x, y in simplices[0])] + simplices[1:]
+    with pytest.raises(UserInputError):
+        groebner._rewriter(P)._validate_triangulation(far)
+
+
+def test_exact_dets_match_fraction_det():
+    rng = random.Random(11)
+    for r in (1, 2, 3, 4):
+        for top in (2, 10**6):
+            stack = [
+                [[rng.randint(-top, top) for _ in range(r)] for _ in range(r)]
+                for _ in range(30)
+            ]
+            stack.append([[0] * r for _ in range(r)])  # singular at the first pivot
+            stack.append([[1] * r for _ in range(r)])  # singular later, for r > 1
+            dets = groebner._exact_dets(np.array(stack, dtype=np.int64))
+            assert [int(x) for x in dets] == [_linalg.det(m) for m in stack]
