@@ -168,13 +168,17 @@ def _cmd_thick_check(args) -> dict:
     from itertools import product
 
     rs = _build(args)
+    layer_volumes = [
+        polytope.volume(polytope.hypersimplex(rs, i), budget=args.budget)
+        for i in range(1, rs.h_star)
+    ]
     cases = 0
     for b in product((1, 2), repeat=rs.rank):
         top = sum(a * bi for a, bi in zip(rs.marks, b))
         for k in range(0, top + 1):
             for K in range(k, top + 1):
-                report = polytope.thick_identity_check(
-                    rs, b, k, K, budget=args.budget
+                report = polytope._thick_identity(
+                    rs, b, k, K, layer_volumes, args.budget
                 )
                 _require(report, ["identity_holds"])
                 cases += 1

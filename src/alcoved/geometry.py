@@ -3,9 +3,13 @@
 An alcove is represented primarily by its central point: the unique
 point of the shrunken coweight lattice inside it.  Central points are
 stored as integer omega-vectors ``y`` with the implicit denominator
-``h_star``, so all alcove arithmetic stays in integers.
+``h_star`` and keep their pairings with the positive roots.  The walk
+to neighbouring alcoves and the reduction into the fundamental alcove
+run in integers too; ``Fraction`` appears only in a reduction's input
+and image.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +33,9 @@ class CentralPoint:
     """The point ``y / h_star`` in omega-coordinates.
 
     Valid central points have ``pairing(y, a) % h_star != 0`` for every
-    positive root ``a``; construction rejects anything else.
+    positive root ``a``; construction rejects anything else and keeps
+    those pairings, in the order of ``rs.positive_roots``, as
+    ``pairings``.
     """
 
     rs: RootSystemData
@@ -37,11 +43,13 @@ class CentralPoint:
 
     def __post_init__(self):
         h = self.rs.h_star
-        for root in self.rs.positive_roots:
-            if pairing(self.y, root) % h == 0:
+        pairings = tuple(pairing(self.y, root) for root in self.rs.positive_roots)
+        for root, value in zip(self.rs.positive_roots, pairings):
+            if value % h == 0:
                 raise UserInputError(
                     f"{self.y}/{h} lies on the hyperplane of root {root}"
                 )
+        object.__setattr__(self, "pairings", pairings)
 
     def omega_point(self) -> tuple:
         """Exact rational omega-coordinates of the point."""
@@ -90,8 +98,7 @@ def fundamental_central_point(rs: RootSystemData) -> CentralPoint:
 def alcove_of(point: CentralPoint) -> Alcove:
     """The m-vector of the alcove containing the central point."""
     h = point.rs.h_star
-    m = tuple(pairing(point.y, root) // h for root in point.rs.positive_roots)
-    return Alcove(point.rs, m)
+    return Alcove(point.rs, tuple(v // h for v in point.pairings))
 
 
 def weyl_alcove(w) -> CentralPoint:
@@ -100,19 +107,11 @@ def weyl_alcove(w) -> CentralPoint:
     return CentralPoint(w.rs, tuple(int(v) for v in y))
 
 
-def _reflect_central(point: CentralPoint, root, k: int) -> CentralPoint:
-    """Reflect in the hyperplane (lambda, root) = k; exact on y-coordinates."""
-    rs = point.rs
-    h = rs.h_star
-    covector = rs.coroot_covector(root)
-    excess = pairing(point.y, root) - k * h
-    y = tuple(v - excess * c for v, c in zip(point.y, covector))
-    out = []
-    for v in y:
-        if v.denominator != 1:
-            raise DefectError("reflection left the shrunken coweight lattice")
-        out.append(int(v))
-    return CentralPoint(rs, tuple(out))
+def _trusted_point(rs: RootSystemData, y: tuple, pairings: tuple) -> CentralPoint:
+    """A CentralPoint from pairings the caller has computed and checked."""
+    point = object.__new__(CentralPoint)
+    point.__dict__.update(rs=rs, y=y, pairings=pairings)
+    return point
 
 
 def neighbors(point: CentralPoint) -> list:
@@ -120,21 +119,30 @@ def neighbors(point: CentralPoint) -> list:
 
     Candidates are the reflections in the two bounding hyperplanes of
     every positive root; those differing from the current m-vector in
-    exactly one coordinate are facet neighbors.
+    exactly one coordinate are facet neighbors.  Reflecting in
+    ``(lambda, a) = k`` moves the pairing with ``b`` by
+    ``-((y, a) - k*h) * (a^vee, b)``, all in integers.
     """
     rs = point.rs
-    base = alcove_of(point).m
+    h = rs.h_star
+    p = point.pairings
+    base = [v // h for v in p]
+    simple = [rs.root_index(s) for s in rs.simple_roots]
     found = []
     seen = set()
-    for idx, root in enumerate(rs.positive_roots):
+    for idx, row in enumerate(rs.coroot_pairings):
         for k in (base[idx], base[idx] + 1):
-            candidate = _reflect_central(point, root, k)
-            m = alcove_of(candidate).m
-            diffs = [i for i in range(len(m)) if m[i] != base[i]]
-            if diffs == [idx] and abs(m[idx] - base[idx]) == 1:
-                if candidate.y not in seen:
-                    seen.add(candidate.y)
-                    found.append(candidate)
+            excess = p[idx] - k * h
+            q = [v - excess * c for v, c in zip(p, row)]
+            if not all(v % h for v in q):  # not a central point
+                CentralPoint(rs, tuple(q[i] for i in simple))  # raises, or:
+                raise DefectError("coroot_pairings disagree with the pairings")
+            diffs = [i for i, (v, b) in enumerate(zip(q, base)) if v // h != b]
+            if diffs == [idx] and abs(q[idx] // h - base[idx]) == 1:
+                y = tuple(q[i] for i in simple)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(_trusted_point(rs, y, tuple(q)))
     if len(found) != rs.rank + 1:
         raise DefectError(
             f"alcove {point.y} has {len(found)} facet neighbors, "
@@ -149,43 +157,34 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
     sigma is a composition of the simple reflections s_1..s_r and the
     affine reflection in (lambda, theta) = 1; the lowest-index violated
     wall is applied at each step, which terminates for every input.
+    The walk runs in integers on the rows of ``[linear | translation |
+    d * image]``, for ``d`` the lcm of the point's denominators: ``s_i``
+    subtracts ``cartan[a][i]`` times row i from row a, and the affine
+    reflection subtracts ``theta_covector[a]`` times ``theta . rows``
+    less ``(0, .., 0, 1, d)``.
     """
     rank = rs.rank
-    p = tuple(Fraction(x) for x in point)
+    p = [Fraction(x) for x in point]
     if len(p) != rank:
         raise UserInputError("point has wrong dimension")
-    sigma = AffineMap.identity_map(rank)
-    theta_cov = rs.theta_covector
-    zero = (Fraction(0),) * rank
+    d = math.lcm(*(x.denominator for x in p))
+    rows = [
+        [int(a == b) for b in range(rank)] + [0, x.numerator * (d // x.denominator)]
+        for a, x in enumerate(p)
+    ]
+    wall = [0] * rank + [1, d]
     for _ in range(REDUCTION_STEP_GUARD):
-        violated = None
-        for i in range(rank):
-            if p[i] < 0:
-                violated = i
-                break
-        if violated is not None:
-            i = violated
-            covector = tuple(rs.cartan[j][i] for j in range(rank))
-            linear = tuple(
-                tuple(
-                    (1 if a == b else 0) - (covector[a] if b == i else 0)
-                    for b in range(rank)
-                )
-                for a in range(rank)
-            )
-            step = AffineMap(linear, zero)
+        i = next((i for i, row in enumerate(rows) if row[-1] < 0), None)
+        if i is not None:
+            col, pivot = [row[i] for row in rs.cartan], rows[i]
         else:
-            excess = pairing(p, rs.theta) - 1
-            if excess <= 0:
-                return sigma, p
-            linear = tuple(
-                tuple(
-                    Fraction(1 if a == b else 0) - theta_cov[a] * rs.theta[b]
-                    for b in range(rank)
+            pivot = [pairing(c, rs.theta) - w for c, w in zip(zip(*rows), wall)]
+            if pivot[-1] <= 0:
+                sigma = AffineMap(
+                    tuple(tuple(row[:rank]) for row in rows),
+                    tuple(row[rank] for row in rows),
                 )
-                for a in range(rank)
-            )
-            step = AffineMap(linear, theta_cov)
-        p = step.apply(p)
-        sigma = step.compose(sigma)
+                return sigma, tuple(Fraction(row[-1], d) for row in rows)
+            col = rs.theta_covector
+        rows = [[x - c * z for x, z in zip(row, pivot)] for row, c in zip(rows, col)]
     raise DefectError("reduction to the fundamental alcove did not terminate")

@@ -285,13 +285,19 @@ def thick_identity_check(
     with theta between k - l + 1 and K - l; summing the lattice counts
     over the layers therefore reproduces the volume.
     """
+    layer_volumes = [volume(hypersimplex(rs, i), budget) for i in range(1, rs.h_star)]
+    return _thick_identity(rs, b, k, K, layer_volumes, budget)
+
+
+def _thick_identity(rs, b, k: int, K: int, layer_volumes, budget: int) -> dict:
+    """``thick_identity_check`` with the layer volumes given, so that a
+    caller checking many cases scans each layer once."""
     lhs = volume(thick_hypersimplex(rs, b, k, K), budget)
     b_minus = [x - 1 for x in b]
     if any(x < 0 for x in b_minus):
         raise UserInputError("thick-hypersimplex identity needs all b_i >= 1")
     terms = []
-    for layer in range(1, rs.h_star):
-        vol_layer = volume(hypersimplex(rs, layer), budget)
+    for layer, vol_layer in enumerate(layer_volumes, start=1):
         inner = thick_hypersimplex(rs, b_minus, k - layer + 1, K - layer)
         terms.append(vol_layer * lattice_point_count(inner, budget))
     total = sum(terms)

@@ -12,10 +12,12 @@ concrete coordinate models in :mod:`alcoved.weyl` for cross-checking
 only.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, lcm, prod
+
+import numpy as np
 
 from . import _linalg
 from .errors import DefectError, UserInputError
@@ -53,6 +55,9 @@ class RootSystemData:
     j-th simple coroot.  ``marks`` are the coefficients of the highest
     root ``theta`` in the simple roots; ``h_star`` is ``1 + sum(marks)``
     and ``index_of_connection`` is ``|det(cartan)|``.
+    ``coroot_pairings[a][b]`` is the integer pairing ``(a^vee, b)`` of
+    the a-th and b-th positive roots, and ``theta_covector`` the integer
+    omega-coordinates of ``theta^vee``.
     """
 
     type_label: str
@@ -66,6 +71,7 @@ class RootSystemData:
     index_of_connection: int
     theta_covector: tuple
     cartan_inverse: tuple
+    coroot_pairings: tuple = field(compare=False)  # determined by the rest
 
     def __post_init__(self):
         object.__setattr__(
@@ -89,21 +95,10 @@ class RootSystemData:
         return tuple(vec) in self._root_index
 
     def coroot_covector(self, root) -> tuple:
-        """Fundamental-coweight coordinates of the coroot of ``root``.
-
-        For the coroot of a root ``a`` these are ``2(a, b_j)/(a, a)``
-        over the simple roots ``b_j``, computed with the symmetrized
-        bilinear form.
-        """
-        inner = [
-            sum(
-                Fraction(c * self.cartan[i][j], self.symmetrizer[j])
-                for i, c in enumerate(root)
-            )
-            for j in range(self.rank)
-        ]
-        norm = sum(c * ip for c, ip in zip(root, inner))
-        return tuple(2 * ip / norm for ip in inner)
+        """Fundamental-coweight coordinates of the coroot of a positive
+        root: its pairings with the simple roots."""
+        row = self.coroot_pairings[self.root_index(root)]
+        return tuple(row[self.root_index(s)] for s in self.simple_roots)
 
     def __repr__(self):
         return f"RootSystemData({self.type_label}{self.rank})"
@@ -194,20 +189,23 @@ def _symmetrizer(cartan: tuple, rank: int) -> tuple:
                 stack.append(j)
     if any(x is None for x in d):
         raise DefectError("Cartan matrix has a disconnected diagram")
-    scale = 1
-    for x in d:
-        scale = scale * x.denominator // _gcd(scale, x.denominator)
-    result = tuple(int(x * scale) for x in d)
-    g = result[0]
-    for x in result[1:]:
-        g = _gcd(g, x)
+    scale = lcm(*(x.denominator for x in d))
+    result = [int(x * scale) for x in d]
+    g = gcd(*result)
     return tuple(x // g for x in result)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _coroot_pairings(cartan: tuple, symmetrizer: tuple, positive_roots: list) -> tuple:
+    """``(a^vee, b) = 2 (a, b) / (a, a)`` for all positive roots, in the
+    symmetrized form ``cartan[i][j] / symmetrizer[j]`` scaled to integers."""
+    scale = lcm(*symmetrizer)
+    form = np.array(cartan, dtype=np.int64) * (scale // np.array(symmetrizer))
+    roots = np.array(positive_roots, dtype=np.int64)
+    gram = roots @ form @ roots.T
+    norms = np.diagonal(gram)[:, None]
+    if (2 * gram % norms).any():
+        raise DefectError("a coroot pairs with a root to a non-integer")
+    return tuple(map(tuple, (2 * gram // norms).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -245,7 +243,13 @@ def build(type_label: str, rank: int) -> RootSystemData:
         raise DefectError("index of connection disagrees with the minuscule count")
 
     symmetrizer = _symmetrizer(cartan, rank)
-    rs = RootSystemData(
+    coroot_pairings = _coroot_pairings(cartan, symmetrizer, positive_roots)
+    theta_covector = tuple(
+        coroot_pairings[-1][positive_roots.index(s)] for s in _linalg.identity(rank)
+    )
+    if pairing(theta_covector, theta) != 2:
+        raise DefectError("(theta_vee, theta) != 2")
+    return RootSystemData(
         type_label=type_label,
         rank=rank,
         cartan=cartan,
@@ -255,14 +259,10 @@ def build(type_label: str, rank: int) -> RootSystemData:
         marks=marks,
         h_star=h_star,
         index_of_connection=f,
-        theta_covector=(),  # placeholder, replaced below
+        theta_covector=theta_covector,
         cartan_inverse=cartan_inverse,
+        coroot_pairings=coroot_pairings,
     )
-    theta_covector = rs.coroot_covector(theta)
-    object.__setattr__(rs, "theta_covector", theta_covector)
-    if pairing(theta_covector, theta) != 2:
-        raise DefectError("(theta_vee, theta) != 2")
-    return rs
 
 
 def pairing(coweight, root):

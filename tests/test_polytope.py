@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -103,14 +104,22 @@ def test_volume_agrees_with_alcove_walk():
         ("C", 2, 5, 10**4),
         ("G", 2, 5, 10**4),
         ("B", 2, 5, 10**4),
-        # the walk costs milliseconds per alcove in rank 3 and 4
         ("B", 3, 3, 100),
         ("D", 4, 2, 100),
+        # the walk costs about 0.4 ms per alcove in rank 4: unit boxes only
+        ("B", 4, 2, 200),
+        ("C", 4, 2, 200),
     ):
         rs = build(t, r)
         for _ in range(draws):
             P = _random_polytope(rs, rng, max_volume)
             assert volume(P) == alcove_count_bfs(P)
+    # no F4 box has a volume below 1152, so F4 walks its hypersimplices;
+    # E6 stays out: finding the seed alone scans the 13^6 box
+    rs = build("F", 4)
+    for k, expected in ((2, 15), (3, 63)):
+        P = hypersimplex(rs, k)
+        assert volume(P) == alcove_count_bfs(P) == expected
 
 
 def test_volume_lattice_identity_random():
@@ -130,6 +139,23 @@ def test_thick_hypersimplex_identity_samples():
         assert report["identity_holds"]
     with pytest.raises(UserInputError):
         thick_identity_check(rs, (0, 1), 0, 1)
+
+
+def test_thick_identity_with_given_layer_volumes():
+    # the helper behind thick-check, given the layer volumes once, returns
+    # what thick_identity_check returns after scanning them itself
+    for t, r in (("B", 2), ("C", 2), ("A", 3)):
+        rs = build(t, r)
+        layers = [volume(hypersimplex(rs, i)) for i in range(1, rs.h_star)]
+        for b in product((1, 2), repeat=r):
+            top = sum(a * bi for a, bi in zip(rs.marks, b))
+            for k in range(top + 1):
+                for K in range(k, top + 1):
+                    report = polytope._thick_identity(
+                        rs, b, k, K, layers, polytope.DEFAULT_POINT_BUDGET
+                    )
+                    assert report == thick_identity_check(rs, b, k, K)
+                    assert report["identity_holds"]
 
 
 def test_spec_roundtrip_and_errors():

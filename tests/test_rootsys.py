@@ -91,6 +91,28 @@ def test_coroot_covector_of_simple_roots():
         assert rs.coroot_covector(alpha) == col
 
 
+def test_coroot_pairings_match_the_symmetrized_form():
+    # (a^vee, b) = 2 (a, b) / (a, a) in Fractions, against the integer table
+    for t, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
+                 ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4),
+                 ("D", 5), ("E", 6), ("E", 7), ("F", 4), ("G", 2)):
+        rs = build(t, r)
+        roots = rs.positive_roots
+        # covectors[a][j] = 2 (a, b_j) / (a, a) for the simple roots b_j
+        covectors = []
+        for a in roots:
+            row = [
+                sum(Fraction(c * rs.cartan[i][j], rs.symmetrizer[j]) for i, c in enumerate(a))
+                for j in range(r)
+            ]
+            norm = sum(c * x for c, x in zip(a, row))
+            covectors.append([2 * x / norm for x in row])
+        expected = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
+        assert rs.coroot_pairings == expected
+        assert rs.theta_covector == rs.coroot_covector(rs.theta)
+        assert pairing(rs.theta_covector, rs.theta) == 2
+
+
 def test_rho_pairs_to_one_with_simple_coroots():
     for t, r in (("A", 2), ("C", 3), ("D", 4)):
         rs = build(t, r)
