@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .errors import DefectError, UserInputError
+from .errors import BudgetExceededError, DefectError, UserInputError
 from .rootsys import RootSystemData, pairing, rho
 
 REDUCTION_STEP_GUARD = 10**6
@@ -127,7 +127,7 @@ def neighbors(point: CentralPoint) -> list:
     h = rs.h_star
     p = point.pairings
     base = [v // h for v in p]
-    simple = [rs.root_index(s) for s in rs.simple_roots]
+    simple = rs.simple_index
     found = []
     seen = set()
     for idx, row in enumerate(rs.coroot_pairings):
@@ -156,7 +156,9 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
 
     sigma is a composition of the simple reflections s_1..s_r and the
     affine reflection in (lambda, theta) = 1; the lowest-index violated
-    wall is applied at each step, which terminates for every input.
+    wall is applied at each step, which terminates for every input; a
+    walk of ``REDUCTION_STEP_GUARD`` steps or more raises
+    BudgetExceededError.
     The walk runs in integers on the rows of ``[linear | translation |
     d * image]``, for ``d`` the lcm of the point's denominators: ``s_i``
     subtracts ``cartan[a][i]`` times row i from row a, and the affine
@@ -187,4 +189,6 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
                 return sigma, tuple(Fraction(row[-1], d) for row in rows)
             col = rs.theta_covector
         rows = [[x - c * z for x, z in zip(row, pivot)] for row, c in zip(rows, col)]
-    raise DefectError("reduction to the fundamental alcove did not terminate")
+    raise BudgetExceededError(
+        f"reduction to A_o did not finish in {REDUCTION_STEP_GUARD} steps"
+    )

@@ -332,7 +332,7 @@ def polytope_vertices(P: AlcovedPolytope, budget: int = 10**7) -> list:
     offset, chunks = polytope_mod._scan(P, denom, budget)
     base = omega_to_vertex(rs, [o // denom for o in offset])
     out = []
-    for ys, _ in chunks:
+    for ys in chunks:
         coords = ys @ M.T
         coords = coords[(coords % (q * denom) == 0).all(axis=1)] // (q * denom)
         out.extend(tuple(c + b for c, b in zip(n, base)) for n in coords.tolist())

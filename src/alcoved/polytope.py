@@ -4,13 +4,18 @@ A polytope is a pair of integer bounds ``(k, K)`` per positive root;
 its normalized volume is the number of alcove central points inside it,
 and ``lattice_point_count`` is the number of integral coweights.  Both,
 and the arrangement vertices of ``groebner``, come from one numpy scan
-of the integer box spanned by the dilated simple bounds.  The box is
-translated to start at 0, so any integer bounds are exact; only a box
-whose widths could take a pairing past int64 is refused, so every count
-is exact or raises.
+of the integer box spanned by the dilated simple bounds, translated to
+start at 0 so that any integer bounds are exact.  The scan adds one
+simple-root coordinate at a time and drops a prefix as soon as a partial
+pairing has passed its upper bound or can no longer reach its lower one;
+a volume scan drops the points on a wall as each pairing becomes final.
+Only a box whose widths could take a pairing past int64 is refused, so
+every count is exact or raises.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -39,13 +44,7 @@ class AlcovedPolytope:
         return self.bounds[self.rs.root_index(root)]
 
     def simple_bounds(self) -> tuple:
-        return tuple(self.bounds[self.rs.root_index(s)] for s in self.rs.simple_roots)
-
-    def contains_coweight(self, point) -> bool:
-        return all(
-            k <= pairing(point, root) <= K
-            for root, (k, K) in zip(self.rs.positive_roots, self.bounds)
-        )
+        return tuple(self.bounds[i] for i in self.rs.simple_index)
 
     def contains_alcove(self, m) -> bool:
         """Whether an alcove with the given m-vector lies in the polytope."""
@@ -82,7 +81,7 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
             prev_lo, prev_hi = user[idx]
             lo, hi = max(lo, prev_lo), min(hi, prev_hi)
         user[idx] = (lo, hi)
-    simple_idx = [rs.root_index(s) for s in rs.simple_roots]
+    simple_idx = rs.simple_index
     for i, idx in enumerate(simple_idx):
         if idx not in user:
             raise UserInputError(
@@ -102,17 +101,21 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
 _INT64_HEADROOM = 2**62
 
 
-def _scan(P: AlcovedPolytope, scale: int, budget: int) -> tuple:
+def _scan(
+    P: AlcovedPolytope, scale: int, budget: int, walls=False, chunk_rows=1 << 21
+) -> tuple:
     """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
-    every bound ``(k, K)`` of P, in int64 after a translation.
+    every bound ``(k, K)`` of P, in int64 after a translation; with
+    ``walls``, only those with no pairing divisible by ``scale``.
 
     Returns ``(offset, chunks)``: ``offset`` is ``scale`` times the
     coweight of P's lower simple bounds, and ``chunks`` yields int64
-    pairs ``(y - offset, pairings)``, one row per point, in lexicographic
-    order of y.  The scan runs over the box ``[0, (K_i - k_i)*scale]``
-    with every root bound shifted by ``(offset, a)``, so int64
-    only holds box pairings.  Raises UserInputError when one could reach
-    2^62 (a wrapped int64 would give a wrong count silently) and
+    arrays of ``y - offset``, one row per point, in lexicographic order
+    of y.  The scan runs over the box ``[0, (K_i - k_i)*scale]`` with
+    every root bound shifted by ``(offset, a)``, so int64 only holds box
+    pairings; the offset is a multiple of ``scale``, so the shifted
+    pairings keep their residues.  Raises UserInputError when one could
+    reach 2^62 (a wrapped int64 would give a wrong count silently) and
     BudgetExceededError when the box has more than ``budget`` points.
     """
     rs = P.rs
@@ -133,51 +136,73 @@ def _scan(P: AlcovedPolytope, scale: int, budget: int) -> tuple:
         )
     # box pairings lie in [0, reach]: clipping to [-1, reach + 1] keeps
     # every comparison and fits any bound of a directly built polytope
+    base = [sum(map(operator.mul, offset, root)) for root in rs.positive_roots]
     shifted = [
-        [min(max(b * scale - pairing(offset, root), -1), reach + 1) for b in bound]
-        for root, bound in zip(rs.positive_roots, P.bounds)
+        [min(max(b * scale - o, -1), reach + 1) for b in bound]
+        for bound, o in zip(P.bounds, base)
     ]
     lo, hi = np.array(shifted, dtype=np.int64).T
-    roots = np.array(rs.positive_roots, dtype=np.int64).T
-    return offset, _box_chunks(widths, roots, lo, hi)
+    return offset, _layers(rs, widths, lo, hi, scale if walls else 0, chunk_rows)
 
 
-def _box_chunks(widths, roots, lo, hi, chunk_rows=1 << 21):
-    """Points of the box ``[0, widths]`` whose pairings lie in ``[lo, hi]``."""
-    axes = [np.arange(w + 1, dtype=np.int64) for w in widths]
-    per_chunk = max(1, chunk_rows // math.prod(len(a) for a in axes[1:]))
-    for start in range(0, len(axes[0]), per_chunk):
-        grids = np.meshgrid(axes[0][start : start + per_chunk], *axes[1:], indexing="ij")
-        ys = np.stack([g.ravel() for g in grids], axis=1)
-        del grids  # with the rebinding below, keeps one full chunk alive at a time
-        pairings = ys @ roots
-        keep = (pairings >= lo).all(axis=1) & (pairings <= hi).all(axis=1)
-        ys, pairings = ys[keep], pairings[keep]
-        yield ys, pairings
+def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
+    """The points of the box ``[0, widths]`` with pairings in ``[lo, hi]``
+    and, for ``wall > 0``, none divisible by it, as row blocks in
+    lexicographic order.
 
-
-def _central_rows(P: AlcovedPolytope, budget: int) -> tuple:
-    """The scan at scale h_star, kept to rows on no hyperplane.
-
-    Those are the central points ``y / h_star``: ``k*h < (y, a) < K*h``
-    with ``(y, a)`` not divisible by h puts the alcove's ``m_a`` in
-    ``[k, K - 1]``.  The offset is a multiple of h, so the translated
-    pairings have the same residues.
+    Coordinates and root coefficients are nonnegative, so pairings only
+    grow: a prefix dies once a pairing passes ``hi`` or the most the
+    later coordinates can add leaves it below ``lo``.  A pairing is
+    final, and tested for a wall, at the last simple root of its
+    support.  A block whose extension would pass ``chunk_rows`` rows is
+    extended in parts (single prefixes and runs of values if need be), in
+    order, one candidate block at a time.
     """
-    h = P.rs.h_star
-    offset, chunks = _scan(P, h, budget)
-    return offset, (ys[(p % h != 0).all(axis=1)] for ys, p in chunks)
+    roots, simple = rs.root_array, list(rs.simple_index)
+    most = roots * np.array(widths, dtype=np.int64)  # the most each coordinate adds
+    later = most[:, ::-1].cumsum(axis=1)[:, ::-1] - most
+    floors = (lo[:, None] - later).T  # floors[j]: least partial pairing after j
+
+    def extend(block, j):
+        final = rs.column_final[j] if wall else ()
+        last = j + 1 == len(widths)
+        count = widths[j] + 1  # values of coordinate j
+        size, span = max(1, chunk_rows // count), min(count, chunk_rows)
+        parts = itertools.product(range(0, len(block), size), range(0, count, span))
+        for start, first in parts:
+            values = np.arange(first, min(first + span, count), dtype=np.int64)
+            cand = block[start : start + size, None, :] + values[:, None] * roots[:, j]
+            alive = (cand <= hi).all(axis=2)
+            alive &= (cand >= floors[j]).all(axis=2)
+            if len(final):
+                residues = cand[:, :, final]
+                residues %= wall
+                alive &= residues.all(axis=2)
+                del residues
+            grown = (cand[:, :, simple] if last else cand)[alive]
+            del cand, alive  # one candidate block at a time
+            if last:
+                yield grown
+            elif len(grown):
+                yield from extend(grown, j + 1)
+
+    return extend(np.zeros((1, len(lo)), dtype=np.int64), 0)
 
 
 def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
-    """Number of alcoves in P, counted through their central points."""
-    return sum(len(ys) for ys in _central_rows(P, budget)[1])
+    """Number of alcoves in P, counted through their central points.
+
+    Those are the points ``y / h_star`` of the scan at scale h_star on
+    no wall: ``k*h < (y, a) < K*h`` with ``(y, a)`` not divisible by h
+    puts the alcove's ``m_a`` in ``[k, K - 1]``.
+    """
+    return sum(len(ys) for ys in _scan(P, P.rs.h_star, budget, walls=True)[1])
 
 
 def central_points(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
     """Central points of the alcoves of P (as geometry.CentralPoint)."""
-    offset, rows = _central_rows(P, budget)
-    for ys in rows:
+    offset, chunks = _scan(P, P.rs.h_star, budget, walls=True)
+    for ys in chunks:
         for y in ys.tolist():
             yield geometry.CentralPoint(P.rs, tuple(v + o for v, o in zip(y, offset)))
 
@@ -209,7 +234,7 @@ def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> 
 
 def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
     """The number of integral coweights in P."""
-    return sum(len(ys) for ys, _ in _scan(P, 1, budget)[1])
+    return sum(len(ys) for ys in _scan(P, 1, budget)[1])
 
 
 def translated_polytope(P: AlcovedPolytope, w: WeylElement) -> AlcovedPolytope:

@@ -58,6 +58,10 @@ class RootSystemData:
     ``coroot_pairings[a][b]`` is the integer pairing ``(a^vee, b)`` of
     the a-th and b-th positive roots, and ``theta_covector`` the integer
     omega-coordinates of ``theta^vee``.
+
+    The array tables are read-only: ``root_array`` holds the positive
+    roots as int64 rows and ``simple_index[j]`` is the row of alpha_j.
+    ``column_final[j]`` lists the rows whose last simple root is alpha_j.
     """
 
     type_label: str
@@ -71,7 +75,10 @@ class RootSystemData:
     index_of_connection: int
     theta_covector: tuple
     cartan_inverse: tuple
-    coroot_pairings: tuple = field(compare=False)  # determined by the rest
+    coroot_pairings: tuple = field(compare=False)  # these are determined by the rest
+    root_array: np.ndarray = field(compare=False)
+    simple_index: tuple = field(compare=False)
+    column_final: tuple = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -98,7 +105,7 @@ class RootSystemData:
         """Fundamental-coweight coordinates of the coroot of a positive
         root: its pairings with the simple roots."""
         row = self.coroot_pairings[self.root_index(root)]
-        return tuple(row[self.root_index(s)] for s in self.simple_roots)
+        return tuple(row[i] for i in self.simple_index)
 
     def __repr__(self):
         return f"RootSystemData({self.type_label}{self.rank})"
@@ -244,9 +251,13 @@ def build(type_label: str, rank: int) -> RootSystemData:
 
     symmetrizer = _symmetrizer(cartan, rank)
     coroot_pairings = _coroot_pairings(cartan, symmetrizer, positive_roots)
-    theta_covector = tuple(
-        coroot_pairings[-1][positive_roots.index(s)] for s in _linalg.identity(rank)
-    )
+    root_array = np.array(positive_roots, dtype=np.int64)
+    last = rank - 1 - np.argmax(root_array[:, ::-1] > 0, axis=1)
+    column_final = tuple(np.flatnonzero(last == j) for j in range(rank))
+    for table in (root_array, *column_final):
+        table.flags.writeable = False
+    simple_index = tuple(positive_roots.index(s) for s in _linalg.identity(rank))
+    theta_covector = tuple(coroot_pairings[-1][i] for i in simple_index)
     if pairing(theta_covector, theta) != 2:
         raise DefectError("(theta_vee, theta) != 2")
     return RootSystemData(
@@ -262,6 +273,9 @@ def build(type_label: str, rank: int) -> RootSystemData:
         theta_covector=theta_covector,
         cartan_inverse=cartan_inverse,
         coroot_pairings=coroot_pairings,
+        root_array=root_array,
+        simple_index=simple_index,
+        column_final=column_final,
     )
 
 

@@ -17,7 +17,7 @@ from alcoved.geometry import (
     reduce_to_fundamental,
     weyl_alcove,
 )
-from alcoved.errors import DefectError, UserInputError
+from alcoved.errors import BudgetExceededError, DefectError, UserInputError
 from alcoved.rootsys import build, pairing
 from alcoved.weyl import enumerate_weyl
 
@@ -269,6 +269,23 @@ def test_reduce_agrees_with_fraction_oracle_on_random_points():
         ("C", 2, [Fraction(601, 5), Fraction(-301, 9)]),
     ):
         _assert_same_reduction(build(t, r), point)
+
+
+def test_reduce_past_the_step_guard_is_a_budget_error(monkeypatch):
+    # a long walk is a resource limit, not a failed theorem; the same point
+    # reduces under the default guard
+    rs = build("A", 2)
+    point = [Fraction(-1_201, 12), Fraction(2_399, 11)]
+    _assert_same_reduction(rs, point)
+    monkeypatch.setattr(geometry, "REDUCTION_STEP_GUARD", 10)
+    with pytest.raises(BudgetExceededError, match="did not finish in 10 steps"):
+        reduce_to_fundamental(rs, point)
+    # a point already in A_o takes no step, so it passes under any guard
+    monkeypatch.setattr(geometry, "REDUCTION_STEP_GUARD", 1)
+    assert reduce_to_fundamental(rs, [Fraction(1, 3), Fraction(1, 3)])[1] == (
+        Fraction(1, 3),
+        Fraction(1, 3),
+    )
 
 
 def test_reduce_agrees_with_fraction_oracle_on_walls():

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from alcoved import groebner, polytope
 from alcoved.errors import BudgetExceededError, UserInputError
@@ -18,6 +19,7 @@ from alcoved.polytope import (
     make_polytope,
     parallelepiped,
     spec_to_polytope,
+    thick_hypersimplex,
     thick_identity_check,
     volume,
     volume_identity_check,
@@ -251,41 +253,131 @@ def test_huge_bounds_raise_instead_of_overflowing():
 # -- used before they shared one translated scan, kept as oracles
 
 def _untranslated_scan(P, scale):
+    """``(ys, ys @ roots)`` over the whole box, one block per value of the
+    first coordinate so that rank-6 boxes stay small."""
     box = [np.arange(k * scale, K * scale + 1) for k, K in P.simple_bounds()]
-    ys = np.stack([g.ravel() for g in np.meshgrid(*box, indexing="ij")], axis=1)
     roots = np.array(P.rs.positive_roots, dtype=np.int64).T
-    k_vec = np.array([k for k, _ in P.bounds], dtype=np.int64)
-    K_vec = np.array([K for _, K in P.bounds], dtype=np.int64)
-    return ys, ys @ roots, k_vec, K_vec
+    grids = np.meshgrid(box[0][:1], *box[1:], indexing="ij")
+    ys = np.stack([g.ravel() for g in grids], axis=1)
+    pairings = ys @ roots
+    first = np.eye(1, len(box), dtype=np.int64)
+    for step in box[0] - box[0][0]:
+        yield ys + step * first, pairings + step * roots[0]
+
+
+def _bound_vectors(P):
+    return (np.array([b[i] for b in P.bounds], dtype=np.int64) for i in (0, 1))
 
 
 def _central_mask_oracle(P):
     h = P.rs.h_star
-    ys, pairings, k_vec, K_vec = _untranslated_scan(P, h)
-    m = pairings // h
-    mask = (pairings % h != 0).all(axis=1)
-    mask &= (m >= k_vec).all(axis=1) & (m <= K_vec - 1).all(axis=1)
-    return [tuple(int(v) for v in y) for y in ys[mask]]
+    k_vec, K_vec = _bound_vectors(P)
+    points = []
+    for ys, pairings in _untranslated_scan(P, h):
+        # k <= pairings // h <= K - 1, tested before the residues
+        inside = ((pairings >= k_vec * h) & (pairings < K_vec * h)).all(axis=1)
+        ys, pairings = ys[inside], pairings[inside]
+        points.extend(map(tuple, ys[(pairings % h != 0).all(axis=1)].tolist()))
+    return points
 
 
 def _lattice_mask_oracle(P):
-    _, pairings, k_vec, K_vec = _untranslated_scan(P, 1)
-    return int(((pairings >= k_vec).all(axis=1) & (pairings <= K_vec).all(axis=1)).sum())
+    k_vec, K_vec = _bound_vectors(P)
+    return sum(
+        int(((pairings >= k_vec).all(axis=1) & (pairings <= K_vec).all(axis=1)).sum())
+        for _, pairings in _untranslated_scan(P, 1)
+    )
+
+
+def _assert_scans_agree(P):
+    points = _central_mask_oracle(P) if not P.is_empty else []
+    assert [c.y for c in polytope.central_points(P)] == points
+    assert volume(P) == len(points)
+    expected = _lattice_mask_oracle(P) if not P.is_empty else 0
+    assert lattice_point_count(P) == expected
 
 
 def test_scans_agree_with_untranslated_masks():
     rng = random.Random(31)
-    for t, r in (("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)):
+    wide = ((-2, 0), (5, 7), (10**12, 10**12 + 1))
+    unit = ((-1, 0), (5, 6), (10**12, 10**12 + 1))  # rank 4 and 5 boxes
+    for t, r, boxes in (
+        ("A", 2, wide), ("A", 3, wide), ("B", 3, wide), ("C", 3, wide),
+        ("D", 4, wide), ("G", 2, wide), ("B", 4, unit), ("D", 5, unit), ("F", 4, unit),
+    ):
         rs = build(t, r)
-        for lo, hi in ((-2, 0), (5, 7), (10**12, 10**12 + 1)):
+        inner = [root for root in rs.positive_roots if sum(root) > 1]
+        for lo, hi in boxes:
             cons = [(s, lo, hi) for s in rs.simple_roots]
             # random cuts on non-simple roots, some of them empty
-            for root in rng.sample(rs.positive_roots, 2):
+            for root in rng.sample(inner, min(2, len(inner))):
                 top = sum(root) * lo + rng.randint(0, sum(root) * (hi - lo))
                 cons.append((root, top, top + rng.randint(0, 2)))
             for P in (make_polytope(rs, cons[:r]), make_polytope(rs, cons)):
-                points = _central_mask_oracle(P) if not P.is_empty else []
-                assert [c.y for c in polytope.central_points(P)] == points
-                assert volume(P) == len(points)
-                expected = _lattice_mask_oracle(P) if not P.is_empty else 0
-                assert lattice_point_count(P) == expected
+                _assert_scans_agree(P)
+    # the first E6 slices: the scan prunes nearly all of the 13^6 box
+    rs = build("E", 6)
+    for k in (1, 2):
+        _assert_scans_agree(hypersimplex(rs, k))
+
+
+def test_scan_in_small_chunks_keeps_rows_and_order():
+    # a block whose extension would pass chunk_rows is extended in parts,
+    # splitting the 9 values of a B4 coordinate too; the parts, joined,
+    # are the rows of the unsplit scan in the same order
+    samples = [
+        make_polytope(build("B", 4), [(s, -1, 0) for s in build("B", 4).simple_roots]),
+        hypersimplex(build("F", 4), 3),
+        thick_hypersimplex(build("C", 3), (2, 1, 2), 2, 5),
+        make_polytope(build("A", 2), [((1, 0), 10**12, 10**12 + 2), ((0, 1), 0, 1)]),
+    ]
+    for P in samples:
+        h = P.rs.h_star
+        for scale, walls in ((h, True), (h, False), (1, False)):
+            offset, chunks = polytope._scan(P, scale, 10**8, walls)
+            whole = list(chunks)
+            assert len(whole) == 1
+            small_offset, small = polytope._scan(P, scale, 10**8, walls, chunk_rows=7)
+            parts = list(small)
+            assert small_offset == offset
+            assert len(parts) > 1 or scale == 1
+            assert max(len(part) for part in parts) <= 7
+            joined = np.concatenate(parts)
+            assert joined.dtype == np.int64
+            assert np.array_equal(joined, whole[0])
+
+
+@st.composite
+def _small_polytopes(draw, t, r):
+    """A box of simple bounds in [-2, 2], one or two wide, cut on theta and
+    on one more root; rank 4 boxes are one wide and cut on theta only."""
+    rs = build(t, r)
+    cons = []
+    for s in rs.simple_roots:
+        lo = draw(st.integers(-2, 1))
+        cons.append((s, lo, lo + draw(st.integers(1, 2 if r < 4 else 1))))
+    roots = [rs.theta]
+    if r < 4:
+        roots.append(draw(st.sampled_from(rs.positive_roots)))
+    for root in roots:
+        k, K = make_polytope(rs, cons).bound(root)
+        a = draw(st.integers(k, K - 1))
+        cons.append((root, a, a + draw(st.integers(1, 3))))
+    return make_polytope(rs, cons)
+
+
+# E6 and larger stay out: the mask oracle would build the whole 13^6 box
+@pytest.mark.parametrize(
+    "t, r",
+    [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+     ("D", 4), ("F", 4), ("G", 2)],
+)
+@seed(2012)
+@settings(max_examples=15, deadline=None, database=None)
+@given(data=st.data())
+def test_volume_matches_oracles_and_walk_on_random_polytopes(t, r, data):
+    P = data.draw(_small_polytopes(t, r))
+    central = _central_mask_oracle(P) if not P.is_empty else []
+    assert volume(P) == len(central) == alcove_count_bfs(P)
+    expected = _lattice_mask_oracle(P) if not P.is_empty else 0
+    assert lattice_point_count(P) == expected
