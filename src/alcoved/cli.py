@@ -155,12 +155,11 @@ def _cmd_vol_identity(args) -> dict:
 
 def _cmd_hypersimplex(args) -> dict:
     rs = _build(args)
-    indices = [args.k] if args.k is not None else list(range(1, rs.h_star))
-    volumes = {}
-    for k in indices:
-        volumes[k] = polytope.volume(
-            polytope.hypersimplex(rs, k), budget=args.budget
-        )
+    if args.k is not None:
+        volume = polytope.volume(polytope.hypersimplex(rs, args.k), budget=args.budget)
+        volumes = {args.k: volume}
+    else:
+        volumes = dict(enumerate(polytope.hypersimplex_volumes(rs, args.budget), 1))
     return {"type": rs.type_label, "rank": rs.rank, "volumes": volumes}
 
 
@@ -168,19 +167,14 @@ def _cmd_thick_check(args) -> dict:
     from itertools import product
 
     rs = _build(args)
-    layer_volumes = [
-        polytope.volume(polytope.hypersimplex(rs, i), budget=args.budget)
-        for i in range(1, rs.h_star)
-    ]
+    layer_volumes = polytope.hypersimplex_volumes(rs, args.budget)
     cases = 0
     for b in product((1, 2), repeat=rs.rank):
+        check = polytope._thick_identities(rs, b, layer_volumes, args.budget)
         top = sum(a * bi for a, bi in zip(rs.marks, b))
         for k in range(0, top + 1):
             for K in range(k, top + 1):
-                report = polytope._thick_identity(
-                    rs, b, k, K, layer_volumes, args.budget
-                )
-                _require(report, ["identity_holds"])
+                _require(check(k, K), ["identity_holds"])
                 cases += 1
     return {
         "type": rs.type_label,

@@ -190,9 +190,7 @@ def _edge_direction(rs: RootSystemData, integral_roots):
     return tuple(direction)
 
 
-_LATTICE_CHECKED = set()
-
-
+@lru_cache(maxsize=None)
 def _verify_vertex_lattice(rs: RootSystemData) -> None:
     """Startup self-check: sampled lattice points reduce onto {0, c_i}.
 
@@ -201,8 +199,6 @@ def _verify_vertex_lattice(rs: RootSystemData) -> None:
     are reduced into the closed fundamental alcove and required to
     land on one of its vertices.
     """
-    if rs in _LATTICE_CHECKED:
-        return
     rng = random.Random(20240 + rs.rank)
     fundamental = {
         omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)
@@ -215,7 +211,6 @@ def _verify_vertex_lattice(rs: RootSystemData) -> None:
                 f"{rs}: arrangement vertex {vertex} does not reduce onto a "
                 "fundamental-alcove vertex"
             )
-    _LATTICE_CHECKED.add(rs)
 
 
 def _nearest_on_line(rs: RootSystemData, a, b) -> tuple:

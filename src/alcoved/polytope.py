@@ -9,6 +9,8 @@ start at 0 so that any integer bounds are exact.  The scan adds one
 simple-root coordinate at a time and drops a prefix as soon as a partial
 pairing has passed its upper bound or can no longer reach its lower one;
 a volume scan drops the points on a wall as each pairing becomes final.
+The families sliced along theta (the hypersimplices of the parallelepiped
+and the thick hypersimplices of a box) are read off one scan per box.
 Only a box whose widths could take a pairing past int64 is refused, so
 every count is exact or raises.
 """
@@ -99,10 +101,11 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
 
 
 _INT64_HEADROOM = 2**62
+_CHUNK_CELLS = 1 << 26  # int64 cells of one candidate block, 0.5 GB
 
 
 def _scan(
-    P: AlcovedPolytope, scale: int, budget: int, walls=False, chunk_rows=1 << 21
+    P: AlcovedPolytope, scale: int, budget: int, walls=False, chunk_rows=None
 ) -> tuple:
     """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
     every bound ``(k, K)`` of P, in int64 after a translation; with
@@ -117,6 +120,8 @@ def _scan(
     pairings keep their residues.  Raises UserInputError when one could
     reach 2^62 (a wrapped int64 would give a wrong count silently) and
     BudgetExceededError when the box has more than ``budget`` points.
+    A candidate block has at most ``chunk_rows`` rows, by default as many
+    as fit ``_CHUNK_CELLS`` pairings.
     """
     rs = P.rs
     box = P.simple_bounds()
@@ -142,6 +147,7 @@ def _scan(
         for bound, o in zip(P.bounds, base)
     ]
     lo, hi = np.array(shifted, dtype=np.int64).T
+    chunk_rows = chunk_rows or _CHUNK_CELLS // len(lo)
     return offset, _layers(rs, widths, lo, hi, scale if walls else 0, chunk_rows)
 
 
@@ -152,7 +158,9 @@ def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
 
     Coordinates and root coefficients are nonnegative, so pairings only
     grow: a prefix dies once a pairing passes ``hi`` or the most the
-    later coordinates can add leaves it below ``lo``.  A pairing is
+    later coordinates can add leaves it below ``lo``.  Past the first
+    coordinate only the pairings that coordinate j moves are tested
+    again, and only the surviving candidates are built.  A pairing is
     final, and tested for a wall, at the last simple root of its
     support.  A block whose extension would pass ``chunk_rows`` rows is
     extended in parts (single prefixes and runs of values if need be), in
@@ -162,25 +170,31 @@ def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
     most = roots * np.array(widths, dtype=np.int64)  # the most each coordinate adds
     later = most[:, ::-1].cumsum(axis=1)[:, ::-1] - most
     floors = (lo[:, None] - later).T  # floors[j]: least partial pairing after j
+    moved = [np.arange(len(lo))] + [np.flatnonzero(c) for c in roots.T[1:]]
 
     def extend(block, j):
-        final = rs.column_final[j] if wall else ()
+        tested = moved[j]
+        final = np.searchsorted(tested, rs.column_final[j]) if wall else ()
         last = j + 1 == len(widths)
         count = widths[j] + 1  # values of coordinate j
         size, span = max(1, chunk_rows // count), min(count, chunk_rows)
         parts = itertools.product(range(0, len(block), size), range(0, count, span))
         for start, first in parts:
             values = np.arange(first, min(first + span, count), dtype=np.int64)
-            cand = block[start : start + size, None, :] + values[:, None] * roots[:, j]
-            alive = (cand <= hi).all(axis=2)
-            alive &= (cand >= floors[j]).all(axis=2)
+            rows = block[start : start + size]
+            cand = rows[:, None, tested] + values[:, None] * roots[tested, j]
+            alive = (cand <= hi[tested]).all(axis=2)
+            alive &= (cand >= floors[j][tested]).all(axis=2)
             if len(final):
                 residues = cand[:, :, final]
                 residues %= wall
                 alive &= residues.all(axis=2)
                 del residues
-            grown = (cand[:, :, simple] if last else cand)[alive]
-            del cand, alive  # one candidate block at a time
+            del cand  # one candidate block at a time
+            row, value = np.nonzero(alive)
+            columns = simple if last else slice(None)
+            grown = rows[row][:, columns]
+            grown += values[value, None] * roots[columns, j]
             if last:
                 yield grown
             elif len(grown):
@@ -300,6 +314,26 @@ def thick_hypersimplex(rs: RootSystemData, b, k: int, K: int) -> AlcovedPolytope
     return make_polytope(rs, constraints)
 
 
+def _theta_slices(rs: RootSystemData, b, scale: int, walls: bool, budget: int) -> list:
+    """Entry t counts the points of one scan of the box ``0..b_i`` with
+    ``(y, theta) // scale = t``: at scale h with ``walls``, the central
+    points with ``m_theta = t``; at scale 1, the lattice points with
+    ``(lambda, theta) = t``."""
+    P = make_polytope(rs, [(s, 0, bi) for s, bi in zip(rs.simple_roots, b)])
+    marks = np.array(rs.marks, dtype=np.int64)
+    counts = np.zeros(pairing(b, rs.theta) + 1, dtype=np.int64)
+    for ys in _scan(P, scale, budget, walls)[1]:
+        counts += np.bincount((ys @ marks) // scale, minlength=len(counts))
+    return counts.tolist()
+
+
+def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_POINT_BUDGET) -> list:
+    """``volume(hypersimplex(rs, k))`` for k = 1..h - 1 from one scan of
+    the parallelepiped: Delta_k holds its alcoves with m_theta = k - 1,
+    and none has m_theta = h - 1, the last slice."""
+    return _theta_slices(rs, (1,) * rs.rank, rs.h_star, True, budget)[:-1]
+
+
 def thick_identity_check(
     rs: RootSystemData, b, k: int, K: int, budget: int = DEFAULT_POINT_BUDGET
 ) -> dict:
@@ -308,30 +342,40 @@ def thick_identity_check(
     An alcove of the layer-l hypersimplex translated by a coweight mu
     lies in the thick hypersimplex exactly when mu fits the shrunken box
     with theta between k - l + 1 and K - l; summing the lattice counts
-    over the layers therefore reproduces the volume.
+    over the layers therefore reproduces the volume.  The sides come
+    from different scans: the volume from the central points of the box
+    ``0..b_i``, the layers from those of the parallelepiped and from the
+    lattice points of the box ``0..b_i - 1``.
     """
-    layer_volumes = [volume(hypersimplex(rs, i), budget) for i in range(1, rs.h_star)]
-    return _thick_identity(rs, b, k, K, layer_volumes, budget)
+    return _thick_identities(rs, b, hypersimplex_volumes(rs, budget), budget)(k, K)
 
 
-def _thick_identity(rs, b, k: int, K: int, layer_volumes, budget: int) -> dict:
-    """``thick_identity_check`` with the layer volumes given, so that a
-    caller checking many cases scans each layer once."""
-    lhs = volume(thick_hypersimplex(rs, b, k, K), budget)
-    b_minus = [x - 1 for x in b]
-    if any(x < 0 for x in b_minus):
-        raise UserInputError("thick-hypersimplex identity needs all b_i >= 1")
-    terms = []
-    for layer, vol_layer in enumerate(layer_volumes, start=1):
-        inner = thick_hypersimplex(rs, b_minus, k - layer + 1, K - layer)
-        terms.append(vol_layer * lattice_point_count(inner, budget))
-    total = sum(terms)
-    return {
-        "volume": lhs,
-        "slice_sum": total,
-        "per_layer": terms,
-        "identity_holds": lhs == total,
-    }
+def _thick_identities(rs, b, layer_volumes, budget: int):
+    """``(k, K) -> thick_identity_check(rs, b, k, K)`` for one box b,
+    from one scan of each side, given the layer volumes."""
+    if len(b) != rs.rank or any(x < 1 for x in b):
+        raise UserInputError(
+            "thick-hypersimplex identity needs one b_i >= 1 per simple root"
+        )
+    thick = _theta_slices(rs, b, rs.h_star, True, budget)
+    inner = _theta_slices(rs, [x - 1 for x in b], 1, False, budget)
+
+    def check(k: int, K: int) -> dict:
+        # slices k..K - 1 of thick and k - l + 1..K - l of inner
+        lhs = sum(thick[max(k, 0) : max(K, 0)])
+        terms = [
+            vol_layer * sum(inner[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
+            for layer, vol_layer in enumerate(layer_volumes, start=1)
+        ]
+        total = sum(terms)
+        return {
+            "volume": lhs,
+            "slice_sum": total,
+            "per_layer": terms,
+            "identity_holds": lhs == total,
+        }
+
+    return check
 
 
 def spec_to_polytope(spec: dict) -> AlcovedPolytope:

@@ -332,11 +332,10 @@ def hypersimplex_statistic_check(rs: RootSystemData, W=None) -> dict:
     rep_index = np.array([W.index(w) for w in reps], dtype=np.intp)
     cdes_table = _cdes_table(rs, W)
     cdes_inv = cdes_table[W.inverse]  # cdes(w^-1) for every w
-    volumes = {}
+    volumes = dict(enumerate(polytope_mod.hypersimplex_volumes(rs), 1))
     coset_counts = {}
     element_counts = {}
-    for k in range(1, rs.h_star):
-        volumes[k] = polytope_mod.volume(polytope_mod.hypersimplex(rs, k))
+    for k in volumes:
         coset_counts[k] = int(np.count_nonzero(cdes_inv[rep_index] == k))
         element_counts[k] = int(np.count_nonzero(cdes_inv == k))
     coset_ok = all(volumes[k] == coset_counts[k] for k in volumes)

@@ -6,7 +6,6 @@ import pytest
 
 from alcoved import cli, polytope
 from alcoved.errors import DefectError
-from alcoved.rootsys import build
 
 
 def run_json(capsys, argv):
@@ -128,21 +127,22 @@ def test_thick_check(capsys):
 
 def test_thick_check_scans_each_layer_once(monkeypatch, capsys):
     # the same cases and verdict as one thick_identity_check per case,
-    # from h - 1 layer scans per command and one thick scan per case
+    # from one scan of the parallelepiped per command and, per box b, one
+    # central-point scan of b and one lattice scan of b - 1
     calls = []
-    scan = polytope.volume
+    scan = polytope._scan
 
     def counted(P, *args, **kwargs):
         calls.append(P)
         return scan(P, *args, **kwargs)
 
-    monkeypatch.setattr(polytope, "volume", counted)
+    monkeypatch.setattr(polytope, "_scan", counted)
     for t, r, cases in (("B", 2, 74), ("C", 2, 74), ("G", 2, 168)):
         calls.clear()
         code, report = run_json(capsys, ["thick-check", "--type", t, "--rank", str(r)])
         assert code == 0
         assert report == {"type": t, "rank": r, "cases": cases, "identity_holds": True}
-        assert len(calls) == build(t, r).h_star - 1 + cases
+        assert len(calls) == 1 + 2 * 2**r
 
 
 def test_selfcheck_reports_skip_for_unsupported_type(capsys):

@@ -143,21 +143,69 @@ def test_thick_hypersimplex_identity_samples():
         thick_identity_check(rs, (0, 1), 0, 1)
 
 
+def _thick_identity_oracle(rs, b, k, K, layer_volumes, budget):
+    """The per-case identity that thick-check ran before every θ-slice
+    was read off one scan per box: one sliced volume scan and h - 1
+    sliced lattice scans."""
+    lhs = volume(thick_hypersimplex(rs, b, k, K), budget)
+    b_minus = [x - 1 for x in b]
+    if any(x < 0 for x in b_minus):
+        raise UserInputError("thick-hypersimplex identity needs all b_i >= 1")
+    terms = []
+    for layer, vol_layer in enumerate(layer_volumes, start=1):
+        inner = thick_hypersimplex(rs, b_minus, k - layer + 1, K - layer)
+        terms.append(vol_layer * lattice_point_count(inner, budget))
+    total = sum(terms)
+    return {
+        "volume": lhs,
+        "slice_sum": total,
+        "per_layer": terms,
+        "identity_holds": lhs == total,
+    }
+
+
+def _thick_cases(rs):
+    for b in product((1, 2), repeat=rs.rank):
+        top = sum(a * bi for a, bi in zip(rs.marks, b))
+        for k in range(top + 1):
+            for K in range(k, top + 1):
+                yield b, k, K
+
+
+def test_thick_identity_matches_per_case_oracle():
+    for t, r in (("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)):
+        rs = build(t, r)
+        layers = [volume(hypersimplex(rs, i)) for i in range(1, rs.h_star)]
+        for b, k, K in _thick_cases(rs):
+            oracle = _thick_identity_oracle(rs, b, k, K, layers, 10**8)
+            assert thick_identity_check(rs, b, k, K) == oracle
+
+
 def test_thick_identity_with_given_layer_volumes():
     # the helper behind thick-check, given the layer volumes once, returns
     # what thick_identity_check returns after scanning them itself
     for t, r in (("B", 2), ("C", 2), ("A", 3)):
         rs = build(t, r)
-        layers = [volume(hypersimplex(rs, i)) for i in range(1, rs.h_star)]
-        for b in product((1, 2), repeat=r):
-            top = sum(a * bi for a, bi in zip(rs.marks, b))
-            for k in range(top + 1):
-                for K in range(k, top + 1):
-                    report = polytope._thick_identity(
-                        rs, b, k, K, layers, polytope.DEFAULT_POINT_BUDGET
-                    )
-                    assert report == thick_identity_check(rs, b, k, K)
-                    assert report["identity_holds"]
+        layers = polytope.hypersimplex_volumes(rs)
+        checks = {}
+        for b, k, K in _thick_cases(rs):
+            if b not in checks:
+                checks[b] = polytope._thick_identities(
+                    rs, b, layers, polytope.DEFAULT_POINT_BUDGET
+                )
+            report = checks[b](k, K)
+            assert report == thick_identity_check(rs, b, k, K)
+            assert report["identity_holds"]
+
+
+def test_hypersimplex_volumes_match_per_slice_scans():
+    for t, r in (
+        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+        ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
+    ):
+        rs = build(t, r)
+        sliced = [volume(hypersimplex(rs, k)) for k in range(1, rs.h_star)]
+        assert polytope.hypersimplex_volumes(rs) == sliced
 
 
 def test_spec_roundtrip_and_errors():
