@@ -20,9 +20,9 @@ DEFAULT_SELFCHECK_SEED = 20240521
 
 
 def _jsonable(value):
-    """Recursively convert library values to JSON-friendly structures."""
-    if type(value) in (int, str):  # most leaves: skip the isinstance chain
-        return value
+    """The JSON form of a value json cannot encode: an int or "p/q" for a
+    Fraction, "(x,...)" for a CosetClass, a dict for a GroupAlgebraElement
+    and ``str(value)`` for anything else."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -30,29 +30,35 @@ def _jsonable(value):
     if isinstance(value, statistics.CosetClass):
         return "(" + ",".join(str(_jsonable(x)) for x in value.frac) + ")"
     if isinstance(value, statistics.GroupAlgebraElement):
-        return {
-            _jsonable(cls): list(poly)
-            for cls, poly in sorted(
-                value.coeffs.items(), key=lambda kv: str(_jsonable(kv[0]))
-            )
-        }
-    if isinstance(value, dict):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+        return {_jsonable(cls): list(poly) for cls, poly in value.coeffs.items()}
     return str(value)
 
 
+def _str_keys(value):
+    """``value`` with each dict, and each dict among its values, rebuilt
+    with keys ``str(_jsonable(key))``; lists and tuples are not walked."""
+    if isinstance(value, dict):
+        return {str(_jsonable(k)): _str_keys(v) for k, v in value.items()}
+    return value
+
+
 def _emit(report: dict, as_json: bool) -> None:
-    report = _jsonable(report)
+    """Print a report as indented JSON or one ``key: value`` line per key.
+
+    Keys are made str first, so that ``sort_keys`` orders them as strings
+    ("10" before "2"); no report nests an int-keyed dict in a list.  json
+    encodes ints, strs, bools, None, lists and tuples itself and hands the
+    other leaves (Fraction, CosetClass, ...) to ``_jsonable``.
+    """
+    report = _str_keys(report)
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=_jsonable))
         return
     for key, value in report.items():
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
+        if not isinstance(value, (dict, list, tuple)):
+            value = _jsonable(value)
+        if isinstance(value, (dict, list, tuple)):
+            value = json.dumps(value, sort_keys=True, default=_jsonable)
         print(f"{key}: {value}")
 
 
@@ -186,29 +192,23 @@ def _cmd_thick_check(args) -> dict:
 
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
-    basis = groebner.groebner_basis(P)
+    basis = groebner.groebner_basis(P, args.budget)
     return {
         "type": P.rs.type_label,
         "rank": P.rs.rank,
-        "vertices": [list(v) for v in groebner._rewriter(P).vertices],
-        "binomials": [
-            {
-                "lead": [list(v) for v in binomial.lead],
-                "trail": [list(v) for v in binomial.trail],
-            }
-            for binomial in basis
-        ],
+        "vertices": groebner._rewriter(P, args.budget).vertices,
+        "binomials": [{"lead": b.lead, "trail": b.trail} for b in basis],
     }
 
 
 def _cmd_triangulate(args) -> dict:
     P = _load_polytope(args)
-    simplices = groebner.triangulate(P)
+    simplices = groebner.triangulate(P, args.budget)
     return {
         "type": P.rs.type_label,
         "rank": P.rs.rank,
-        "volume": polytope.volume(P, budget=args.budget),
-        "simplices": [[list(v) for v in s] for s in simplices],
+        "volume": len(simplices),  # the triangulation check scanned the volume
+        "simplices": simplices,
     }
 
 
@@ -281,9 +281,9 @@ def _cmd_selfcheck(args) -> dict:
     )
     if supported:
         P = _selfcheck_polytope(rs)
-        results["groebner_triangulation"] = len(groebner.triangulate(P)) == (
-            polytope.volume(P, budget=args.budget)
-        )
+        results["groebner_triangulation"] = len(
+            groebner.triangulate(P, args.budget)
+        ) == polytope.volume(P, budget=args.budget)
     else:
         results["groebner_triangulation"] = "skipped (unsupported type)"
     report = {

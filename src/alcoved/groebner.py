@@ -11,7 +11,10 @@ midpoint; collecting the nontrivial rewrites over the vertices of an
 alcoved polytope gives the marked quadratic binomial basis whose
 irreducible monomials are the faces of the alcove triangulation.
 
-The coherent weights that pick the rewrites and the self-check of the
+The vertex-lattice tables (the basis, its inverse and the root
+pairings) are each a denominator and an int64 matrix, so converting
+between vertex and omega coordinates is integer arithmetic.  The
+coherent weights that pick the rewrites and the self-check of the
 triangulation are int64 numpy code on scaled integers: pairings times
 ``denom`` (barycenters times ``denom * (rank + 1)``), taken from the
 vertex at the polytope's lower simple bounds, so far-away bounds stay
@@ -27,9 +30,9 @@ from itertools import combinations
 
 import numpy as np
 
-from . import _linalg, geometry, polytope as polytope_mod
+from . import geometry, polytope as polytope_mod
 from .errors import DefectError, UserInputError
-from .polytope import _INT64_HEADROOM, AlcovedPolytope
+from .polytope import _INT64_HEADROOM, DEFAULT_POINT_BUDGET, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
 REWRITE_STEP_GUARD = 10**6
@@ -49,8 +52,10 @@ def _require_supported(rs: RootSystemData) -> None:
 
 
 @lru_cache(maxsize=None)
-def _lattice_basis(rs: RootSystemData) -> tuple:
-    """Basis of the arrangement-vertex lattice, columns in omega coords.
+def _vertex_lattice(rs: RootSystemData) -> tuple:
+    """``(d, B, q, M)``, B and M int64: the columns of ``B / d`` are a
+    basis of the arrangement-vertex lattice in omega coordinates, and
+    ``M / q`` is its inverse, q the least common denominator.
 
     In types A and C the vertices form the lattice spanned by the
     fundamental-alcove vertices ``c_i = omega_i / a_i``, which is
@@ -60,26 +65,23 @@ def _lattice_basis(rs: RootSystemData) -> tuple:
     """
     r = rs.rank
     if rs.type_label == "D":
-        return tuple(
-            tuple(Fraction(rs.cartan[i][j], 2) for j in range(r))
-            for i in range(r)
-        )
-    return tuple(
-        tuple(Fraction(1, rs.marks[i]) if i == j else Fraction(0) for j in range(r))
-        for i in range(r)
-    )
+        inverse = [2 * x for row in rs.cartan_inverse for x in row]  # of cartan / 2
+        q = math.lcm(*(x.denominator for x in inverse))
+        d, B, M = 2, rs.cartan, [int(q * x) for x in inverse]
+    else:
+        d, q = math.lcm(*rs.marks), 1
+        B, M = np.diag([d // a for a in rs.marks]), np.diag(rs.marks)
+    B, M = (np.array(x, dtype=np.int64).reshape(r, r) for x in (B, M))
+    B.flags.writeable = M.flags.writeable = False  # cached: shared by every caller
+    return d, B, q, M
 
 
 def vertex_to_omega(rs: RootSystemData, vertex) -> tuple:
-    basis = _lattice_basis(rs)
+    d, B, _, _ = _vertex_lattice(rs)
     return tuple(
-        sum(row[j] * vertex[j] for j in range(rs.rank)) for row in basis
+        Fraction(sum(b * x for b, x in zip(row, vertex, strict=True)), d)
+        for row in B.tolist()
     )
-
-
-@lru_cache(maxsize=None)
-def _lattice_basis_inverse(rs: RootSystemData) -> tuple:
-    return _linalg.mat_inv(_lattice_basis(rs))
 
 
 @lru_cache(maxsize=None)
@@ -95,25 +97,17 @@ def _alcove_index(rs: RootSystemData) -> int:
 
 
 def omega_to_vertex(rs: RootSystemData, point) -> tuple:
-    coords = _linalg.mat_vec(
-        _lattice_basis_inverse(rs), tuple(Fraction(y) for y in point)
-    )
-    out = []
-    for v in coords:
-        if v.denominator != 1:
-            raise UserInputError(f"{tuple(point)} is not an arrangement vertex")
-        out.append(int(v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _pairing_matrix(rs: RootSystemData) -> tuple:
-    """``(denom, G)``, G integral: ``v @ G`` is ``denom`` times the
-    pairings of the vertex v with the positive roots."""
-    basis = np.array(_lattice_basis(rs), dtype=object)
-    denom = math.lcm(*(x.denominator for x in basis.flat))
-    G = (denom * basis).T @ np.array(rs.positive_roots, dtype=np.int64).T
-    return denom, G.astype(np.int64)
+    _, _, q, M = _vertex_lattice(rs)
+    scaled = [Fraction(y) for y in point]
+    e = math.lcm(*(y.denominator for y in scaled))
+    scaled = [y.numerator * (e // y.denominator) for y in scaled]  # e * point
+    coords = [
+        divmod(sum(m * y for m, y in zip(row, scaled, strict=True)), q * e)
+        for row in M.tolist()
+    ]
+    if any(rest for _, rest in coords):
+        raise UserInputError(f"{tuple(point)} is not an arrangement vertex")
+    return tuple(n for n, _ in coords)
 
 
 def _exact_dets(M: np.ndarray) -> np.ndarray:
@@ -310,20 +304,18 @@ def polytope_vertices(P: AlcovedPolytope, budget: int = 10**7) -> list:
     """All arrangement vertices inside the polytope.
 
     The vertex lattice lies inside the diagonal lattice ``{y : d*y_i
-    integral}`` for d the lcm of the basis denominators, so the box scan
-    at scale d lists the candidates ``d*omega``.  With ``M = q*B^-1``
-    integral, a candidate is a vertex when ``M (d*omega)`` is divisible
-    by ``q*d``.  The scan's offset is ``d`` times an integral coweight,
-    itself a vertex, which is added back.  ``M`` is nonnegative with
-    rows at most twice theta in types A, C and D4, so ``M y`` stays
-    within int64 wherever the scan does.
+    integral}`` for the basis denominator d, so the box scan at scale d
+    lists the candidates ``d*omega``.  With ``M / q`` the inverse basis,
+    a candidate is a vertex when ``M (d*omega)`` is divisible by ``q*d``.
+    The scan's offset is ``d`` times an integral coweight, itself a
+    vertex, which is added back.  ``M`` is nonnegative with rows at most
+    twice theta in types A, C and D4, so ``M y`` stays within int64
+    wherever the scan does.  Raises BudgetExceededError when the box has
+    more than ``budget`` points.
     """
     _require_supported(P.rs)
     rs = P.rs
-    denom = _pairing_matrix(rs)[0]
-    inverse = _lattice_basis_inverse(rs)
-    q = math.lcm(*(x.denominator for row in inverse for x in row))
-    M = np.array([[int(x * q) for x in row] for row in inverse], dtype=np.int64)
+    denom, _, q, M = _vertex_lattice(rs)
     offset, chunks = polytope_mod._scan(P, denom, budget)
     base = omega_to_vertex(rs, [o // denom for o in offset])
     out = []
@@ -345,14 +337,16 @@ class Binomial:
 class Rewriter:
     """Rewriting engine for the vertex pairs of one alcoved polytope."""
 
-    def __init__(self, P: AlcovedPolytope):
+    def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
         _require_supported(P.rs)
         self.P = P
         self.rs = P.rs
-        self.vertices = polytope_vertices(P)
-        # Weights and check use pairings times denom, taken from the vertex
-        # of P's lower simple bounds, with the bounds moved to match.
-        self._denom, self._G = _pairing_matrix(self.rs)
+        self.budget = budget  # bounds the vertex scan and the check's volume scan
+        self.vertices = polytope_vertices(P, budget)
+        # Weights and check use pairings times denom, v @ G, taken from the
+        # vertex of P's lower simple bounds, with the bounds moved to match.
+        self._denom, B, _, _ = _vertex_lattice(self.rs)
+        self._G = B.T @ self.rs.root_array.T
         low = [k for k, _ in P.simple_bounds()]
         self._origin = omega_to_vertex(self.rs, low)
         self._bounds = [
@@ -483,31 +477,31 @@ class Rewriter:
 
         The standard pairs form a flag complex (the basis is quadratic),
         so the alcove simplices are exactly the (r+1)-cliques of the
-        standard-pair graph.  The count is checked against the volume
-        and each simplex against unimodularity and membership.
+        standard-pair graph, found in lexicographic order: the later
+        vertices that form a standard pair with a vertex are the bits of
+        one int, and a clique extends by the lowest bits of their AND.
+        The count is checked against the volume and each simplex against
+        unimodularity and membership.
         """
-        r = self.rs.rank
+        size = self.rs.rank + 1
         verts = self.vertices
-        n = len(verts)
-        compatible = {
-            i: {
-                j
-                for j in range(n)
-                if j != i
-                and tuple(sorted((verts[i], verts[j]))) not in self.rules
-            }
-            for i in range(n)
-        }
+        index = {v: i for i, v in enumerate(verts)}
+        later = [(1 << len(verts)) - (2 << i) for i in range(len(verts))]
+        for a, b in self.rules:  # a < b
+            later[index[a]] &= ~(1 << index[b])
         simplices = []
 
         def extend(clique, candidates):
-            if len(clique) == r + 1:
+            if len(clique) == size:
                 simplices.append(tuple(verts[i] for i in clique))
                 return
-            for j in sorted(candidates):
-                extend(clique + [j], {x for x in candidates if x > j} & compatible[j])
+            while candidates.bit_count() >= size - len(clique):
+                low = candidates & -candidates
+                candidates ^= low
+                j = low.bit_length() - 1
+                extend(clique + [j], candidates & later[j])
 
-        extend([], set(range(n)))
+        extend([], (1 << len(verts)) - 1)
         self._validate_triangulation(simplices)
         return simplices
 
@@ -515,7 +509,7 @@ class Rewriter:
         """The count against the volume scan, then all simplices at once:
         corner pairings times ``denom``, barycenters times ``s``.  Reports
         the first failing simplex and its first failing check."""
-        vol = polytope_mod.volume(self.P)
+        vol = polytope_mod.volume(self.P, self.budget)
         if len(simplices) != vol:
             raise DefectError(
                 f"triangulation produced {len(simplices)} simplices for a "
@@ -561,15 +555,17 @@ _FAULTS = (
 _REWRITERS = {}
 
 
-def _rewriter(P: AlcovedPolytope) -> Rewriter:
-    if P not in _REWRITERS:
-        _REWRITERS[P] = Rewriter(P)
-    return _REWRITERS[P]
+def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> Rewriter:
+    # keyed by the budget too, so that a smaller budget is checked again
+    rewriter = _REWRITERS.get((P, budget))
+    if rewriter is None:
+        rewriter = _REWRITERS[P, budget] = Rewriter(P, budget)
+    return rewriter
 
 
-def groebner_basis(P: AlcovedPolytope) -> list:
+def groebner_basis(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
     """The marked quadratic binomials over the polytope's vertex pairs."""
-    return _rewriter(P).basis()
+    return _rewriter(P, budget).basis()
 
 
 def normal_form(P: AlcovedPolytope, monomial) -> tuple:
@@ -581,9 +577,12 @@ def is_standard(P: AlcovedPolytope, monomial) -> bool:
     return _rewriter(P).is_standard(monomial)
 
 
-def triangulate(P: AlcovedPolytope) -> list:
-    """The alcove triangulation as (rank+1)-sets of arrangement vertices."""
-    return _rewriter(P).triangulate()
+def triangulate(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
+    """The alcove triangulation as (rank+1)-sets of arrangement vertices.
+
+    Raises BudgetExceededError when the vertex scan or the check's
+    volume scan has more than ``budget`` box points."""
+    return _rewriter(P, budget).triangulate()
 
 
 def midpoint_closure_check(rs: RootSystemData, vertex_set) -> bool:

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, JSON output and exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from alcoved import cli, polytope
+from alcoved import cli, polytope, rootsys, statistics
 from alcoved.errors import DefectError
 
 
@@ -195,3 +196,114 @@ def test_json_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     cli.run(["cross-table", "--type", "A", "--rank", "2", "--json"])
     assert capsys.readouterr().out == first
+
+
+def test_triangulate_and_groebner_obey_budget(tmp_path, capsys):
+    # A3 0..2: 27 vertex-box points and 729 volume-box points
+    rs = rootsys.build("A", 3)
+    path = _write_spec(tmp_path, rs, [(s, 0, 2) for s in rs.simple_roots])
+    for cmd in ("triangulate", "groebner"):
+        assert cli.run([cmd, "--spec", path]) == 0  # cached under the default budget
+        assert cli.run([cmd, "--spec", path, "--budget", "10"]) == 3
+        assert "budget" in capsys.readouterr().err
+    assert cli.run(["triangulate", "--spec", path, "--budget", "728"]) == 3
+    assert "729" in capsys.readouterr().err
+
+
+# -- the emit oracle ---------------------------------------------------------
+def _oracle_jsonable(value):
+    """The recursive conversion that _emit ran over every report value
+    before json-native emitting, kept as its oracle."""
+    if type(value) in (int, str):
+        return value
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, statistics.CosetClass):
+        return "(" + ",".join(str(_oracle_jsonable(x)) for x in value.frac) + ")"
+    if isinstance(value, statistics.GroupAlgebraElement):
+        return {
+            _oracle_jsonable(cls): list(poly)
+            for cls, poly in sorted(
+                value.coeffs.items(), key=lambda kv: str(_oracle_jsonable(kv[0]))
+            )
+        }
+    if isinstance(value, dict):
+        return {str(_oracle_jsonable(k)): _oracle_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_jsonable(v) for v in value]
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    return str(value)
+
+
+def _oracle_emit(report: dict, as_json: bool) -> None:
+    report = _oracle_jsonable(report)
+    if as_json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return
+    for key, value in report.items():
+        if isinstance(value, (dict, list)):
+            value = json.dumps(value, sort_keys=True)
+        print(f"{key}: {value}")
+
+
+def _write_spec(tmp_path, rs, constraints) -> str:
+    path = tmp_path / f"{rs.type_label}{rs.rank}.json"
+    path.write_text(json.dumps({
+        "type": rs.type_label,
+        "rank": rs.rank,
+        "constraints": [{"root": list(a), "min": k, "max": K} for a, k, K in constraints],
+    }))
+    return str(path)
+
+
+def _dicts_in_lists(value, in_list=False):
+    """Every dict that sits inside a list or tuple, at any depth."""
+    if isinstance(value, dict):
+        found = [value] if in_list else []
+        return found + [d for v in value.values() for d in _dicts_in_lists(v, in_list)]
+    if isinstance(value, (list, tuple)):
+        return [d for v in value for d in _dicts_in_lists(v, True)]
+    return []
+
+
+def test_emit_matches_oracle_byte_for_byte(tmp_path, monkeypatch, capsys):
+    runs = []  # (argv, exit code)
+    for t, r in (("A", 2), ("B", 3), ("C", 2), ("D", 4), ("G", 2), ("F", 4)):
+        rs = rootsys.build(t, r)
+        typed = ["--type", t, "--rank", str(r)]
+        for cmd in ("info", "enumerate", "stats", "qweyl", "hypersimplex",
+                    "thick-check", "cross-table", "selfcheck"):
+            runs.append(([cmd, *typed], 0))
+        runs.append((["hypersimplex", *typed, "--k", "2"], 0))
+        if t == "D":  # the two-alcove slab: the unit box fails its check
+            cons = [(a, 0, 1) for a in rs.positive_roots]
+            cons[rs.root_index(rs.simple_roots[0])] = (rs.simple_roots[0], -1, 1)
+        else:
+            cons = [(a, 0, 2) for a in rs.simple_roots]
+        spec = _write_spec(tmp_path, rs, cons)
+        runs += [([cmd, "--spec", spec], 0) for cmd in ("volume", "vol-identity")]
+        # the vertex lattice exists in types A, C and D4 only
+        runs += [([cmd, "--spec", spec], 0 if t in "ACD" else 1)
+                 for cmd in ("groebner", "triangulate")]
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, as_json: reports.append(report))
+    for argv, code in runs:
+        assert cli.run(argv) == code, argv
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert len(reports) == 6 * 11 + 3 * 2
+    for report in reports:
+        assert all(isinstance(k, str) for d in _dicts_in_lists(report) for k in d)
+        for as_json in (False, True):
+            cli._emit(report, as_json)
+            out = capsys.readouterr().out
+            _oracle_emit(report, as_json)
+            assert out == capsys.readouterr().out
+    # an int-keyed dict with ten or more keys sorts its keys as strings
+    cli.run(["hypersimplex", "--type", "F", "--rank", "4", "--json"])
+    volumes = json.loads(capsys.readouterr().out)["volumes"]
+    assert list(volumes) == sorted(str(k) for k in range(1, 12))
+    assert list(volumes)[:3] == ["1", "10", "11"]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from alcoved import _linalg, groebner
-from alcoved.errors import DefectError, UserInputError
+from alcoved.errors import BudgetExceededError, DefectError, UserInputError
 from alcoved.groebner import (
     groebner_basis,
     is_standard,
@@ -208,6 +208,93 @@ def test_simplices_are_alcove_vertex_sets():
                 assert is_standard(P, tuple(sorted((u, v))))
 
 
+def _fraction_basis(rs):
+    """The vertex-lattice basis as Fraction rows (omega = B n), the form
+    the integer tables replaced, kept as their oracle."""
+    r = rs.rank
+    if rs.type_label == "D":
+        return tuple(
+            tuple(Fraction(rs.cartan[i][j], 2) for j in range(r)) for i in range(r)
+        )
+    return tuple(
+        tuple(Fraction(1, rs.marks[i]) if i == j else Fraction(0) for j in range(r))
+        for i in range(r)
+    )
+
+
+def _fraction_vertex_to_omega(rs, vertex):
+    return _linalg.mat_vec(_fraction_basis(rs), tuple(vertex))
+
+
+def _fraction_omega_to_vertex(rs, point):
+    coords = _linalg.mat_vec(
+        _linalg.mat_inv(_fraction_basis(rs)), tuple(Fraction(y) for y in point)
+    )
+    if any(v.denominator != 1 for v in coords):
+        raise UserInputError(f"{tuple(point)} is not an arrangement vertex")
+    return tuple(int(v) for v in coords)
+
+
+def _fraction_pairing_matrix(rs):
+    basis = np.array(_fraction_basis(rs), dtype=object)
+    denom = math.lcm(*(x.denominator for x in basis.flat))
+    G = (denom * basis).T @ np.array(rs.positive_roots, dtype=np.int64).T
+    return denom, G.astype(np.int64)
+
+
+def _fraction_alcove_index(rs):
+    corners = [
+        _fraction_omega_to_vertex(rs, p) for p in groebner._fundamental_vertices(rs)
+    ]
+    edges = [tuple(x - y for x, y in zip(c, corners[0])) for c in corners[1:]]
+    return abs(_linalg.det(edges))
+
+
+_TABLE_SYSTEMS = [("A", r) for r in range(1, 6)] + [("C", 2), ("C", 3), ("C", 4), ("D", 4)]
+
+
+def test_vertex_lattice_tables_agree_with_fraction_oracle():
+    for t, r in _TABLE_SYSTEMS:
+        rs = build(t, r)
+        d, B, q, M = groebner._vertex_lattice(rs)
+        basis = _fraction_basis(rs)
+        inverse = _linalg.mat_inv(basis)
+        assert B.dtype == M.dtype == np.int64
+        assert [[Fraction(x, d) for x in row] for row in B.tolist()] == [
+            list(row) for row in basis
+        ]
+        assert d == math.lcm(*(x.denominator for row in basis for x in row))
+        assert [[Fraction(x, q) for x in row] for row in M.tolist()] == [
+            list(row) for row in inverse
+        ]
+        assert q == math.lcm(*(x.denominator for row in inverse for x in row))
+        rewriter = groebner.Rewriter(_box(t, r, 0, 1))
+        old_denom, old_G = _fraction_pairing_matrix(rs)
+        assert rewriter._denom == old_denom and rewriter._G.dtype == np.int64
+        assert np.array_equal(rewriter._G, old_G)
+        assert groebner._alcove_index(rs) == _fraction_alcove_index(rs)
+        rng = random.Random(31 + r)
+        for top in (4, 10**15):
+            for _ in range(25):
+                v = tuple(rng.randint(-top, top) for _ in range(r))
+                omega = vertex_to_omega(rs, v)
+                assert omega == _fraction_vertex_to_omega(rs, v)
+                assert all(type(x) is Fraction for x in omega)
+                assert omega_to_vertex(rs, omega) == v
+                # a point off the lattice, or not even a coweight
+                for den in (2, 3, 4, 6):
+                    point = tuple(Fraction(rng.randint(-top, top), den) for x in v)
+                    try:
+                        expected = _fraction_omega_to_vertex(rs, point)
+                    except UserInputError:
+                        with pytest.raises(UserInputError):
+                            omega_to_vertex(rs, point)
+                    else:
+                        assert omega_to_vertex(rs, point) == expected
+        with pytest.raises(ValueError):
+            omega_to_vertex(rs, (0,) * (r + 1))
+
+
 def _fraction_grid_vertices(P):
     """The candidate grid of exact rationals that polytope_vertices used
     before it shared the numpy box scan."""
@@ -215,7 +302,7 @@ def _fraction_grid_vertices(P):
     if P.is_empty:
         return []
     denom = 1
-    for row in groebner._lattice_basis(rs):
+    for row in _fraction_basis(rs):
         for entry in row:
             denom = math.lcm(denom, entry.denominator)
     ranges = [range(k * denom, K * denom + 1) for k, K in P.simple_bounds()]
@@ -228,7 +315,7 @@ def _fraction_grid_vertices(P):
         ):
             continue
         try:
-            out.append(omega_to_vertex(rs, omega))
+            out.append(_fraction_omega_to_vertex(rs, omega))
         except UserInputError:
             continue
     return sorted(out)
@@ -255,7 +342,7 @@ class _FractionRewriter(groebner.Rewriter):
     def weight(self, vertex) -> Fraction:
         cache = self.__dict__.setdefault("_fraction_weights", {})
         if vertex not in cache:
-            omega = vertex_to_omega(self.rs, vertex)
+            omega = _fraction_vertex_to_omega(self.rs, vertex)
             total = Fraction(0)
             for root, (k, K) in zip(self.rs.positive_roots, self.P.bounds):
                 value = pairing(omega, root)
@@ -298,12 +385,12 @@ class _FractionRewriter(groebner.Rewriter):
             edges = tuple(
                 tuple(x - y for x, y in zip(v, base)) for v in simplex[1:]
             )
-            if abs(_linalg.det(edges)) != groebner._alcove_index(self.rs):
+            if abs(_linalg.det(edges)) != _fraction_alcove_index(self.rs):
                 raise DefectError(
                     f"simplex {simplex} does not have the normalized "
                     "volume of an alcove"
                 )
-            corners = [vertex_to_omega(self.rs, v) for v in simplex]
+            corners = [_fraction_vertex_to_omega(self.rs, v) for v in simplex]
             barycenter = tuple(
                 sum(c[i] for c in corners) / (self.rs.rank + 1)
                 for i in range(self.rs.rank)
@@ -474,3 +561,61 @@ def test_exact_dets_match_fraction_det():
             stack.append([[1] * r for _ in range(r)])  # singular later, for r > 1
             dets = groebner._exact_dets(np.array(stack, dtype=np.int64))
             assert [int(x) for x in dets] == [_linalg.det(m) for m in stack]
+
+
+def _set_cliques(rewriter):
+    """The dict-of-sets clique search that the bitsets replaced, kept as
+    their oracle."""
+    r = rewriter.rs.rank
+    verts = rewriter.vertices
+    n = len(verts)
+    compatible = {
+        i: {
+            j
+            for j in range(n)
+            if j != i and tuple(sorted((verts[i], verts[j]))) not in rewriter.rules
+        }
+        for i in range(n)
+    }
+    simplices = []
+
+    def extend(clique, candidates):
+        if len(clique) == r + 1:
+            simplices.append(tuple(verts[i] for i in clique))
+            return
+        for j in sorted(candidates):
+            extend(clique + [j], {x for x in candidates if x > j} & compatible[j])
+
+    extend([], set(range(n)))
+    return simplices
+
+
+def test_bitset_cliques_agree_with_set_oracle():
+    from test_acceptance import _confluence_cases
+
+    bench_specs = [
+        _box("A", 2, 0, 4), _box("A", 2, 0, 6), _box("C", 2, 0, 3), _box("C", 2, 0, 4),
+        _box("A", 3, 0, 2), _box("A", 4, 0, 1), _box("C", 3, 0, 1), _box("D", 4, 0, 1),
+    ]
+    for P in _confluence_cases() + bench_specs:
+        rewriter = groebner.Rewriter(P)
+        rewriter._validate_triangulation = lambda simplices: None
+        simplices = rewriter.triangulate()
+        assert simplices == _set_cliques(rewriter)
+    assert len(simplices) == 414  # the D4 unit box, whose check fails
+    with pytest.raises(DefectError, match="414 simplices"):
+        triangulate(bench_specs[-1])
+
+
+def test_budget_bounds_vertex_scan_and_check():
+    P = _box("A", 3, 0, 2)  # 27 vertex-box points, 9^3 volume-box points
+    simplices = triangulate(P)
+    for budget in (10, 26):
+        with pytest.raises(BudgetExceededError):
+            triangulate(P, budget)
+        with pytest.raises(BudgetExceededError):
+            groebner_basis(P, budget)
+    # the vertex scan fits, the volume scan of the check does not
+    with pytest.raises(BudgetExceededError, match="729"):
+        triangulate(P, 728)
+    assert triangulate(P, 729) == simplices
