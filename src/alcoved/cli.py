@@ -273,7 +273,7 @@ def _cmd_selfcheck(args) -> dict:
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)
         vol_ok = vol_ok and polytope.volume_identity_check(
-            P, budget=args.budget
+            P, budget=args.budget, W=W
         )["identity_holds"]
     results["volume_lattice_identity"] = vol_ok
     supported = rs.type_label in ("A", "C") or (
@@ -322,25 +322,22 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="alcoved", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--type", choices=list("ABCDEFG"), help="root system type")
-        p.add_argument("--rank", type=int, help="root system rank")
-        p.add_argument("--spec", help="polytope spec JSON file")
-        p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--seed", type=int, default=DEFAULT_SELFCHECK_SEED)
-        p.add_argument("--budget", type=int, default=10**8)
-        if name == "hypersimplex":
-            p.add_argument("--k", type=int, help="hypersimplex index")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--type", choices=list("ABCDEFG"), help="root system type")
+    parser.add_argument("--rank", type=int, help="root system rank")
+    parser.add_argument("--spec", help="polytope spec JSON file")
+    parser.add_argument("--json", action="store_true", help="JSON output")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SELFCHECK_SEED)
+    parser.add_argument("--budget", type=int, default=10**8)
+    parser.add_argument("--k", type=int, help="hypersimplex index")
     return parser
 
 
 def run(argv) -> int:
     try:
         args = _make_parser().parse_args(argv)
-        if args.command is None:
-            raise UserInputError("no subcommand given")
+        if args.k is not None and args.command != "hypersimplex":
+            raise UserInputError("--k applies only to hypersimplex")
         if args.budget <= 0:
             raise UserInputError("--budget must be positive")
         report = _COMMANDS[args.command](args)

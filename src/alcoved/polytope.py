@@ -13,6 +13,10 @@ The families sliced along theta (the hypersimplices of the parallelepiped
 and the thick hypersimplices of a box) are read off one scan per box.
 Only a box whose widths could take a pairing past int64 is refused, so
 every count is exact or raises.
+The volume identity Vol(P) = sum over W/C of #(P_(w) ∩ L) stays a check
+of two different scans: central points at scale h on the left, and on
+the right the lattice points of P at scale 1, each counted for the cosets
+whose inversions fit its boundary pattern.
 """
 
 import itertools
@@ -26,7 +30,7 @@ import numpy as np
 from . import geometry
 from .errors import BudgetExceededError, UserInputError
 from .rootsys import RootSystemData, build, pairing
-from .weyl import WeylElement, inv
+from .weyl import enumerate_weyl
 
 DEFAULT_POINT_BUDGET = 10**8
 
@@ -139,16 +143,21 @@ def _scan(
         raise BudgetExceededError(
             f"box of {total} candidate points exceeds budget {budget}"
         )
-    # box pairings lie in [0, reach]: clipping to [-1, reach + 1] keeps
-    # every comparison and fits any bound of a directly built polytope
-    base = [sum(map(operator.mul, offset, root)) for root in rs.positive_roots]
-    shifted = [
-        [min(max(b * scale - o, -1), reach + 1) for b in bound]
-        for bound, o in zip(P.bounds, base)
-    ]
-    lo, hi = np.array(shifted, dtype=np.int64).T
+    lo, hi = _shifted_bounds(P, offset, scale)
     chunk_rows = chunk_rows or _CHUNK_CELLS // len(lo)
     return offset, _layers(rs, widths, lo, hi, scale if walls else 0, chunk_rows)
+
+
+def _shifted_bounds(P: AlcovedPolytope, offset, scale: int) -> tuple:
+    """P's bounds times ``scale`` less ``(offset, a)`` as int64 ``(lo, hi)``,
+    clipped to ``[-1, 2^62]``: box pairings lie in ``[0, 2^62)``, so the
+    clip keeps every comparison and fits any bound of a directly built P."""
+    base = [sum(map(operator.mul, offset, root)) for root in P.rs.positive_roots]
+    shifted = [
+        [min(max(b * scale - o, -1), _INT64_HEADROOM) for b in bound]
+        for bound, o in zip(P.bounds, base)
+    ]
+    return np.array(shifted, dtype=np.int64).T
 
 
 def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
@@ -251,24 +260,41 @@ def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) 
     return sum(len(ys) for ys in _scan(P, 1, budget)[1])
 
 
-def translated_polytope(P: AlcovedPolytope, w: WeylElement) -> AlcovedPolytope:
-    """The polytope whose lattice points index the w-translates of alcoves in P."""
-    winv = w.inverse()
-    bounds = []
-    for root, (k, K) in zip(P.rs.positive_roots, P.bounds):
-        d = inv(winv, root)
-        bounds.append((k + d, K + d - 1))
-    return AlcovedPolytope(P.rs, tuple(bounds))
+def volume_identity_check(
+    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, W=None
+) -> dict:
+    """Both sides of Vol(P) = sum over cosets of lattice points of P_(w).
 
-
-def volume_identity_check(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> dict:
-    """Both sides of Vol(P) = sum over cosets of lattice points of P_(w)."""
+    The left side is ``volume``; the right one comes from one scan of P
+    at scale 1.  P_(w) is ``k_a + i_a <= (lambda, a) <= K_a + i_a - 1``
+    with ``i_a = 1`` at the inversions of w^-1, so a lattice point of P
+    is in it when w^-1 inverts no root where ``(lambda, a) = k_a`` and
+    every root where ``(lambda, a) = K_a``.  The points are counted per
+    such boundary pattern, and a bool product with the inversion table
+    finds the representatives each pattern fits.  ``per_coset`` follows
+    ``coset_representatives``; ``W`` is ``enumerate_weyl(P.rs)``.
+    """
     from .statistics import coset_representatives  # circular at module level
 
     vol = volume(P, budget)
-    per_coset = []
-    for w in coset_representatives(P.rs):
-        per_coset.append(lattice_point_count(translated_polytope(P, w), budget))
+    rs = P.rs
+    if W is None:
+        W = enumerate_weyl(rs)
+    reps = [W.index(w) for w in coset_representatives(rs, W)]
+    inverted = W.z[W.inverse[reps]] @ rs.root_array.T < 0  # w(rho) is the z of w^-1
+    forbidden = np.hstack([inverted, ~inverted]).T  # the roots each side may not meet
+    per_coset = np.zeros(len(reps), dtype=np.int64)
+    offset, chunks = _scan(P, 1, budget)
+    lo, hi = _shifted_bounds(P, offset, 1)
+    step = max(1, _CHUNK_CELLS // len(reps))  # patterns x reps cells per product
+    for ys in chunks:
+        pairings = ys @ rs.root_array.T
+        patterns, counts = np.unique(
+            np.hstack([pairings == lo, pairings == hi]), axis=0, return_counts=True
+        )
+        for s in range(0, len(patterns), step):
+            per_coset += counts[s : s + step] @ ~(patterns[s : s + step] @ forbidden)
+    per_coset = per_coset.tolist()
     total = sum(per_coset)
     return {
         "volume": vol,

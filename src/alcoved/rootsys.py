@@ -98,14 +98,16 @@ class RootSystemData:
         except KeyError:
             raise UserInputError(f"{root} is not a positive root of {self}") from None
 
-    def is_positive_root(self, vec) -> bool:
-        return tuple(vec) in self._root_index
-
     def coroot_covector(self, root) -> tuple:
         """Fundamental-coweight coordinates of the coroot of a positive
         root: its pairings with the simple roots."""
         row = self.coroot_pairings[self.root_index(root)]
         return tuple(row[i] for i in self.simple_index)
+
+    def __hash__(self):
+        # type and rank determine the rest; hashing every field would
+        # rehash the Fractions of cartan_inverse on each cache lookup
+        return hash((self.type_label, self.rank))
 
     def __repr__(self):
         return f"RootSystemData({self.type_label}{self.rank})"
@@ -215,6 +217,26 @@ def _coroot_pairings(cartan: tuple, symmetrizer: tuple, positive_roots: list) ->
     return tuple(map(tuple, (2 * gram // norms).tolist()))
 
 
+def _cartan_adjugate(cartan: tuple) -> tuple:
+    """``(det, adjugate)`` of a Cartan matrix by fraction-free (Bareiss)
+    Gauss-Jordan elimination of ``[cartan | I]``: pivot k is the leading
+    principal minor of order k + 1, positive for a Cartan matrix, so no
+    row is swapped and every division by the previous pivot is exact."""
+    n = len(cartan)
+    rows = [list(row) + list(unit) for row, unit in zip(cartan, _linalg.identity(n))]
+    previous = 1
+    for k, pivot in enumerate(rows):
+        p = pivot[k]
+        if p <= 0:
+            raise DefectError("Cartan matrix is not positive definite")
+        for i, row in enumerate(rows):
+            if i != k:
+                c = row[k]
+                rows[i] = [(p * x - c * y) // previous for x, y in zip(row, pivot)]
+        previous = p
+    return previous, tuple(tuple(row[n:]) for row in rows)
+
+
 @lru_cache(maxsize=None)
 def build(type_label: str, rank: int) -> RootSystemData:
     """Construct the root-system tables for the given type and rank."""
@@ -241,11 +263,11 @@ def build(type_label: str, rank: int) -> RootSystemData:
     marks = theta
     h_star = 1 + sum(marks)
 
-    cartan_inverse = _linalg.mat_inv(cartan)
-    f = abs(_linalg.det(cartan))
-    if f.denominator != 1:
-        raise DefectError("Cartan determinant is not an integer")
-    f = int(f)
+    f, adjugate = _cartan_adjugate(cartan)
+    scaled_identity = tuple(tuple(f * x for x in row) for row in _linalg.identity(rank))
+    if _linalg.mat_mul(cartan, adjugate) != scaled_identity:
+        raise DefectError("cartan . adjugate != det(cartan) * I")
+    cartan_inverse = tuple(tuple(Fraction(x, f) for x in row) for row in adjugate)
     if f != 1 + sum(1 for a in marks if a == 1):
         raise DefectError("index of connection disagrees with the minuscule count")
 

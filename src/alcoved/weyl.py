@@ -21,7 +21,7 @@ conversion in both directions.
 """
 
 from collections.abc import Sequence
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -233,14 +233,6 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> We
     return WeylGroup(rs, zs, index, length, parent, letter, rmul)
 
 
-def inv(w: WeylElement, root) -> int:
-    """1 if the positive root is an inversion of w, else 0."""
-    root = tuple(root)
-    if not w.rs.is_positive_root(root):
-        raise UserInputError(f"{root} is not a positive root of {w.rs}")
-    return 1 if sum(x * c for x, c in zip(w.z, root)) < 0 else 0
-
-
 def descents(w: WeylElement) -> tuple:
     """The bit vector (d_0, d_1, ..., d_r).
 
@@ -269,21 +261,6 @@ def _check_type(rs, label, op):
         raise UserInputError(f"{op} requires type {label}, got {rs}")
 
 
-def _decode_difference(ambient):
-    """Recover (a, b) from an ambient vector equal to e_a - e_b (1-based)."""
-    a = b = None
-    for i, x in enumerate(ambient):
-        if x == 1:
-            a = i + 1
-        elif x == -1:
-            b = i + 1
-        elif x != 0:
-            raise UserInputError("vector is not of the form e_a - e_b")
-    if a is None or b is None:
-        raise UserInputError("vector is not of the form e_a - e_b")
-    return a, b
-
-
 def from_permutation(rs: RootSystemData, window) -> WeylElement:
     """Weyl element of A_{n-1} from one-line notation ``(w_1, ..., w_n)``.
 
@@ -299,28 +276,12 @@ def from_permutation(rs: RootSystemData, window) -> WeylElement:
 
 
 def to_permutation(w: WeylElement) -> tuple:
-    """One-line notation of a type-A Weyl element."""
+    """One-line notation of a type-A Weyl element: ``w_{j+1} - w_j = z_j``
+    (see from_permutation), shifted so that the entries are 1..n."""
     _check_type(w.rs, "A", "to_permutation")
-    n = w.rs.rank + 1
-    window = [None] * (n + 1)
-    first = None
-    for j in range(2, n + 1):
-        # e_1 - e_j in alpha coordinates
-        coords = tuple(1 if i < j - 1 else 0 for i in range(w.rs.rank))
-        image = w.act_on_root(coords)
-        ambient = []
-        prev = 0
-        for c in list(image) + [0]:
-            ambient.append(c - prev)
-            prev = c
-        a, b = _decode_difference(ambient)
-        if first is None:
-            first = a
-        elif first != a:
-            raise UserInputError("element is not a type-A permutation action")
-        window[j] = b
-    window[1] = first
-    return tuple(window[1:])
+    window = list(accumulate(w.z, initial=0))
+    low = min(window)
+    return tuple(v - low + 1 for v in window)
 
 
 def permutation_descents(window) -> tuple:
@@ -374,29 +335,14 @@ def from_signed_permutation(rs: RootSystemData, window) -> WeylElement:
 
 
 def to_signed_permutation(w: WeylElement) -> tuple:
-    """Signed one-line window of a type-C Weyl element."""
+    """Signed one-line window of a type-C Weyl element: the twice-heights
+    of ``w(e_i)`` are ``z_n`` for ``i = n`` and grow by ``2 z_i`` downward
+    (see from_signed_permutation)."""
     _check_type(w.rs, "C", "to_signed_permutation")
     n = w.rs.rank
-    window = []
-    for i in range(n):
-        # e_i in alpha coordinates: (0,...,0,1,...,1,1/2)
-        coords = tuple(
-            Fraction(1, 2) if j == n - 1 else (1 if i <= j else 0) for j in range(n)
-        )
-        image = w.act_on_root(coords)
-        # back to ambient coordinates
-        ambient = []
-        prev = 0
-        for j in range(n - 1):
-            ambient.append(image[j] - prev)
-            prev = image[j]
-        ambient.append(2 * image[n - 1] - prev)
-        nonzero = [(j, x) for j, x in enumerate(ambient) if x != 0]
-        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1:
-            raise UserInputError("element is not a signed-permutation action")
-        j, sign = nonzero[0]
-        window.append((j + 1) * (1 if sign > 0 else -1))
-    return tuple(window)
+    heights = accumulate((2 * x for x in reversed(w.z[:-1])), initial=w.z[-1])
+    window = [(n - (abs(h) - 1) // 2) * (1 if h > 0 else -1) for h in heights]
+    return tuple(reversed(window))
 
 
 def signed_permutation_descents(window) -> tuple:

@@ -177,6 +177,30 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_k_is_only_for_hypersimplex(capsys):
+    assert cli.run(["info", "--type", "A", "--rank", "2", "--k", "1"]) == 1
+    assert cli.run(["selfcheck", "--type", "G", "--rank", "2", "--k", "1"]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert cli.run([]) == 1
+    assert cli.run(["nonsense"]) == 1
+    capsys.readouterr()
+
+
+def test_vol_identity_budget_is_the_volume_box(tmp_path, capsys):
+    # the volume scan covers (2h + 1)^2 = 49 points of the box 0..2 in A2;
+    # the lattice side scans only its 9 lattice points
+    spec = {"type": "A", "rank": 2, "constraints": [
+        {"root": [1, 0], "min": 0, "max": 2}, {"root": [0, 1], "min": 0, "max": 2}]}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(spec))
+    argv = ["vol-identity", "--spec", str(path), "--budget"]
+    code, report = run_json(capsys, argv + ["49"])
+    assert code == 0
+    assert report["volume"] == report["coset_lattice_sum"] == 8
+    assert cli.run(argv + ["48"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.run(["enumerate", "--type", "A", "--rank", "4", "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err

@@ -25,7 +25,8 @@ from alcoved.polytope import (
     volume_identity_check,
 )
 from alcoved.rootsys import build, weyl_order
-from alcoved.statistics import brute_force_eulerian
+from alcoved.statistics import brute_force_eulerian, coset_representatives
+from alcoved.weyl import enumerate_weyl
 
 
 def test_parallelepiped_volume_formula():
@@ -132,6 +133,100 @@ def test_volume_lattice_identity_random():
             report = volume_identity_check(_random_polytope(rs, rng))
             assert report["identity_holds"]
             assert report["volume"] == report["coset_lattice_sum"]
+
+
+def _inv(w, root) -> int:
+    """1 if the positive root is an inversion of w, else 0."""
+    return 1 if sum(x * c for x, c in zip(w.z, root)) < 0 else 0
+
+
+def _translated_polytope(P, w):
+    """The polytope whose lattice points index the w-translates of alcoves
+    in P: ``(k_a + i_a, K_a + i_a - 1)`` with ``i_a`` the inversions of w^-1."""
+    winv = w.inverse()
+    bounds = []
+    for root, (k, K) in zip(P.rs.positive_roots, P.bounds):
+        d = _inv(winv, root)
+        bounds.append((k + d, K + d - 1))
+    return AlcovedPolytope(P.rs, tuple(bounds))
+
+
+def _per_coset_oracle(P):
+    """One lattice-point scan per coset, as volume_identity_check ran it
+    before every coset was read off one scan of P."""
+    return [
+        lattice_point_count(_translated_polytope(P, w))
+        for w in coset_representatives(P.rs)
+    ]
+
+
+def _coset_samples():
+    """Seeded random boxes with random cuts on two roots, then the adjacent
+    stars, an empty polytope, one with k_a = K_a on theta and boxes near
+    10^12."""
+    rng = random.Random(2012)
+    systems = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+               ("C", 2), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+    for t, r in systems:
+        rs = build(t, r)
+        for _ in range(3 if r < 4 else 2):
+            cons = []
+            for s in rs.simple_roots:
+                lo = rng.randint(-2, 1)
+                cons.append((s, lo, lo + rng.randint(1, 2 if r < 4 else 1)))
+            for root in rng.sample(rs.positive_roots, min(2, len(rs.positive_roots))):
+                k, K = make_polytope(rs, cons).bound(root)
+                a = rng.randint(k, K - 1)
+                cons.append((root, a, a + rng.randint(1, 2)))
+            yield make_polytope(rs, cons)
+    for t, r in (("A", 2), ("B", 2), ("C", 3), ("G", 2)):
+        yield adjacent_star(build(t, r))  # bounds -1..1 on every root, not simple
+    yield hypersimplex(build("D", 4), 2)
+    rs = build("A", 2)
+    yield make_polytope(rs, [((1, 0), 0, 1), ((0, 1), 0, 1), (rs.theta, 3, 4)])
+    yield make_polytope(rs, [((1, 0), 0, 2), ((0, 1), 0, 2), (rs.theta, 2, 2)])
+    for t, r in (("A", 2), ("B", 2), ("C", 3)):
+        rs = build(t, r)
+        box = [(s, 10**12, 10**12 + 2) for s in rs.simple_roots]
+        far = sum(rs.marks) * 10**12
+        yield make_polytope(rs, box)
+        yield make_polytope(rs, box + [(rs.theta, far + 1, far + 3)])
+
+
+def test_coset_lattice_sum_matches_per_coset_scans():
+    for P in _coset_samples():
+        report = volume_identity_check(P)
+        assert report["per_coset"] == _per_coset_oracle(P)
+        assert report["identity_holds"]
+    # lattice points on the slab k_theta = K_theta lie in no P_(w)
+    rs = build("A", 2)
+    slab = make_polytope(rs, [((1, 0), 0, 2), ((0, 1), 0, 2), (rs.theta, 2, 2)])
+    assert lattice_point_count(slab) == 3
+    assert volume_identity_check(slab)["per_coset"] == [0, 0]
+
+
+def test_coset_lattice_sum_across_chunks(monkeypatch):
+    # with 3 scan rows per chunk and one pattern per product, the patterns
+    # of a point set are summed over many chunks and products
+    rs = build("B", 3)
+    P = make_polytope(rs, [(s, 0, 2) for s in rs.simple_roots] + [(rs.theta, 3, 7)])
+    W = enumerate_weyl(rs)
+    whole = volume_identity_check(P, W=W)
+    scan, chunk_counts = polytope._scan, []
+
+    def counted(*args, **kwargs):
+        offset, chunks = scan(*args, **kwargs)
+        chunks = list(chunks)
+        chunk_counts.append(len(chunks))
+        return offset, iter(chunks)
+
+    monkeypatch.setattr(polytope, "_CHUNK_CELLS", 3 * len(rs.positive_roots))
+    monkeypatch.setattr(polytope, "_scan", counted)
+    assert volume_identity_check(P, W=W) == whole
+    assert chunk_counts[-1] > 3  # the scale-1 scan, after the volume scan
+    monkeypatch.undo()
+    assert whole["per_coset"] == _per_coset_oracle(P)
+    assert whole["identity_holds"]
 
 
 def test_thick_hypersimplex_identity_samples():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from alcoved import rootsys
-from alcoved.errors import UserInputError
+from alcoved import _linalg, rootsys
+from alcoved.errors import DefectError, UserInputError
+from alcoved.polytope import adjacent_star
 from alcoved.rootsys import build, coroot_coordinates, pairing, rho, weyl_order
 
 
@@ -63,6 +64,41 @@ def test_index_of_connection_is_cartan_determinant():
         assert rs.index_of_connection == f
         # f also counts the marks equal to one, with the affine mark included
         assert f == 1 + sum(1 for a in rs.marks if a == 1)
+
+
+def _every_system():
+    for t, (lo, hi) in rootsys._RANK_RANGE.items():
+        for r in range(lo, (hi or 8) + 1):
+            yield t, r
+
+
+def test_integer_cartan_inverse_matches_fraction_oracle():
+    for t, r in _every_system():
+        rs = build(t, r)
+        assert rs.index_of_connection == abs(_linalg.det(rs.cartan))
+        assert rs.cartan_inverse == _linalg.mat_inv(rs.cartan)
+        assert all(type(x) is Fraction for row in rs.cartan_inverse for x in row)
+
+
+def test_corrupted_cartan_adjugate_raises(monkeypatch):
+    adjugate = rootsys._cartan_adjugate
+
+    def corrupted(cartan):
+        f, adj = adjugate(cartan)
+        return f, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(rootsys, "_cartan_adjugate", corrupted)
+    with pytest.raises(DefectError):
+        build.__wrapped__("B", 3)  # past the cache
+
+
+def test_equal_root_systems_hash_equal():
+    for t, r in (("A", 4), ("C", 3), ("E", 6)):
+        cached, fresh = build(t, r), build.__wrapped__(t, r)
+        assert cached is not fresh and cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert hash(adjacent_star(cached)) == hash(adjacent_star(fresh))
+    assert build("B", 3) != build("C", 3)
 
 
 def test_pairing_is_the_plain_dot_product():

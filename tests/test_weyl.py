@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -123,6 +123,29 @@ def test_signed_permutation_model_roundtrip():
         assert to_signed_permutation(from_signed_permutation(rs, window)) == window
     W = enumerate_weyl(rs)
     assert len({to_signed_permutation(w) for w in W}) == 8
+
+
+def test_model_windows_match_the_root_action():
+    # w(e_i) = sign(w_i) e_|w_i| in both models.  Type A: e_a - e_b is
+    # alpha_a + ... + alpha_(b-1).  Type C: alpha_n = 2 e_n, so the alpha
+    # coordinates of an e-vector are its partial sums, the last one halved.
+    def unit(n, v):
+        return [(1 if v > 0 else -1) * (i == abs(v)) for i in range(1, n + 1)]
+
+    for t, n, to_window in (("A", 3, to_permutation), ("A", 5, to_permutation),
+                            ("C", 2, to_signed_permutation), ("C", 4, to_signed_permutation)):
+        rs = build(t, n - 1 if t == "A" else n)
+        for w in enumerate_weyl(rs):
+            window = to_window(w)
+            images = [[x - y for x, y in zip(unit(n, a), unit(n, b))]
+                      for a, b in zip(window, window[1:])]
+            if t == "C":
+                images.append([2 * x for x in unit(n, window[-1])])
+            for alpha, image in zip(rs.simple_roots, images):
+                coords = list(accumulate(image))[: rs.rank]
+                if t == "C":
+                    coords[-1] //= 2
+                assert w.act_on_root(alpha) == tuple(coords)
 
 
 def test_negative_rotation():
