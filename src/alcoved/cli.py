@@ -154,7 +154,9 @@ def _cmd_volume(args) -> dict:
 
 
 def _cmd_vol_identity(args) -> dict:
-    report = polytope.volume_identity_check(_load_polytope(args), budget=args.budget)
+    P = _load_polytope(args)
+    W = weyl.enumerate_weyl(P.rs, budget=args.budget)
+    report = polytope.volume_identity_check(P, budget=args.budget, W=W)
     _require(report, ["identity_holds"])
     return report
 
@@ -276,14 +278,10 @@ def _cmd_selfcheck(args) -> dict:
             P, budget=args.budget, W=W
         )["identity_holds"]
     results["volume_lattice_identity"] = vol_ok
-    supported = rs.type_label in ("A", "C") or (
-        rs.type_label == "D" and rs.rank == 4
-    )
-    if supported:
-        P = _selfcheck_polytope(rs)
-        results["groebner_triangulation"] = len(
-            groebner.triangulate(P, args.budget)
-        ) == polytope.volume(P, budget=args.budget)
+    if groebner.supported(rs):
+        # triangulate raises DefectError unless the simplices number Vol(P)
+        groebner.triangulate(_selfcheck_polytope(rs), args.budget)
+        results["groebner_triangulation"] = True
     else:
         results["groebner_triangulation"] = "skipped (unsupported type)"
     report = {

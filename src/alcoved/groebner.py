@@ -37,18 +37,18 @@ from .rootsys import RootSystemData, pairing
 
 REWRITE_STEP_GUARD = 10**6
 
-SUPPORTED = ("A", "C")  # plus D_4, checked separately
+
+def supported(rs: RootSystemData) -> bool:
+    """Whether the vertex-lattice rewriting is available: types A, C and D4."""
+    return rs.type_label in ("A", "C") or (rs.type_label, rs.rank) == ("D", 4)
 
 
 def _require_supported(rs: RootSystemData) -> None:
-    if rs.type_label in SUPPORTED:
-        return
-    if rs.type_label == "D" and rs.rank == 4:
-        return
-    raise UserInputError(
-        f"vertex-lattice rewriting is only available in types A, C and D4; "
-        f"got {rs}"
-    )
+    if not supported(rs):
+        raise UserInputError(
+            f"vertex-lattice rewriting is only available in types A, C and D4; "
+            f"got {rs}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -65,9 +65,11 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
     """
     r = rs.rank
     if rs.type_label == "D":
-        inverse = [2 * x for row in rs.cartan_inverse for x in row]  # of cartan / 2
-        q = math.lcm(*(x.denominator for x in inverse))
-        d, B, M = 2, rs.cartan, [int(q * x) for x in inverse]
+        # (cartan / 2)^-1 is 2 adjugate / f; q is its least denominator
+        f = rs.index_of_connection
+        twice = [2 * x for row in rs.cartan_adjugate for x in row]
+        q = f // math.gcd(f, *twice)
+        d, B, M = 2, rs.cartan, [x * q // f for x in twice]
     else:
         d, q = math.lcm(*rs.marks), 1
         B, M = np.diag([d // a for a in rs.marks]), np.diag(rs.marks)

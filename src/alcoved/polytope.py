@@ -274,13 +274,13 @@ def volume_identity_check(
     finds the representatives each pattern fits.  ``per_coset`` follows
     ``coset_representatives``; ``W`` is ``enumerate_weyl(P.rs)``.
     """
-    from .statistics import coset_representatives  # circular at module level
+    from .statistics import _coset_indices  # circular at module level
 
     vol = volume(P, budget)
     rs = P.rs
     if W is None:
         W = enumerate_weyl(rs)
-    reps = [W.index(w) for w in coset_representatives(rs, W)]
+    reps = _coset_indices(W)
     inverted = W.z[W.inverse[reps]] @ rs.root_array.T < 0  # w(rho) is the z of w^-1
     forbidden = np.hstack([inverted, ~inverted]).T  # the roots each side may not meet
     per_coset = np.zeros(len(reps), dtype=np.int64)

@@ -55,6 +55,8 @@ class RootSystemData:
     j-th simple coroot.  ``marks`` are the coefficients of the highest
     root ``theta`` in the simple roots; ``h_star`` is ``1 + sum(marks)``
     and ``index_of_connection`` is ``|det(cartan)|``.
+    ``cartan_adjugate`` is the integer matrix ``f * cartan^-1``, with
+    ``f = index_of_connection``.
     ``coroot_pairings[a][b]`` is the integer pairing ``(a^vee, b)`` of
     the a-th and b-th positive roots, and ``theta_covector`` the integer
     omega-coordinates of ``theta^vee``.
@@ -74,8 +76,8 @@ class RootSystemData:
     h_star: int
     index_of_connection: int
     theta_covector: tuple
-    cartan_inverse: tuple
-    coroot_pairings: tuple = field(compare=False)  # these are determined by the rest
+    cartan_adjugate: tuple = field(compare=False)  # these are determined by the rest
+    coroot_pairings: tuple = field(compare=False)
     root_array: np.ndarray = field(compare=False)
     simple_index: tuple = field(compare=False)
     column_final: tuple = field(compare=False)
@@ -105,8 +107,8 @@ class RootSystemData:
         return tuple(row[i] for i in self.simple_index)
 
     def __hash__(self):
-        # type and rank determine the rest; hashing every field would
-        # rehash the Fractions of cartan_inverse on each cache lookup
+        # type and rank determine the rest; hashing every compared field
+        # would rehash all the nested tuples on each cache lookup
         return hash((self.type_label, self.rank))
 
     def __repr__(self):
@@ -267,7 +269,6 @@ def build(type_label: str, rank: int) -> RootSystemData:
     scaled_identity = tuple(tuple(f * x for x in row) for row in _linalg.identity(rank))
     if _linalg.mat_mul(cartan, adjugate) != scaled_identity:
         raise DefectError("cartan . adjugate != det(cartan) * I")
-    cartan_inverse = tuple(tuple(Fraction(x, f) for x in row) for row in adjugate)
     if f != 1 + sum(1 for a in marks if a == 1):
         raise DefectError("index of connection disagrees with the minuscule count")
 
@@ -293,7 +294,7 @@ def build(type_label: str, rank: int) -> RootSystemData:
         h_star=h_star,
         index_of_connection=f,
         theta_covector=theta_covector,
-        cartan_inverse=cartan_inverse,
+        cartan_adjugate=adjugate,
         coroot_pairings=coroot_pairings,
         root_array=root_array,
         simple_index=simple_index,
@@ -323,7 +324,11 @@ def coroot_coordinates(rs: RootSystemData, coweight) -> tuple:
     """
     if len(coweight) != rs.rank:
         raise UserInputError("coweight has wrong length")
-    return _linalg.mat_vec(rs.cartan_inverse, tuple(Fraction(y) for y in coweight))
+    f = rs.index_of_connection
+    y = [Fraction(v) for v in coweight]
+    return tuple(
+        Fraction(sum(a * v for a, v in zip(row, y)), f) for row in rs.cartan_adjugate
+    )
 
 
 def rho(rs: RootSystemData) -> tuple:

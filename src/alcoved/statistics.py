@@ -92,23 +92,25 @@ class CosetClass:
 
     frac: tuple
 
-    def __add__(self, other: "CosetClass") -> "CosetClass":
-        return CosetClass(tuple((a + b) % 1 for a, b in zip(self.frac, other.frac)))
-
 
 def coweight_class(rs: RootSystemData, coweight) -> CosetClass:
     """Class of an integral coweight in the coweight-mod-coroot group."""
     cw = tuple(coweight)
     if any(Fraction(x).denominator != 1 for x in cw):
         raise UserInputError(f"{cw} is not an integral coweight")
-    # The coroot coordinates are cartan^-1 . cw, and f * cartan^-1 is an
-    # integer matrix (f = |det cartan|): reduce its numerators mod f.
+    # the coroot coordinates are adjugate . cw / f: reduce the numerators mod f
     f = rs.index_of_connection
-    frac = []
-    for row in rs.cartan_inverse:
-        n = sum(c.numerator * (f // c.denominator) * int(y) for c, y in zip(row, cw))
-        frac.append(Fraction(n % f, f))
-    return CosetClass(tuple(frac))
+    return CosetClass(tuple(
+        Fraction(sum(a * int(y) for a, y in zip(row, cw)) % f, f)
+        for row in rs.cartan_adjugate
+    ))
+
+
+def _classes(W: WeylGroup) -> list:
+    """The CosetClass of each delta class id of W."""
+    f = W.rs.index_of_connection
+    rows = W.class_residues.tolist()
+    return [CosetClass(tuple(Fraction(x, f) for x in row)) for row in rows]
 
 
 @dataclass
@@ -170,56 +172,20 @@ class CGroup:
         return out
 
 
-def _cdes_table(rs: RootSystemData, W: WeylGroup) -> np.ndarray:
-    """cdes of every element of W, indexed like W."""
-    table = W.descents @ np.array((1,) + rs.marks, dtype=np.int64)
-    if table.min() < 1:
-        raise DefectError("cdes must be positive")
-    return table
-
-
 def group_C(rs: RootSystemData, W=None) -> CGroup:
-    """Elements with cdes = 1, cross-validated against the root-permutation
-    descriptions; the class map is built from their delta coweights.
+    """Elements with cdes = 1 and the class map of their delta coweights,
+    read off the tables of W; building them validates C against its
+    root-permutation descriptions.
 
     ``W``, when given, is the result of ``enumerate_weyl(rs)``.
     """
     if W is None:
         W = enumerate_weyl(rs)
-    elements = tuple(W[k] for k in np.flatnonzero(_cdes_table(rs, W) == 1))
-    f = rs.index_of_connection
-    if len(elements) != f:
-        raise DefectError(
-            f"|C| = {len(elements)} but the index of connection is {f}"
-        )
-
-    # the affine simple-root set, with -theta playing the role of index 0
-    hat = [tuple(-c for c in rs.theta)] + list(rs.simple_roots)
-    marks = (1,) + rs.marks
-    hat_set = frozenset(hat)
-    graded = {}
-    for a, root in zip(marks, hat):
-        graded.setdefault(a, set()).add(root)
-    for c in elements:
-        images = [tuple(c.act_on_root(a)) for a in hat]
-        if frozenset(images) != hat_set:
-            raise DefectError("an element of C does not permute the affine roots")
-        for a, img in zip(marks, images):
-            if img not in graded[a]:
-                raise DefectError("C does not preserve the mark grading")
-
-    ident = next(w for w in elements if w.is_identity())
-    class_of = {}
-    for c in elements:
-        cls = coweight_class(rs, delta(c))
-        if cls in class_of:
-            raise DefectError("delta classes of C are not distinct")
-        class_of[cls] = c
-    for a in elements:
-        for b in elements:
-            if a * b not in elements:
-                raise DefectError("C is not closed under multiplication")
-    return CGroup(rs=rs, elements=elements, identity=ident, class_of=class_of)
+    classes = _classes(W)
+    C = W.C.tolist()
+    elements = tuple(W[k] for k in C)
+    class_of = {classes[W.delta_class[k]]: w for k, w in zip(C, elements)}
+    return CGroup(rs=rs, elements=elements, identity=W[0], class_of=class_of)
 
 
 def cmaj(w: WeylElement, group: CGroup = None) -> WeylElement:
@@ -227,35 +193,6 @@ def cmaj(w: WeylElement, group: CGroup = None) -> WeylElement:
     if group is None:
         group = group_C(w.rs)
     return group.class_of[coweight_class(w.rs, delta(w))]
-
-
-class _Tables:
-    """cdes, delta class and cmaj of every element of W, indexed like W.
-
-    ``classes`` maps each delta class to its id, in order of first
-    occurrence in W; ``cls[k]`` is the id of the class of ``w_k`` and
-    ``cmaj[k]`` the index in W of ``cmaj(w_k)``.  One ``coweight_class``
-    is computed per distinct delta bit vector, not one per element.
-    """
-
-    def __init__(self, rs: RootSystemData, W: WeylGroup, group: CGroup):
-        self.cdes = _cdes_table(rs, W)
-        keys = (W.descents[:, 1:] @ (1 << np.arange(rs.rank, dtype=np.int64))).tolist()
-        self.classes = {}
-        key_ids = {}
-        for key in dict.fromkeys(keys):  # distinct deltas, first occurrence first
-            delta = tuple((key >> i) & 1 for i in range(rs.rank))
-            cls = coweight_class(rs, delta)
-            key_ids[key] = self.classes.setdefault(cls, len(self.classes))
-        self.cls = np.array([key_ids[key] for key in keys], dtype=np.intp)
-        cmaj_of_class = [W.index(group.class_of[cls]) for cls in self.classes]
-        self.cmaj = np.array(cmaj_of_class, dtype=np.intp)[self.cls]
-
-
-def _actions(W: WeylGroup, group: CGroup) -> tuple:
-    """Left and right multiplication by each element of C, as index maps on W."""
-    C = [W.index(c) for c in group.elements]
-    return [W.left_action(k) for k in C], [W.right_action(k) for k in C]
 
 
 def _q_sum(classes, ids, degrees) -> GroupAlgebraElement:
@@ -269,6 +206,22 @@ def _q_sum(classes, ids, degrees) -> GroupAlgebraElement:
     return out
 
 
+def _coset_indices(W: WeylGroup) -> np.ndarray:
+    """Indices in W of ``coset_representatives``."""
+    rs = W.rs
+    chosen = np.flatnonzero(W.cmaj[W.inverse] == 0)  # W[0] is the identity
+    expected = weyl_order(rs) // rs.index_of_connection
+    if len(chosen) != expected:
+        raise DefectError(
+            f"{len(chosen)} coset representatives, expected {expected}"
+        )
+    # w(rho) is the z of w^-1
+    centres = W.z[W.inverse[chosen]] % rs.h_star
+    if len(set(map(tuple, centres.tolist()))) != len(chosen):
+        raise DefectError("two representatives lie in the same coset")
+    return chosen
+
+
 def coset_representatives(rs: RootSystemData, W=None) -> list:
     """One representative per right coset wC: the w with cmaj(w^-1) = id.
 
@@ -280,20 +233,7 @@ def coset_representatives(rs: RootSystemData, W=None) -> list:
     """
     if W is None:
         W = enumerate_weyl(rs)
-    group = group_C(rs, W)
-    tables = _Tables(rs, W, group)
-    identity = W.index(group.identity)
-    chosen = np.flatnonzero(tables.cmaj[W.inverse] == identity)
-    expected = weyl_order(rs) // rs.index_of_connection
-    if len(chosen) != expected:
-        raise DefectError(
-            f"{len(chosen)} coset representatives, expected {expected}"
-        )
-    # w(rho) is the z of w^-1
-    centres = W.z[W.inverse[chosen]] % rs.h_star
-    if len(set(map(tuple, centres.tolist()))) != len(chosen):
-        raise DefectError("two representatives lie in the same coset")
-    return [W[k] for k in chosen]
+    return [W[k] for k in _coset_indices(W).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +243,14 @@ def qweyl_check(rs: RootSystemData, W=None) -> dict:
     """Exact check of the group-algebra q-analogue of Weyl's formula."""
     if W is None:
         W = enumerate_weyl(rs)
-    group = group_C(rs, W)
-    tables = _Tables(rs, W, group)
-    lhs = _q_sum(tables.classes, tables.cls, tables.cdes)
+    classes = _classes(W)
+    lhs = _q_sum(classes, W.delta_class, W.cdes)
     rhs_poly = eulerian_polynomial(rs.rank)
     for a in rs.marks:
         rhs_poly = poly_mul(rhs_poly, q_integer(a))
     rhs = GroupAlgebraElement()
-    for cls in group.class_of:
-        rhs.add_term(cls, rhs_poly)
+    for k in W.C.tolist():
+        rhs.add_term(classes[W.delta_class[k]], rhs_poly)
     scalar_lhs = lhs.scalar_sum()
     scalar_rhs = poly_mul((rs.index_of_connection,), rhs_poly)
     return {
@@ -328,26 +267,22 @@ def hypersimplex_statistic_check(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     f = rs.index_of_connection
-    reps = coset_representatives(rs, W)
-    rep_index = np.array([W.index(w) for w in reps], dtype=np.intp)
-    cdes_table = _cdes_table(rs, W)
-    cdes_inv = cdes_table[W.inverse]  # cdes(w^-1) for every w
+    reps = _coset_indices(W)
+    cdes_inv = W.cdes[W.inverse]  # cdes(w^-1) for every w
     volumes = dict(enumerate(polytope_mod.hypersimplex_volumes(rs), 1))
     coset_counts = {}
     element_counts = {}
     for k in volumes:
-        coset_counts[k] = int(np.count_nonzero(cdes_inv[rep_index] == k))
+        coset_counts[k] = int(np.count_nonzero(cdes_inv[reps] == k))
         element_counts[k] = int(np.count_nonzero(cdes_inv == k))
     coset_ok = all(volumes[k] == coset_counts[k] for k in volumes)
     element_ok = all(f * volumes[k] == element_counts[k] for k in volumes)
 
-    group = group_C(rs, W)
-    lefts, rights = _actions(W, group)
+    C = W.C.tolist()
+    rights = [W.right_action(k) for k in C]
     constant_ok = all(
-        np.array_equal(
-            cdes_table[W.inverse[left[right[rep_index]]]], cdes_inv[rep_index]
-        )
-        for left in lefts
+        np.array_equal(W.cdes[W.inverse[left[right[reps]]]], cdes_inv[reps])
+        for left in map(W.left_action, C)
         for right in rights
     )
     genfun = ()
@@ -371,14 +306,14 @@ def double_coset_check(rs: RootSystemData, W=None) -> dict:
     """cdes is constant on double cosets of C."""
     if W is None:
         W = enumerate_weyl(rs)
-    group = group_C(rs, W)
-    cdes_table = _cdes_table(rs, W)
-    lefts, rights = _actions(W, group)
-    for c1, left in zip(group.elements, lefts):
-        for c2, right in zip(group.elements, rights):
-            bad = np.flatnonzero(cdes_table[left[right]] != cdes_table)
+    C = W.C.tolist()
+    rights = [W.right_action(k) for k in C]
+    for c1 in C:
+        left = W.left_action(c1)
+        for c2, right in zip(C, rights):
+            bad = np.flatnonzero(W.cdes[left[right]] != W.cdes)
             if bad.size:
-                return {"holds": False, "witness": (c1, W[int(bad[0])], c2)}
+                return {"holds": False, "witness": (W[c1], W[int(bad[0])], W[c2])}
     return {"holds": True}
 
 
@@ -386,22 +321,23 @@ def cmaj_twist_check(rs: RootSystemData, W=None) -> dict:
     """cmaj(c1 w c2) = c1 * cmaj(w) * c2^cdes(w), plus the inverse symmetry."""
     if W is None:
         W = enumerate_weyl(rs)
-    group = group_C(rs, W)
-    tables = _Tables(rs, W, group)
-    lefts, rights = _actions(W, group)
-    for c2, right in zip(group.elements, rights):
+    C = W.C.tolist()
+    lefts = [W.left_action(k) for k in C]
+    for c2 in C:
+        right = W.right_action(c2)
         # powers[n, j] is the index of w_j c2^n
         powers = [np.arange(len(W))]
-        for _ in range(int(tables.cdes.max())):
+        for _ in range(int(W.cdes.max())):
             powers.append(right[powers[-1]])
-        twisted = np.stack(powers)[tables.cdes, tables.cmaj]
-        for c1, left in zip(group.elements, lefts):
-            bad = np.flatnonzero(tables.cmaj[left[right]] != left[twisted])
+        twisted = np.stack(powers)[W.cdes, W.cmaj]
+        for c1, left in zip(C, lefts):
+            bad = np.flatnonzero(W.cmaj[left[right]] != left[twisted])
             if bad.size:
-                return {"holds": False, "witness": (c1, W[int(bad[0])], c2)}
+                return {"holds": False, "witness": (W[c1], W[int(bad[0])], W[c2])}
 
-    lhs = _q_sum(tables.classes, tables.cls, tables.cdes)
-    rhs = _q_sum(tables.classes, tables.cls[W.inverse], tables.cdes)
+    classes = _classes(W)
+    lhs = _q_sum(classes, W.delta_class, W.cdes)
+    rhs = _q_sum(classes, W.delta_class[W.inverse], W.cdes)
     return {"holds": True, "inverse_symmetry_holds": lhs == rhs}
 
 
@@ -413,16 +349,13 @@ def cmaj_cross_table(rs: RootSystemData, W=None) -> dict:
     """
     if W is None:
         W = enumerate_weyl(rs)
-    group = group_C(rs, W)
-    tables = _Tables(rs, W, group)
-    f = len(group.elements)
-    order = np.zeros(len(W), dtype=np.intp)  # position in group.elements
-    for i, c in enumerate(group.elements):
-        order[W.index(c)] = i
-    x = order[tables.cmaj]
-    y = order[tables.cmaj[W.inverse]]
-    counts = np.zeros((f, f, int(tables.cdes.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (x, y, tables.cdes), 1)
+    f = len(W.C)
+    order = np.zeros(len(W), dtype=np.intp)  # position in C
+    order[W.C] = np.arange(f)
+    x = order[W.cmaj]
+    y = order[W.cmaj[W.inverse]]
+    counts = np.zeros((f, f, int(W.cdes.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (x, y, W.cdes), 1)
     table = [[poly_trim(p) for p in row] for row in counts.tolist()]
     total = sum(poly_eval(p, 1) for row in table for p in row)
     if total != len(W):

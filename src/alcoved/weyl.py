@@ -1,4 +1,4 @@
-"""Weyl group elements as orbit points of rho, enumeration and descents.
+"""Weyl group elements as orbit points of rho, enumeration, descents and cdes.
 
 An element ``w`` is stored as the integer vector ``z = w^-1(rho)`` in
 omega-coordinates; ``rho`` is regular, so ``z`` identifies ``w``.  The
@@ -25,10 +25,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetExceededError, UserInputError
+from .errors import BudgetExceededError, DefectError, UserInputError
 from .rootsys import RootSystemData, rho
 
 DEFAULT_GROUP_BUDGET = 10**6
+
+#: the circular-descent tables of a WeylGroup, built together on first read
+_C_TABLES = frozenset(("cdes", "C", "delta_class", "class_residues", "cmaj"))
 
 
 def _reflect_coweight(cartan, i: int, v) -> list:
@@ -116,9 +119,6 @@ class WeylElement:
             v = _reflect_coweight(cartan, i, v)
         return tuple(v)
 
-    def is_identity(self) -> bool:
-        return all(x == 1 for x in self.z)
-
 
 class WeylGroup(Sequence):
     """The elements of W in breadth-first order, with integer tables.
@@ -131,6 +131,16 @@ class WeylGroup(Sequence):
     ``letter[k]`` give ``w_k = w_parent s_{letter+1}``, the breadth-first
     tree (both are -1 at the identity); ``inverse[k]`` is the index of
     ``w_k^-1``.
+
+    The circular-descent tables are built together, and C validated, the
+    first time one of them is read.  ``cdes[k]`` is the circular descent
+    number of ``w_k``; ``C`` holds the indices of the elements with
+    ``cdes = 1``, in order.  ``delta_class[k]`` is the id of the class of
+    ``delta(w_k) = (d_1, ..., d_r)`` modulo the coroot lattice, ids
+    numbered in order of first occurrence; row ``class_residues[i]`` is
+    ``adjugate . delta mod f`` for class i, that is f times the
+    fractional parts of its coroot coordinates.  ``cmaj[k]`` is the index
+    of the element of C in the class of ``w_k``.
     """
 
     def __init__(self, rs: RootSystemData, zs, index, length, parent, letter, rmul):
@@ -153,6 +163,61 @@ class WeylGroup(Sequence):
             [self.z @ np.array(rs.theta, dtype=np.int64) > 0, self.z < 0]
         ).astype(np.int64)
 
+    def __getattr__(self, name):
+        # reached only while the circular-descent tables are not built
+        if name not in _C_TABLES:
+            raise AttributeError(name)
+        self._build_c_tables()
+        return self.__dict__[name]
+
+    def _build_c_tables(self) -> None:
+        """Build the circular-descent tables and validate C; the tables are
+        set only once every check has passed."""
+        rs, r, f = self.rs, self.rs.rank, self.rs.index_of_connection
+        cdes = self.descents @ np.array((1,) + rs.marks, dtype=np.int64)
+        if cdes.min() < 1:
+            raise DefectError("cdes must be positive")
+        C = np.flatnonzero(cdes == 1)
+        if len(C) != f:
+            raise DefectError(f"|C| = {len(C)} but the index of connection is {f}")
+        # C permutes the affine simple roots, -theta playing alpha_0, by marks
+        hat = [tuple(-c for c in rs.theta)] + list(rs.simple_roots)
+        marks = (1,) + rs.marks
+        for k in C.tolist():
+            images = [self[k].act_on_root(a) for a in hat]
+            if set(images) != set(hat):
+                raise DefectError("an element of C does not permute the affine roots")
+            if any(marks[hat.index(b)] != a for a, b in zip(marks, images)):
+                raise DefectError("C does not preserve the mark grading")
+
+        # one product adjugate . delta mod f per distinct delta bit vector
+        keys = self.descents[:, 1:] @ (1 << np.arange(r, dtype=np.int64))
+        distinct = list(dict.fromkeys(keys.tolist()))  # in order of first occurrence
+        bits = np.array(distinct)[:, None] >> np.arange(r) & 1
+        rows = bits @ np.array(rs.cartan_adjugate, dtype=np.int64).T % f
+        classes = {}
+        class_of_key = np.zeros(1 << r, dtype=np.intp)
+        for key, row in zip(distinct, map(tuple, rows.tolist())):
+            class_of_key[key] = classes.setdefault(row, len(classes))
+        delta_class = class_of_key[keys]
+        if len(set(delta_class[C].tolist())) != f:
+            raise DefectError("delta classes of C are not distinct")
+        members = set(C.tolist())
+        for k in members:
+            image = C
+            for i in self[k]._word():
+                image = self.rmul[image, i]  # c w_k for every c in C
+            if not members.issuperset(image.tolist()):
+                raise DefectError("C is not closed under multiplication")
+        of_class = np.full(len(classes), -1, dtype=np.intp)
+        of_class[delta_class[C]] = C
+        if (of_class < 0).any():
+            raise DefectError("a delta class holds no element of C")
+
+        self.cdes, self.C, self.delta_class = cdes, C, delta_class
+        self.class_residues = np.array(list(classes), dtype=np.int64).reshape(-1, r)
+        self.cmaj = of_class[delta_class]
+
     def __len__(self):
         return len(self.length)
 
@@ -165,12 +230,6 @@ class WeylGroup(Sequence):
 
     def __contains__(self, w):
         return isinstance(w, WeylElement) and w.rs == self.rs and w.z in self._index
-
-    def index(self, w) -> int:
-        """Position of ``w``; raises ValueError when ``w`` is not in W."""
-        if w not in self:
-            raise ValueError(f"{w!r} is not in the group")
-        return self._index[w.z]
 
     def right_action(self, k: int) -> np.ndarray:
         """``perm[j]`` is the index of ``w_j w_k``."""

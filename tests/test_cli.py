@@ -201,6 +201,19 @@ def test_vol_identity_budget_is_the_volume_box(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_vol_identity_budget_bounds_the_weyl_group(tmp_path, capsys):
+    # a single point of D4: both scans see one point, W has 192 elements
+    spec = {"type": "D", "rank": 4, "constraints": [
+        {"root": [int(i == j) for j in range(4)], "min": 0, "max": 0} for i in range(4)]}
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(spec))
+    argv = ["vol-identity", "--spec", str(path), "--budget"]
+    assert cli.run(argv + ["191"]) == 3
+    assert "Weyl group" in capsys.readouterr().err
+    assert cli.run(argv + ["192"]) == 0
+    capsys.readouterr()
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.run(["enumerate", "--type", "A", "--rank", "4", "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Circular descent statistics, the group C and the q-Weyl identity."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
-from alcoved.errors import UserInputError
+from alcoved import _linalg, cli, weyl
+from alcoved.errors import DefectError, UserInputError
 from alcoved.rootsys import build
 from alcoved.statistics import (
     brute_force_eulerian,
@@ -12,6 +15,7 @@ from alcoved.statistics import (
     cmaj_cross_table,
     cmaj_twist_check,
     coset_representatives,
+    delta,
     double_coset_check,
     eulerian_polynomial,
     group_C,
@@ -135,3 +139,71 @@ def test_cmaj_cross_table_symmetry():
     for t, r in (("A", 2), ("C", 2)):
         report = cmaj_cross_table(build(t, r))
         assert report["symmetric_under_transpose"]
+
+
+TABLE_SYSTEMS = (
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
+)
+
+
+@pytest.mark.parametrize("t, r", TABLE_SYSTEMS)
+def test_c_tables_match_fraction_oracle(t, r):
+    """C, the delta class ids and cmaj of W against per-element cdes and
+    coroot coordinates ``mat_inv(cartan) . delta mod 1``."""
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    inverse = _linalg.mat_inv(rs.cartan)
+    of_delta = {}  # delta -> its fractional coroot coordinates
+
+    def oracle_class(w):
+        d = delta(w)
+        if d not in of_delta:
+            of_delta[d] = tuple(x % 1 for x in _linalg.mat_vec(inverse, d))
+        return of_delta[d]
+
+    classes = [oracle_class(w) for w in W]
+    ids = {}
+    for cls in classes:
+        ids.setdefault(cls, len(ids))
+    C = [k for k, w in enumerate(W) if cdes(w) == 1]
+    in_C = {classes[k]: k for k in C}
+    f = rs.index_of_connection
+    assert W.C.tolist() == C and len(in_C) == f
+    assert W.delta_class.tolist() == [ids[cls] for cls in classes]
+    residues = [tuple(x * f for x in cls) for cls in ids]
+    assert W.class_residues.tolist() == [list(row) for row in residues]
+    assert W.cmaj.tolist() == [in_C[cls] for cls in classes]
+
+
+@pytest.mark.parametrize("argv", (
+    ["selfcheck", "--type", "A", "--rank", "2"],
+    ["stats", "--type", "B", "--rank", "3"],
+))
+def test_c_tables_are_built_once_per_command(argv, monkeypatch, capsys):
+    builds = []
+    build_tables = weyl.WeylGroup._build_c_tables
+
+    def counted(W):
+        builds.append(W)
+        build_tables(W)
+
+    monkeypatch.setattr(weyl.WeylGroup, "_build_c_tables", counted)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("t, r", (("A", 3), ("B", 3), ("D", 4)))
+@pytest.mark.parametrize("corrupt, message", (
+    (lambda adj: ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:], "holds no element of C"),
+    (lambda adj: tuple((0,) * len(row) for row in adj), "not distinct"),
+))
+def test_corrupted_adjugate_fails_the_c_tables(t, r, corrupt, message):
+    rs = build(t, r)
+    bad = dataclasses.replace(rs, cartan_adjugate=corrupt(rs.cartan_adjugate))
+    W = enumerate_weyl(bad)
+    with pytest.raises(DefectError, match=message):
+        group_C(bad, W)
+    with pytest.raises(DefectError, match=message):
+        W.cmaj  # a failed build is not kept
