@@ -119,7 +119,7 @@ def _cmd_stats(args) -> dict:
     report = {
         "type": rs.type_label,
         "rank": rs.rank,
-        "hypersimplex": statistics.hypersimplex_statistic_check(rs, W),
+        "hypersimplex": statistics.hypersimplex_statistic_check(rs, W, args.budget),
         "double_coset": statistics.double_coset_check(rs, W),
         "cmaj_twist": statistics.cmaj_twist_check(rs, W),
     }
@@ -261,7 +261,7 @@ def _cmd_selfcheck(args) -> dict:
     results["cmaj_twist"] = twist["holds"] and twist["inverse_symmetry_holds"]
     qw = statistics.qweyl_check(rs, W)
     results["q_weyl"] = qw["identity_holds"] and qw["scalar_holds"]
-    hs = statistics.hypersimplex_statistic_check(rs, W)
+    hs = statistics.hypersimplex_statistic_check(rs, W, args.budget)
     results["hypersimplex_statistics"] = all(
         hs[k]
         for k in (

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
 from .errors import BudgetExceededError, DefectError, UserInputError
 from .rootsys import RootSystemData, pairing, rho
 
@@ -64,29 +63,10 @@ class AffineMap:
     linear: tuple
     translation: tuple
 
-    @staticmethod
-    def identity_map(rank: int) -> "AffineMap":
-        return AffineMap(_linalg.identity(rank), (Fraction(0),) * rank)
-
     def apply(self, point) -> tuple:
-        moved = _linalg.mat_vec(self.linear, tuple(point))
-        return tuple(a + b for a, b in zip(moved, self.translation))
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other."""
-        linear = _linalg.mat_mul(self.linear, other.linear)
-        translation = tuple(
-            a + b
-            for a, b in zip(
-                _linalg.mat_vec(self.linear, other.translation), self.translation
-            )
-        )
-        return AffineMap(linear, translation)
-
-    def inverse(self) -> "AffineMap":
-        inv = _linalg.mat_inv(self.linear)
-        return AffineMap(
-            inv, tuple(-x for x in _linalg.mat_vec(inv, self.translation))
+        return tuple(
+            sum(a * x for a, x in zip(row, point)) + t
+            for row, t in zip(self.linear, self.translation)
         )
 
 
@@ -154,34 +134,53 @@ def neighbors(point: CentralPoint) -> list:
 def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
     """Affine map sigma and image with sigma(point) in the closed A_o.
 
-    sigma is a composition of the simple reflections s_1..s_r and the
-    affine reflection in (lambda, theta) = 1; the lowest-index violated
-    wall is applied at each step, which terminates for every input; a
-    walk of ``REDUCTION_STEP_GUARD`` steps or more raises
-    BudgetExceededError.
-    The walk runs in integers on the rows of ``[linear | translation |
-    d * image]``, for ``d`` the lcm of the point's denominators: ``s_i``
-    subtracts ``cartan[a][i]`` times row i from row a, and the affine
-    reflection subtracts ``theta_covector[a]`` times ``theta . rows``
-    less ``(0, .., 0, 1, d)``.
+    sigma is the shortest element of the affine Weyl group that maps the
+    point p into the closed A_o.  For small eps > 0 the point
+    ``p + eps (rho/h_star - p)`` lies in the alcove around p that is on
+    the side of A_o of every hyperplane through p, so sigma is also the
+    unique element that maps it into the open A_o, which fixes sigma for
+    points on walls too.
+
+    A translation by the coroot lattice comes first: ``n`` are the floors
+    of p's coroot coordinates ``cartan^-1 . p``, and ``-cartan . n`` (the
+    omega-coordinates of ``-sum n_j alpha_j^vee``) moves p into the
+    parallelepiped of the simple coroots.  From there a walk applies the
+    lowest-index wall of A_o that the nearby point violates, among s_1..s_r
+    and the affine reflection in (lambda, theta) = 1; each step removes
+    one of the few hyperplanes left between it and A_o.  A walk of
+    ``REDUCTION_STEP_GUARD`` steps or more raises BudgetExceededError.
+
+    Everything runs in integers on the rows of ``[linear | translation |
+    d * sigma(rho/h_star) | d * image]``, for ``d`` the lcm of h_star and
+    the point's denominators.  Wall i is violated when its two last
+    entries are below ``(0, 0)`` in lexicographic order, the theta wall
+    when ``theta . rows`` less ``d`` is above it there.  ``s_i`` subtracts
+    ``cartan[a][i]`` times row i from row a, and the affine reflection
+    subtracts ``theta_covector[a]`` times ``theta . rows`` less
+    ``(0, .., 0, 1, d, d)``.
     """
     rank = rs.rank
     p = [Fraction(x) for x in point]
     if len(p) != rank:
         raise UserInputError("point has wrong dimension")
-    d = math.lcm(*(x.denominator for x in p))
+    d = math.lcm(rs.h_star, *(x.denominator for x in p))
+    scaled = [x.numerator * (d // x.denominator) for x in p]
+    fd = rs.index_of_connection * d
+    n = [sum(a * x for a, x in zip(row, scaled)) // fd for row in rs.cartan_adjugate]
+    shift = [sum(c * k for c, k in zip(row, n)) for row in rs.cartan]
+    centre = [d // rs.h_star * v for v in rho(rs)]
     rows = [
-        [int(a == b) for b in range(rank)] + [0, x.numerator * (d // x.denominator)]
-        for a, x in enumerate(p)
+        [int(a == b) for b in range(rank)] + [-t, c - d * t, x - d * t]
+        for a, (t, c, x) in enumerate(zip(shift, centre, scaled))
     ]
-    wall = [0] * rank + [1, d]
+    wall = [0] * rank + [1, d, d]
     for _ in range(REDUCTION_STEP_GUARD):
-        i = next((i for i, row in enumerate(rows) if row[-1] < 0), None)
+        i = next((i for i, row in enumerate(rows) if (row[-1], row[-2]) < (0, 0)), None)
         if i is not None:
             col, pivot = [row[i] for row in rs.cartan], rows[i]
         else:
             pivot = [pairing(c, rs.theta) - w for c, w in zip(zip(*rows), wall)]
-            if pivot[-1] <= 0:
+            if (pivot[-1], pivot[-2]) <= (0, 0):
                 sigma = AffineMap(
                     tuple(tuple(row[:rank]) for row in rows),
                     tuple(row[rank] for row in rows),

@@ -19,7 +19,6 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from . import _linalg
 from .errors import DefectError, UserInputError
 
 #: valid rank ranges per type letter
@@ -225,7 +224,7 @@ def _cartan_adjugate(cartan: tuple) -> tuple:
     principal minor of order k + 1, positive for a Cartan matrix, so no
     row is swapped and every division by the previous pivot is exact."""
     n = len(cartan)
-    rows = [list(row) + list(unit) for row, unit in zip(cartan, _linalg.identity(n))]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
     previous = 1
     for k, pivot in enumerate(rows):
         p = pivot[k]
@@ -266,8 +265,7 @@ def build(type_label: str, rank: int) -> RootSystemData:
     h_star = 1 + sum(marks)
 
     f, adjugate = _cartan_adjugate(cartan)
-    scaled_identity = tuple(tuple(f * x for x in row) for row in _linalg.identity(rank))
-    if _linalg.mat_mul(cartan, adjugate) != scaled_identity:
+    if (np.array(cartan) @ np.array(adjugate) != f * np.eye(rank, dtype=int)).any():
         raise DefectError("cartan . adjugate != det(cartan) * I")
     if f != 1 + sum(1 for a in marks if a == 1):
         raise DefectError("index of connection disagrees with the minuscule count")
@@ -279,7 +277,9 @@ def build(type_label: str, rank: int) -> RootSystemData:
     column_final = tuple(np.flatnonzero(last == j) for j in range(rank))
     for table in (root_array, *column_final):
         table.flags.writeable = False
-    simple_index = tuple(positive_roots.index(s) for s in _linalg.identity(rank))
+    simple_index = tuple(
+        positive_roots.index(tuple(int(i == j) for j in range(rank))) for i in range(rank)
+    )
     theta_covector = tuple(coroot_pairings[-1][i] for i in simple_index)
     if pairing(theta_covector, theta) != 2:
         raise DefectError("(theta_vee, theta) != 2")

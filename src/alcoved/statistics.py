@@ -262,14 +262,17 @@ def qweyl_check(rs: RootSystemData, W=None) -> dict:
     }
 
 
-def hypersimplex_statistic_check(rs: RootSystemData, W=None) -> dict:
-    """Hypersimplex volumes against circular-descent counts."""
+def hypersimplex_statistic_check(
+    rs: RootSystemData, W=None, budget: int = polytope_mod.DEFAULT_POINT_BUDGET
+) -> dict:
+    """Hypersimplex volumes against circular-descent counts; ``budget``
+    bounds the scan of the hypersimplex volumes."""
     if W is None:
         W = enumerate_weyl(rs)
     f = rs.index_of_connection
     reps = _coset_indices(W)
     cdes_inv = W.cdes[W.inverse]  # cdes(w^-1) for every w
-    volumes = dict(enumerate(polytope_mod.hypersimplex_volumes(rs), 1))
+    volumes = dict(enumerate(polytope_mod.hypersimplex_volumes(rs, budget), 1))
     coset_counts = {}
     element_counts = {}
     for k in volumes:
@@ -278,12 +281,10 @@ def hypersimplex_statistic_check(rs: RootSystemData, W=None) -> dict:
     coset_ok = all(volumes[k] == coset_counts[k] for k in volumes)
     element_ok = all(f * volumes[k] == element_counts[k] for k in volumes)
 
-    C = W.C.tolist()
-    rights = [W.right_action(k) for k in C]
     constant_ok = all(
         np.array_equal(W.cdes[W.inverse[left[right[reps]]]], cdes_inv[reps])
-        for left in map(W.left_action, C)
-        for right in rights
+        for left in W.C_left
+        for right in W.C_right
     )
     genfun = ()
     for k, v in volumes.items():
@@ -307,10 +308,8 @@ def double_coset_check(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     C = W.C.tolist()
-    rights = [W.right_action(k) for k in C]
-    for c1 in C:
-        left = W.left_action(c1)
-        for c2, right in zip(C, rights):
+    for c1, left in zip(C, W.C_left):
+        for c2, right in zip(C, W.C_right):
             bad = np.flatnonzero(W.cdes[left[right]] != W.cdes)
             if bad.size:
                 return {"holds": False, "witness": (W[c1], W[int(bad[0])], W[c2])}
@@ -322,15 +321,13 @@ def cmaj_twist_check(rs: RootSystemData, W=None) -> dict:
     if W is None:
         W = enumerate_weyl(rs)
     C = W.C.tolist()
-    lefts = [W.left_action(k) for k in C]
-    for c2 in C:
-        right = W.right_action(c2)
+    for c2, right in zip(C, W.C_right):
         # powers[n, j] is the index of w_j c2^n
         powers = [np.arange(len(W))]
         for _ in range(int(W.cdes.max())):
             powers.append(right[powers[-1]])
         twisted = np.stack(powers)[W.cdes, W.cmaj]
-        for c1, left in zip(C, lefts):
+        for c1, left in zip(C, W.C_left):
             bad = np.flatnonzero(W.cmaj[left[right]] != left[twisted])
             if bad.size:
                 return {"holds": False, "witness": (W[c1], W[int(bad[0])], W[c2])}

@@ -31,7 +31,9 @@ from .rootsys import RootSystemData, rho
 DEFAULT_GROUP_BUDGET = 10**6
 
 #: the circular-descent tables of a WeylGroup, built together on first read
-_C_TABLES = frozenset(("cdes", "C", "delta_class", "class_residues", "cmaj"))
+_C_TABLES = frozenset(
+    ("cdes", "C", "C_left", "C_right", "delta_class", "class_residues", "cmaj")
+)
 
 
 def _reflect_coweight(cartan, i: int, v) -> list:
@@ -135,7 +137,9 @@ class WeylGroup(Sequence):
     The circular-descent tables are built together, and C validated, the
     first time one of them is read.  ``cdes[k]`` is the circular descent
     number of ``w_k``; ``C`` holds the indices of the elements with
-    ``cdes = 1``, in order.  ``delta_class[k]`` is the id of the class of
+    ``cdes = 1``, in order; ``C_left[i]`` and ``C_right[i]`` are the
+    ``left_action`` and ``right_action`` of ``C[i]``, one row per element
+    of C.  ``delta_class[k]`` is the id of the class of
     ``delta(w_k) = (d_1, ..., d_r)`` modulo the coroot lattice, ids
     numbered in order of first occurrence; row ``class_residues[i]`` is
     ``adjugate . delta mod f`` for class i, that is f times the
@@ -183,12 +187,16 @@ class WeylGroup(Sequence):
         # C permutes the affine simple roots, -theta playing alpha_0, by marks
         hat = [tuple(-c for c in rs.theta)] + list(rs.simple_roots)
         marks = (1,) + rs.marks
-        for k in C.tolist():
+        members = C.tolist()
+        for k in members:
             images = [self[k].act_on_root(a) for a in hat]
             if set(images) != set(hat):
                 raise DefectError("an element of C does not permute the affine roots")
             if any(marks[hat.index(b)] != a for a, b in zip(marks, images)):
                 raise DefectError("C does not preserve the mark grading")
+
+        C_left = np.stack([self.left_action(k) for k in members])
+        C_right = np.stack([self.right_action(k) for k in members])
 
         # one product adjugate . delta mod f per distinct delta bit vector
         keys = self.descents[:, 1:] @ (1 << np.arange(r, dtype=np.int64))
@@ -202,19 +210,15 @@ class WeylGroup(Sequence):
         delta_class = class_of_key[keys]
         if len(set(delta_class[C].tolist())) != f:
             raise DefectError("delta classes of C are not distinct")
-        members = set(C.tolist())
-        for k in members:
-            image = C
-            for i in self[k]._word():
-                image = self.rmul[image, i]  # c w_k for every c in C
-            if not members.issuperset(image.tolist()):
-                raise DefectError("C is not closed under multiplication")
+        if not set(members).issuperset(C_right[:, C].ravel().tolist()):
+            raise DefectError("C is not closed under multiplication")
         of_class = np.full(len(classes), -1, dtype=np.intp)
         of_class[delta_class[C]] = C
         if (of_class < 0).any():
             raise DefectError("a delta class holds no element of C")
 
         self.cdes, self.C, self.delta_class = cdes, C, delta_class
+        self.C_left, self.C_right = C_left, C_right
         self.class_residues = np.array(list(classes), dtype=np.int64).reshape(-1, r)
         self.cmaj = of_class[delta_class]
 
@@ -308,8 +312,7 @@ def longest_element(rs: RootSystemData, group=None) -> WeylElement:
     """The unique element of maximal length."""
     if group is None:
         group = enumerate_weyl(rs)
-    top = max(group, key=lambda w: w.word_length)
-    return top
+    return group[int(group.length.argmax())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,32 @@
-"""Small exact linear-algebra helpers over the rationals.
+"""Exact rational linear algebra, kept apart from the library as an oracle.
 
-Matrices are tuples of row tuples.  Everything here works with
-``fractions.Fraction`` (integers are accepted and promoted), which keeps
-all computations exact; the ranks involved never exceed 8, so no effort
-is spent on asymptotics.
+Matrices are tuples of row tuples.  Everything works over
+``fractions.Fraction`` (integers are accepted and promoted), in plain
+textbook form: Gauss-Jordan inverse, elimination determinant, and the
+composition and inverse of affine maps ``x -> linear . x + translation``,
+so that tests can check the library's integer tables and walks against
+an independent computation.
 """
 
 from fractions import Fraction
 
-Vector = tuple
-Matrix = tuple
+from alcoved.geometry import AffineMap
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
+def mat_vec(m, v) -> tuple:
     if len(m[0]) != len(v):
         raise ValueError(f"dimension mismatch: {len(m[0])}x matrix, {len(v)} vector")
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a, b) -> tuple:
     cols = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_inv(m: Matrix) -> Matrix:
+def mat_inv(m) -> tuple:
     """Inverse by Gauss-Jordan elimination over the rationals."""
     n = len(m)
     aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -48,7 +45,7 @@ def mat_inv(m: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def det(m: Matrix) -> Fraction:
+def det(m) -> Fraction:
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     result = Fraction(1)
@@ -66,3 +63,23 @@ def det(m: Matrix) -> Fraction:
                 factor = a[r][col] * inv
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return result
+
+
+def identity_map(rank: int) -> AffineMap:
+    linear = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    return AffineMap(linear, (Fraction(0),) * rank)
+
+
+def apply(sigma: AffineMap, point) -> tuple:
+    moved = mat_vec(sigma.linear, tuple(point))
+    return tuple(a + b for a, b in zip(moved, sigma.translation))
+
+
+def compose(a: AffineMap, b: AffineMap) -> AffineMap:
+    """a after b."""
+    return AffineMap(mat_mul(a.linear, b.linear), apply(a, b.translation))
+
+
+def inverse(sigma: AffineMap) -> AffineMap:
+    inv = mat_inv(sigma.linear)
+    return AffineMap(inv, tuple(-x for x in mat_vec(inv, sigma.translation)))

@@ -214,6 +214,18 @@ def test_vol_identity_budget_bounds_the_weyl_group(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stats_and_selfcheck_budget_bounds_the_hypersimplex_scan(capsys):
+    # the hypersimplex volumes scan the box (1, .., 1) at scale h:
+    # 13^6 points in E6 (W has 51,840 elements) and 7^3 = 343 in B3
+    assert cli.run(["stats", "--type", "E", "--rank", "6", "--budget", "100000"]) == 3
+    assert "exceeds budget 100000" in capsys.readouterr().err
+    argv = ["selfcheck", "--type", "B", "--rank", "3", "--budget"]
+    assert cli.run(argv + ["342"]) == 3
+    assert "box of 343 candidate points" in capsys.readouterr().err
+    assert cli.run(argv + ["343"]) == 0
+    capsys.readouterr()
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.run(["enumerate", "--type", "A", "--rank", "4", "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err

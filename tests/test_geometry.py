@@ -3,10 +3,12 @@
 import dataclasses
 import functools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import fraction_oracles as oracle
 from alcoved import geometry
 from alcoved.geometry import (
     AffineMap,
@@ -93,8 +95,8 @@ def test_affine_map_compose_and_inverse():
     p = fundamental_central_point(rs)
     q = neighbors(neighbors(p)[0])[2]
     sigma, _ = reduce_to_fundamental(rs, q.omega_point())
-    rt = sigma.compose(sigma.inverse())
-    ident = geometry.AffineMap.identity_map(rs.rank)
+    rt = oracle.compose(sigma, oracle.inverse(sigma))
+    ident = oracle.identity_map(rs.rank)
     assert rt.linear == ident.linear
     assert rt.translation == ident.translation
 
@@ -153,7 +155,7 @@ def _oracle_neighbors(point):
 def _oracle_reduce(rs, point):
     rank = rs.rank
     p = tuple(Fraction(x) for x in point)
-    sigma = AffineMap.identity_map(rank)
+    sigma = oracle.identity_map(rank)
     theta_cov = _fraction_covector(rs, rs.theta)
     zero = (Fraction(0),) * rank
     while True:
@@ -179,8 +181,8 @@ def _oracle_reduce(rs, point):
                 for a in range(rank)
             )
             step = AffineMap(linear, theta_cov)
-        p = step.apply(p)
-        sigma = step.compose(sigma)
+        p = oracle.apply(step, p)
+        sigma = oracle.compose(step, sigma)
 
 
 def _assert_same_reduction(rs, point):
@@ -249,10 +251,9 @@ def test_neighbors_check_every_candidate():
 
 
 def test_reduce_agrees_with_fraction_oracle_on_random_points():
-    # a reduction takes one step per hyperplane between the point and A_o,
-    # so the coordinates shrink with the rank (near 10^6 they take seconds
-    # in A1 and pass REDUCTION_STEP_GUARD in higher ranks); the far A1, A2
-    # and C2 points take about 10^3 steps
+    # the oracle takes one step per hyperplane between the point and A_o,
+    # so its cost sets the coordinates, which shrink with the rank; the
+    # far A1, A2 and C2 points take it about 10^3 steps
     rng = random.Random(43)
     size = {1: 40, 2: 12, 3: 4, 4: 2, 5: 1}
     for t, r in TYPES:
@@ -277,8 +278,10 @@ def test_reduce_past_the_step_guard_is_a_budget_error(monkeypatch):
     rs = build("A", 2)
     point = [Fraction(-1_201, 12), Fraction(2_399, 11)]
     _assert_same_reduction(rs, point)
-    monkeypatch.setattr(geometry, "REDUCTION_STEP_GUARD", 10)
-    with pytest.raises(BudgetExceededError, match="did not finish in 10 steps"):
+    # after the coroot translation the walk takes three steps and returns
+    # on the fourth, so a guard of 3 stops it
+    monkeypatch.setattr(geometry, "REDUCTION_STEP_GUARD", 3)
+    with pytest.raises(BudgetExceededError, match="did not finish in 3 steps"):
         reduce_to_fundamental(rs, point)
     # a point already in A_o takes no step, so it passes under any guard
     monkeypatch.setattr(geometry, "REDUCTION_STEP_GUARD", 1)
@@ -310,9 +313,9 @@ def test_reduce_agrees_with_fraction_oracle_on_walls():
                 tuple(sum(w * v[j] for w, v in zip(weights, vertices)) / total for j in range(r))
             )
         far = _walk(rs, rng, 12 if r <= 3 else 6).omega_point()
-        back = _oracle_reduce(rs, far)[0].inverse()
+        back = oracle.inverse(_oracle_reduce(rs, far)[0])
         for p in list(points):
-            points.append(back.apply(p))
+            points.append(oracle.apply(back, p))
         for p in points:
             _assert_same_reduction(rs, p)
 
@@ -331,3 +334,47 @@ def test_reduce_agrees_with_fraction_oracle_on_scan_workload_points():
     assert len(points) == 32
     for t, r, point in points:
         _assert_same_reduction(build(t, r), point)
+
+
+@pytest.mark.parametrize("size", (10**3, 10**18))
+def test_reduce_far_points_in_closed_form(size):
+    # sigma for the A1 points +-N, N + 1 and N + 1/3, N even: the walk of
+    # the oracle at N = 10^3, and the same closed form at 10^18, which the
+    # coroot translation reaches in a few steps
+    rs = build("A", 1)
+    cases = (
+        (size, ((-1,),), (size,), (0,)),
+        (-size, ((1,),), (size,), (0,)),
+        (size + 1, ((1,),), (-size,), (1,)),
+        (size + Fraction(1, 3), ((1,),), (-size,), (Fraction(1, 3),)),
+    )
+    for x, linear, translation, image in cases:
+        start = time.perf_counter()
+        sigma, got = reduce_to_fundamental(rs, [x])
+        assert time.perf_counter() - start < 0.1  # milliseconds, not a walk
+        assert (sigma.linear, sigma.translation, got) == (linear, translation, image)
+        if size < 10**6:
+            _assert_same_reduction(rs, [x])
+
+
+def test_reduce_coroot_translates_agree_with_fraction_oracle():
+    # sigma(p + beta) = sigma(p) after t_{-beta} for p inside an alcove and
+    # beta = sum n_j alpha_j^vee, whose omega-coordinates are cartan . n
+    rng = random.Random(53)
+    for t, r in TYPES:
+        rs = build(t, r)
+        while True:
+            p = [Fraction(rng.randint(-12, 12), rng.randint(1, 7)) for _ in range(r)]
+            if all(pairing(p, a).denominator != 1 for a in rs.positive_roots):
+                break
+        n = [rng.choice((-1, 1)) * 10**12 + rng.randint(-1000, 1000) for _ in range(r)]
+        beta = oracle.mat_vec(rs.cartan, n)
+        far = [x + b for x, b in zip(p, beta)]
+        sigma, image = reduce_to_fundamental(rs, far)
+        near, want_image = _oracle_reduce(rs, p)
+        identity = oracle.identity_map(r).linear
+        want = oracle.compose(near, AffineMap(identity, tuple(-b for b in beta)))
+        assert (sigma.linear, sigma.translation, image) == (
+            want.linear, want.translation, want_image
+        )
+        assert [str(x) for x in sigma.translation] == [str(x) for x in want.translation]

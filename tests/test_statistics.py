@@ -1,11 +1,13 @@
 """Circular descent statistics, the group C and the q-Weyl identity."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from alcoved import _linalg, cli, weyl
+import fraction_oracles as oracle
+from alcoved import cli, weyl
 from alcoved.errors import DefectError, UserInputError
 from alcoved.rootsys import build
 from alcoved.statistics import (
@@ -153,13 +155,13 @@ def test_c_tables_match_fraction_oracle(t, r):
     coroot coordinates ``mat_inv(cartan) . delta mod 1``."""
     rs = build(t, r)
     W = enumerate_weyl(rs)
-    inverse = _linalg.mat_inv(rs.cartan)
+    inverse = oracle.mat_inv(rs.cartan)
     of_delta = {}  # delta -> its fractional coroot coordinates
 
     def oracle_class(w):
         d = delta(w)
         if d not in of_delta:
-            of_delta[d] = tuple(x % 1 for x in _linalg.mat_vec(inverse, d))
+            of_delta[d] = tuple(x % 1 for x in oracle.mat_vec(inverse, d))
         return of_delta[d]
 
     classes = [oracle_class(w) for w in W]
@@ -192,6 +194,35 @@ def test_c_tables_are_built_once_per_command(argv, monkeypatch, capsys):
     assert cli.run(argv) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+def test_c_actions_are_built_once_per_command(monkeypatch, capsys):
+    # stats D4 reads the left and right actions of its f = 4 elements of C
+    # in three checks; they are walked once each, 2f right_action calls
+    calls = []
+    right_action = weyl.WeylGroup.right_action
+
+    def counted(W, k):
+        calls.append(k)
+        return right_action(W, k)
+
+    monkeypatch.setattr(weyl.WeylGroup, "right_action", counted)
+    assert cli.run(["stats", "--type", "D", "--rank", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("t, r", TABLE_SYSTEMS)
+def test_c_action_tables_match_element_products(t, r):
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    index = {tuple(z): k for k, z in enumerate(W.z.tolist())}
+    columns = random.Random(59).sample(range(len(W)), min(len(W), 100))
+    assert W.C_left.shape == W.C_right.shape == (len(W.C), len(W))
+    for i, c in enumerate(W.C.tolist()):
+        for j in columns:
+            assert W.C_left[i, j] == index[(W[c] * W[j]).z]
+            assert W.C_right[i, j] == index[(W[j] * W[c]).z]
 
 
 @pytest.mark.parametrize("t, r", (("A", 3), ("B", 3), ("D", 4)))
