@@ -10,6 +10,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,20 +43,62 @@ def _str_keys(value):
     return value
 
 
+_SLOT = "\x00"  # json writes it as "\u0000": the place of an int, a row or a table
+
+
+class _Table(NamedTuple):
+    """A report value printed as a JSON list of rows of one shape: ``form``
+    is the JSON structure of a row, lists and str-keyed dicts with ``_SLOT``
+    for each int, and each of ``rows`` holds the ints of one row, in the
+    order in which ``json.dumps(form, sort_keys=True)`` writes the slots."""
+
+    form: object
+    rows: list
+
+
+def _table_text(table: _Table, as_json: bool) -> str:
+    """What ``json.dumps`` writes for the table's list of rows, as a report
+    value with ``indent=2`` (``as_json``) or alone without indent.
+
+    json writes the row form, and a two-slot list for the frame, at the
+    table's depth; the int slots become ``%d`` and the row slots split the
+    frame.  So separators, key order and indentation are json's own, and
+    ``%d`` writes an int as ``int.__repr__``, as json does, past int64 too.
+    """
+    if not table.rows:
+        return "[]"
+    indent = 2 if as_json else None
+    frame = json.dumps([_SLOT, _SLOT], indent=indent)
+    row = json.dumps(table.form, indent=indent, sort_keys=True)
+    if as_json:  # the list is a report value at depth 1, its rows at depth 2
+        frame, row = frame.replace("\n", "\n  "), row.replace("\n", "\n    ")
+    head, sep, tail = frame.split(json.dumps(_SLOT))
+    template = row.replace("%", "%%").replace(json.dumps(_SLOT), "%d")
+    return head + sep.join([template % tuple(r) for r in table.rows]) + tail
+
+
 def _emit(report: dict, as_json: bool) -> None:
     """Print a report as indented JSON or one ``key: value`` line per key.
 
     Keys are made str first, so that ``sort_keys`` orders them as strings
     ("10" before "2"); no report nests an int-keyed dict in a list.  json
     encodes ints, strs, bools, None, lists and tuples itself and hands the
-    other leaves (Fraction, CosetClass, ...) to ``_jsonable``.
+    other leaves (Fraction, CosetClass, ...) to ``_jsonable``.  A ``_Table``
+    value is written by ``_table_text``, not by json's per-element encoder.
     """
     report = _str_keys(report)
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=_jsonable))
+        tables = {k: v for k, v in report.items() if isinstance(v, _Table)}
+        slots = {k: _SLOT + k for k in tables}  # replaced by the tables' text
+        text = json.dumps({**report, **slots}, indent=2, sort_keys=True, default=_jsonable)
+        for key, table in tables.items():
+            text = text.replace(json.dumps(slots[key]), _table_text(table, True), 1)
+        print(text)
         return
     for key, value in report.items():
-        if not isinstance(value, (dict, list, tuple)):
+        if isinstance(value, _Table):
+            value = _table_text(value, False)
+        elif not isinstance(value, (dict, list, tuple)):
             value = _jsonable(value)
         if isinstance(value, (dict, list, tuple)):
             value = json.dumps(value, sort_keys=True, default=_jsonable)
@@ -90,7 +133,9 @@ def _require(report: dict, keys) -> None:
 
 # -- subcommands ---------------------------------------------------------
 def _cmd_info(args) -> dict:
-    return rootsys.info_dict(_build(args))
+    rs = _build(args)
+    roots = _Table([_SLOT] * rs.rank, rs.positive_roots)
+    return {**rootsys.info_dict(rs), "positive_roots": roots}
 
 
 def _cmd_enumerate(args) -> dict:
@@ -113,6 +158,10 @@ def _length_histogram(W) -> dict:
     return dict(enumerate(np.bincount(W.length).tolist()))
 
 
+_HYPERSIMPLEX_FLAGS = ("coset_identity_holds", "element_identity_holds",
+                       "cdes_constant_on_cosets", "generating_function_holds")
+
+
 def _cmd_stats(args) -> dict:
     rs = _build(args)
     W = weyl.enumerate_weyl(rs, budget=args.budget)
@@ -123,12 +172,7 @@ def _cmd_stats(args) -> dict:
         "double_coset": statistics.double_coset_check(rs, W),
         "cmaj_twist": statistics.cmaj_twist_check(rs, W),
     }
-    _require(report["hypersimplex"], [
-        "coset_identity_holds",
-        "element_identity_holds",
-        "cdes_constant_on_cosets",
-        "generating_function_holds",
-    ])
+    _require(report["hypersimplex"], _HYPERSIMPLEX_FLAGS)
     _require(report["double_coset"], ["holds"])
     _require(report["cmaj_twist"], ["holds", "inverse_symmetry_holds"])
     return report
@@ -192,25 +236,36 @@ def _cmd_thick_check(args) -> dict:
     }
 
 
+def _coordinate_rows(vertices: list, index: np.ndarray, rank: int) -> list:
+    """Row k lists the coordinates of the vertices ``index[k]`` in turn;
+    an object array keeps coordinates past int64 exact."""
+    coords = np.array(vertices, dtype=object).reshape(len(vertices), rank)
+    return coords[index].reshape(len(index), index.shape[1] * rank).tolist()
+
+
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
-    basis = groebner.groebner_basis(P, args.budget)
+    rewriter, r = groebner._rewriter(P, args.budget), P.rs.rank
+    pair = [[_SLOT] * r] * 2
     return {
         "type": P.rs.type_label,
-        "rank": P.rs.rank,
-        "vertices": groebner._rewriter(P, args.budget).vertices,
-        "binomials": [{"lead": b.lead, "trail": b.trail} for b in basis],
+        "rank": r,
+        "vertices": _Table([_SLOT] * r, rewriter.vertices),
+        "binomials": _Table({"lead": pair, "trail": pair},
+                            _coordinate_rows(rewriter.vertices, rewriter.rule_rows, r)),
     }
 
 
 def _cmd_triangulate(args) -> dict:
     P = _load_polytope(args)
-    simplices = groebner.triangulate(P, args.budget)
+    rewriter, r = groebner._rewriter(P, args.budget), P.rs.rank
+    rows = rewriter.simplex_rows()
     return {
         "type": P.rs.type_label,
-        "rank": P.rs.rank,
-        "volume": len(simplices),  # the triangulation check scanned the volume
-        "simplices": simplices,
+        "rank": r,
+        "volume": len(rows),  # the triangulation check scanned the volume
+        "simplices": _Table([[_SLOT] * r] * (r + 1),
+                            _coordinate_rows(rewriter.vertices, rows, r)),
     }
 
 
@@ -262,15 +317,7 @@ def _cmd_selfcheck(args) -> dict:
     qw = statistics.qweyl_check(rs, W)
     results["q_weyl"] = qw["identity_holds"] and qw["scalar_holds"]
     hs = statistics.hypersimplex_statistic_check(rs, W, args.budget)
-    results["hypersimplex_statistics"] = all(
-        hs[k]
-        for k in (
-            "coset_identity_holds",
-            "element_identity_holds",
-            "cdes_constant_on_cosets",
-            "generating_function_holds",
-        )
-    )
+    results["hypersimplex_statistics"] = all(hs[k] for k in _HYPERSIMPLEX_FLAGS)
     vol_ok = True
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)

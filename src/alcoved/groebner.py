@@ -21,6 +21,7 @@ vertex at the polytope's lower simple bounds, so far-away bounds stay
 exact; where a value could pass 2^62 they raise UserInputError instead.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -337,7 +338,15 @@ class Binomial:
 
 
 class Rewriter:
-    """Rewriting engine for the vertex pairs of one alcoved polytope."""
+    """Rewriting engine for the vertex pairs of one alcoved polytope.
+
+    Rules and simplices are rows of indices into the sorted ``vertices``.
+    Row ``(a, b, u, v)`` of ``rule_rows``, sorted by lead, rewrites the
+    lead pair ``(vertices[a], vertices[b])``, ``a < b``, to the trail
+    pair ``(vertices[u], vertices[v])``, ``u <= v``.  The ``rules`` dict
+    keyed by vertex pairs is built from them on first read, and the
+    weights by vertex one vertex at a time.
+    """
 
     def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
         _require_supported(P.rs)
@@ -355,9 +364,17 @@ class Rewriter:
             (k - pairing(low, root), K - pairing(low, root))
             for root, (k, K) in zip(self.rs.positive_roots, P.bounds)
         ]
-        weights = self._scaled_weights(self.vertices).tolist()
-        self._scaled = dict(zip(self.vertices, weights))  # denom * weight
-        self.rules = self._build_rules()
+        self._scaled = {}  # denom * weight, by vertex, filled by weight()
+        self.rule_rows = self._rule_rows()
+
+    @functools.cached_property
+    def rules(self) -> dict:
+        """``rule_rows`` as a lead pair -> trail pair dict, in lead order."""
+        return self._build_rules()
+
+    def _build_rules(self) -> dict:
+        V = self.vertices
+        return {(V[a], V[b]): (V[u], V[v]) for a, b, u, v in self.rule_rows.tolist()}
 
     def _translated(self, vertices) -> tuple:
         """``(X, reach)``: the vertices minus the origin as int64 rows,
@@ -370,8 +387,8 @@ class Rewriter:
             raise UserInputError(f"vertices {top} from {self._origin} overflow int64")
         return np.array(rows, dtype=np.int64).reshape(-1, self.rs.rank), reach
 
-    def _build_rules(self) -> dict:
-        """One rewrite per non-minimal decomposition class.
+    def _rule_rows(self) -> np.ndarray:
+        """One rewrite per non-minimal decomposition class, as ``rule_rows``.
 
         Vertex pairs are grouped by their sum; within a group the pair
         of smallest coherent weight is the standard form, and every
@@ -382,21 +399,20 @@ class Rewriter:
         the weight minimum is the only canonical choice left.
         """
         V = self.vertices
-        w = np.array([self._scaled[v] for v in V], dtype=np.int64)
+        w = self._scaled_weights(V)
         i, j = np.triu_indices(len(V))  # the pairs (u, v), u <= v, in order
         sums = self._translated(V)[0]
         sums = sums[i] + sums[j]
         # by sum, then weight, then (stable) pair: a group's first pair is its best
         order = np.lexsort((w[i] + w[j], *sums.T))
-        sums, i, j = sums[order], i[order], j[order]
-        new = np.ones(len(i), dtype=bool)
+        sums = sums[order]
+        new = np.ones(len(order), dtype=bool)
         new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
-        best = np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))
+        best = np.empty_like(order)  # per pair, in pair order, so leads stay sorted
+        best[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))]
         keep = (w[i] + w[j] > w[i[best]] + w[j[best]]) & (i != j)
-        return {
-            (V[a], V[b]): (V[c], V[d])
-            for a, b, c, d in zip(*(x[keep].tolist() for x in (i, j, i[best], j[best])))
-        }
+        best = best[keep]
+        return np.column_stack((i[keep], j[keep], i[best], j[best]))
 
     # -- coherent weight -------------------------------------------------
     def weight(self, vertex) -> Fraction:
@@ -431,10 +447,7 @@ class Rewriter:
 
     # -- reduction -------------------------------------------------------
     def basis(self) -> list:
-        return [
-            Binomial(lead=pair, trail=self.rules[pair])
-            for pair in sorted(self.rules)
-        ]
+        return [Binomial(lead, trail) for lead, trail in self.rules.items()]
 
     def reducible_pairs(self, monomial) -> list:
         support = sorted(set(monomial))
@@ -474,28 +487,41 @@ class Rewriter:
         raise DefectError("rewriting did not terminate")
 
     # -- triangulation ---------------------------------------------------
-    def triangulate(self) -> list:
-        """All maximal standard vertex sets of size rank + 1.
+    def simplex_rows(self) -> np.ndarray:
+        """All maximal standard vertex sets of size rank + 1, as rows of
+        indices into ``vertices`` in lexicographic order.
 
         The standard pairs form a flag complex (the basis is quadratic),
         so the alcove simplices are exactly the (r+1)-cliques of the
-        standard-pair graph, found in lexicographic order: the later
-        vertices that form a standard pair with a vertex are the bits of
-        one int, and a clique extends by the lowest bits of their AND.
-        The count is checked against the volume and each simplex against
-        unimodularity and membership.
+        standard-pair graph: the later vertices that form a standard
+        pair with a vertex are the bits of one int, and a clique extends
+        by the lowest bits of their AND.  The count is checked against
+        the volume and each simplex against unimodularity and membership.
         """
-        size = self.rs.rank + 1
-        verts = self.vertices
-        index = {v: i for i, v in enumerate(verts)}
-        later = [(1 << len(verts)) - (2 << i) for i in range(len(verts))]
-        for a, b in self.rules:  # a < b
-            later[index[a]] &= ~(1 << index[b])
-        simplices = []
+        rows = self._cliques()
+        self._validate_triangulation(rows)
+        return rows
+
+    def triangulate(self) -> list:
+        """The simplices of ``simplex_rows`` as tuples of vertices."""
+        V = self.vertices
+        simplices = [tuple(V[j] for j in row) for row in self._cliques().tolist()]
+        self._validate_triangulation(simplices)
+        return simplices
+
+    def _cliques(self) -> np.ndarray:
+        size, n = self.rs.rank + 1, len(self.vertices)
+        standard = np.triu(np.ones((n, n), dtype=bool), 1)
+        standard[self.rule_rows[:, 0], self.rule_rows[:, 1]] = False
+        later = [
+            int.from_bytes(bits.tobytes(), "little")
+            for bits in np.packbits(standard, axis=1, bitorder="little")
+        ]
+        cliques = []
 
         def extend(clique, candidates):
             if len(clique) == size:
-                simplices.append(tuple(verts[i] for i in clique))
+                cliques.append(clique)
                 return
             while candidates.bit_count() >= size - len(clique):
                 low = candidates & -candidates
@@ -503,25 +529,30 @@ class Rewriter:
                 j = low.bit_length() - 1
                 extend(clique + [j], candidates & later[j])
 
-        extend([], (1 << len(verts)) - 1)
-        self._validate_triangulation(simplices)
-        return simplices
+        extend([], (1 << n) - 1)
+        return np.array(cliques, dtype=np.intp).reshape(-1, size)
 
     def _validate_triangulation(self, simplices) -> None:
         """The count against the volume scan, then all simplices at once:
-        corner pairings times ``denom``, barycenters times ``s``.  Reports
-        the first failing simplex and its first failing check."""
+        corner pairings times ``denom``, barycenters times ``s``.  The
+        simplices are rows of indices into ``vertices`` or, if not an
+        array, tuples of vertices.  Reports the first failing simplex and
+        its first failing check."""
+        V = self.vertices
+        if not isinstance(simplices, np.ndarray):
+            index = {}
+            ids = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
+            simplices = np.array(ids, dtype=np.intp).reshape(len(ids), self.rs.rank + 1)
+            V = list(index)
         vol = polytope_mod.volume(self.P, self.budget)
         if len(simplices) != vol:
             raise DefectError(
                 f"triangulation produced {len(simplices)} simplices for a "
                 f"polytope of volume {vol}"
             )
-        if not simplices:
+        if not len(simplices):
             return
-        index = {}
-        ids = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
-        X = self._translated(index)[0][np.array(ids)]  # simplex, corner, coordinate
+        X = self._translated(V)[0][simplices]  # simplex, corner, coordinate
         d = self._denom
         s = d * (self.rs.rank + 1)
         corners = X @ self._G
@@ -541,7 +572,7 @@ class Rewriter:
         fault[repeated & (fault == 0)] = 5
         if fault.any():
             i = int(fault.nonzero()[0][0])
-            raise DefectError(_FAULTS[fault[i]].format(simplices[i]))
+            raise DefectError(_FAULTS[fault[i]].format(tuple(V[j] for j in simplices[i])))
 
 
 # The triangulation check's messages, indexed by its fault codes.

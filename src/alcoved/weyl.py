@@ -31,9 +31,7 @@ from .rootsys import RootSystemData, rho
 DEFAULT_GROUP_BUDGET = 10**6
 
 #: the circular-descent tables of a WeylGroup, built together on first read
-_C_TABLES = frozenset(
-    ("cdes", "C", "C_left", "C_right", "delta_class", "class_residues", "cmaj")
-)
+_C_TABLES = frozenset(("cdes", "C", "delta_class", "class_residues", "cmaj"))
 
 
 def _reflect_coweight(cartan, i: int, v) -> list:
@@ -137,9 +135,10 @@ class WeylGroup(Sequence):
     The circular-descent tables are built together, and C validated, the
     first time one of them is read.  ``cdes[k]`` is the circular descent
     number of ``w_k``; ``C`` holds the indices of the elements with
-    ``cdes = 1``, in order; ``C_left[i]`` and ``C_right[i]`` are the
+    ``cdes = 1``, in order.  ``C_left[i]`` and ``C_right[i]`` are the
     ``left_action`` and ``right_action`` of ``C[i]``, one row per element
-    of C.  ``delta_class[k]`` is the id of the class of
+    of C; the two are built on the first read of either.
+    ``delta_class[k]`` is the id of the class of
     ``delta(w_k) = (d_1, ..., d_r)`` modulo the coroot lattice, ids
     numbered in order of first occurrence; row ``class_residues[i]`` is
     ``adjugate . delta mod f`` for class i, that is f times the
@@ -168,10 +167,17 @@ class WeylGroup(Sequence):
         ).astype(np.int64)
 
     def __getattr__(self, name):
-        # reached only while the circular-descent tables are not built
-        if name not in _C_TABLES:
+        # reached only while the table is not built
+        if name in _C_TABLES:
+            self._build_c_tables()
+        elif name in ("C_left", "C_right"):  # read by stats and selfcheck only
+            members = self.C.tolist()
+            self.C_left, self.C_right = (
+                np.stack([action(k) for k in members])
+                for action in (self.left_action, self.right_action)
+            )
+        else:
             raise AttributeError(name)
-        self._build_c_tables()
         return self.__dict__[name]
 
     def _build_c_tables(self) -> None:
@@ -195,9 +201,6 @@ class WeylGroup(Sequence):
             if any(marks[hat.index(b)] != a for a, b in zip(marks, images)):
                 raise DefectError("C does not preserve the mark grading")
 
-        C_left = np.stack([self.left_action(k) for k in members])
-        C_right = np.stack([self.right_action(k) for k in members])
-
         # one product adjugate . delta mod f per distinct delta bit vector
         keys = self.descents[:, 1:] @ (1 << np.arange(r, dtype=np.int64))
         distinct = list(dict.fromkeys(keys.tolist()))  # in order of first occurrence
@@ -210,7 +213,8 @@ class WeylGroup(Sequence):
         delta_class = class_of_key[keys]
         if len(set(delta_class[C].tolist())) != f:
             raise DefectError("delta classes of C are not distinct")
-        if not set(members).issuperset(C_right[:, C].ravel().tolist()):
+        products = [self._times(C, k) for k in members]
+        if not set(members).issuperset(np.concatenate(products).tolist()):
             raise DefectError("C is not closed under multiplication")
         of_class = np.full(len(classes), -1, dtype=np.intp)
         of_class[delta_class[C]] = C
@@ -218,7 +222,6 @@ class WeylGroup(Sequence):
             raise DefectError("a delta class holds no element of C")
 
         self.cdes, self.C, self.delta_class = cdes, C, delta_class
-        self.C_left, self.C_right = C_left, C_right
         self.class_residues = np.array(list(classes), dtype=np.int64).reshape(-1, r)
         self.cmaj = of_class[delta_class]
 
@@ -235,12 +238,15 @@ class WeylGroup(Sequence):
     def __contains__(self, w):
         return isinstance(w, WeylElement) and w.rs == self.rs and w.z in self._index
 
+    def _times(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The indices of ``w_j w_k`` for the indices j in ``rows``."""
+        for i in self[k]._word():
+            rows = self.rmul[rows, i]
+        return rows
+
     def right_action(self, k: int) -> np.ndarray:
         """``perm[j]`` is the index of ``w_j w_k``."""
-        perm = np.arange(len(self))
-        for i in self[k]._word():
-            perm = self.rmul[perm, i]
-        return perm
+        return self._times(np.arange(len(self)), k)
 
     def left_action(self, k: int) -> np.ndarray:
         """``perm[j]`` is the index of ``w_k w_j = (w_j^-1 w_k^-1)^-1``."""

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, JSON output and exit codes."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alcoved import cli, polytope, rootsys, statistics
+from alcoved import cli, groebner, polytope, rootsys, statistics
 from alcoved.errors import DefectError
 
 
@@ -260,11 +263,27 @@ def test_triangulate_and_groebner_obey_budget(tmp_path, capsys):
 
 
 # -- the emit oracle ---------------------------------------------------------
+def _oracle_rows(table):
+    """A table's rows as nested lists: its form with the ints of each row
+    filled in, dict values in sorted-key order."""
+    def fill(form, ints):
+        if isinstance(form, dict):
+            return {k: fill(form[k], ints) for k in sorted(form)}
+        if isinstance(form, (list, tuple)):
+            return [fill(x, ints) for x in form]
+        return next(ints)
+
+    return [fill(table.form, iter(row)) for row in table.rows]
+
+
 def _oracle_jsonable(value):
     """The recursive conversion that _emit ran over every report value
-    before json-native emitting, kept as its oracle."""
+    before json-native emitting, kept as its oracle; tables are expanded
+    into lists first."""
     if type(value) in (int, str):
         return value
+    if isinstance(value, cli._Table):
+        return _oracle_jsonable(_oracle_rows(value))
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
@@ -337,13 +356,17 @@ def test_emit_matches_oracle_byte_for_byte(tmp_path, monkeypatch, capsys):
         # the vertex lattice exists in types A, C and D4 only
         runs += [([cmd, "--spec", spec], 0 if t in "ACD" else 1)
                  for cmd in ("groebner", "triangulate")]
+    for t, r, hi in (("A", 4, 2), ("C", 3, 1)):  # tables of thousands of rows
+        rs = rootsys.build(t, r)
+        spec = _write_spec(tmp_path, rs, [(a, 0, hi) for a in rs.simple_roots])
+        runs += [([cmd, "--spec", spec], 0) for cmd in ("groebner", "triangulate")]
     reports = []
     monkeypatch.setattr(cli, "_emit", lambda report, as_json: reports.append(report))
     for argv, code in runs:
         assert cli.run(argv) == code, argv
     monkeypatch.undo()
     capsys.readouterr()
-    assert len(reports) == 6 * 11 + 3 * 2
+    assert len(reports) == 6 * 11 + 3 * 2 + 4
     for report in reports:
         assert all(isinstance(k, str) for d in _dicts_in_lists(report) for k in d)
         for as_json in (False, True):
@@ -356,3 +379,79 @@ def test_emit_matches_oracle_byte_for_byte(tmp_path, monkeypatch, capsys):
     volumes = json.loads(capsys.readouterr().out)["volumes"]
     assert list(volumes) == sorted(str(k) for k in range(1, 12))
     assert list(volumes)[:3] == ["1", "10", "11"]
+
+
+# -- tables --------------------------------------------------------------------
+# row forms nest lists, tuples and dicts whose keys sort otherwise as ints
+_FORMS = st.recursive(
+    st.just(cli._SLOT),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.sampled_from(["2", "10", "a", "B", "%d", "lead"]), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_INTS = st.integers(-(2**70), 2**70) | st.sampled_from([2**63, -(2**63) - 1, 10**20])
+
+
+def _leaves(form) -> int:
+    if isinstance(form, dict):
+        return sum(map(_leaves, form.values()))
+    if isinstance(form, (list, tuple)):
+        return sum(map(_leaves, form))
+    return 1
+
+
+def _printed(report, as_json) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(report, as_json)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_table_prints_as_json_prints_its_rows(data):
+    form = data.draw(_FORMS)
+    n = _leaves(form)
+    rows = data.draw(st.lists(st.lists(_INTS, min_size=n, max_size=n), max_size=4))
+    for some in (rows[:0], rows[:1], rows):  # empty and one-row tables too
+        table = cli._Table(form, some)
+        expanded = _oracle_rows(table)
+        report = {"rank": 3, "rows": table, "also": table, "z": [1, 2]}
+        assert _printed(report, True) == json.dumps(
+            {**report, "rows": expanded, "also": expanded}, indent=2, sort_keys=True
+        ) + "\n"
+        text = json.dumps(expanded, sort_keys=True)
+        assert _printed(report, False) == f"rank: 3\nrows: {text}\nalso: {text}\nz: [1, 2]\n"
+
+
+@pytest.mark.parametrize("t", ("A", "C"))
+def test_far_tables_print_as_json_prints_library_results(t, tmp_path, capsys):
+    rs = rootsys.build(t, 2)
+    far = 10**20
+    cons = [(a, far, far + 2) for a in rs.simple_roots]
+    spec = _write_spec(tmp_path, rs, cons)
+    P = polytope.make_polytope(rs, cons)
+    simplices = groebner.triangulate(P)
+    expected = {
+        "groebner": {
+            "type": t,
+            "rank": 2,
+            "vertices": groebner.polytope_vertices(P),
+            "binomials": [
+                {"lead": b.lead, "trail": b.trail} for b in groebner.groebner_basis(P)
+            ],
+        },
+        "triangulate": {"type": t, "rank": 2, "volume": len(simplices), "simplices": simplices},
+    }
+    assert max(x for v in expected["groebner"]["vertices"] for x in v) > 2**64
+    for cmd, report in expected.items():
+        assert cli.run([cmd, "--spec", spec, "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert cli.run([cmd, "--spec", spec]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{k}: {json.dumps(v, sort_keys=True) if isinstance(v, list) else v}\n"
+            for k, v in report.items()
+        )

@@ -212,6 +212,23 @@ def test_c_actions_are_built_once_per_command(monkeypatch, capsys):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("command", ("qweyl", "cross-table"))
+def test_c_actions_are_not_built_where_unread(command, monkeypatch, capsys):
+    # both read cmaj and cdes, neither reads C_left or C_right
+    calls = []
+    for name in ("left_action", "right_action"):
+        action = getattr(weyl.WeylGroup, name)
+
+        def counted(W, k, action=action):
+            calls.append(k)
+            return action(W, k)
+
+        monkeypatch.setattr(weyl.WeylGroup, name, counted)
+    assert cli.run([command, "--type", "E", "--rank", "6"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 @pytest.mark.parametrize("t, r", TABLE_SYSTEMS)
 def test_c_action_tables_match_element_products(t, r):
     rs = build(t, r)
