@@ -10,6 +10,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -47,10 +48,9 @@ _SLOT = "\x00"  # json writes it as "\u0000": the place of an int, a row or a ta
 
 
 class _Table(NamedTuple):
-    """A report value printed as a JSON list of rows of one shape: ``form``
-    is the JSON structure of a row, lists and str-keyed dicts with ``_SLOT``
-    for each int, and each of ``rows`` holds the ints of one row, in the
-    order in which ``json.dumps(form, sort_keys=True)`` writes the slots."""
+    """A list of rows of one shape: ``form`` is a row's JSON structure with
+    ``_SLOT`` for each int, and a row of ``rows`` holds its ints in the order
+    in which ``json.dumps(form, sort_keys=True)`` writes the slots."""
 
     form: object
     rows: list
@@ -58,13 +58,10 @@ class _Table(NamedTuple):
 
 def _table_text(table: _Table, as_json: bool) -> str:
     """What ``json.dumps`` writes for the table's list of rows, as a report
-    value with ``indent=2`` (``as_json``) or alone without indent.
-
-    json writes the row form, and a two-slot list for the frame, at the
-    table's depth; the int slots become ``%d`` and the row slots split the
-    frame.  So separators, key order and indentation are json's own, and
-    ``%d`` writes an int as ``int.__repr__``, as json does, past int64 too.
-    """
+    value with ``indent=2`` (``as_json``) or alone without indent.  json
+    writes the row form, and a two-slot list for the frame, at the table's
+    depth, so separators, key order and indentation are json's own; ``%d``
+    writes an int as ``int.__repr__`` does, as json does, past int64 too."""
     if not table.rows:
         return "[]"
     indent = 2 if as_json else None
@@ -88,11 +85,10 @@ def _emit(report: dict, as_json: bool) -> None:
     """
     report = _str_keys(report)
     if as_json:
-        tables = {k: v for k, v in report.items() if isinstance(v, _Table)}
-        slots = {k: _SLOT + k for k in tables}  # replaced by the tables' text
+        slots = {k: _SLOT + k for k, v in report.items() if isinstance(v, _Table)}
         text = json.dumps({**report, **slots}, indent=2, sort_keys=True, default=_jsonable)
-        for key, table in tables.items():
-            text = text.replace(json.dumps(slots[key]), _table_text(table, True), 1)
+        for key, slot in slots.items():  # a slot's string gives way to its table's text
+            text = text.replace(json.dumps(slot), _table_text(report[key], True), 1)
         print(text)
         return
     for key, value in report.items():
@@ -133,9 +129,7 @@ def _require(report: dict, keys) -> None:
 
 # -- subcommands ---------------------------------------------------------
 def _cmd_info(args) -> dict:
-    rs = _build(args)
-    roots = _Table([_SLOT] * rs.rank, rs.positive_roots)
-    return {**rootsys.info_dict(rs), "positive_roots": roots}
+    return rootsys.info_dict(_build(args))
 
 
 def _cmd_enumerate(args) -> dict:
@@ -158,10 +152,6 @@ def _length_histogram(W) -> dict:
     return dict(enumerate(np.bincount(W.length).tolist()))
 
 
-_HYPERSIMPLEX_FLAGS = ("coset_identity_holds", "element_identity_holds",
-                       "cdes_constant_on_cosets", "generating_function_holds")
-
-
 def _cmd_stats(args) -> dict:
     rs = _build(args)
     W = weyl.enumerate_weyl(rs, budget=args.budget)
@@ -172,7 +162,12 @@ def _cmd_stats(args) -> dict:
         "double_coset": statistics.double_coset_check(rs, W),
         "cmaj_twist": statistics.cmaj_twist_check(rs, W),
     }
-    _require(report["hypersimplex"], _HYPERSIMPLEX_FLAGS)
+    _require(report["hypersimplex"], [
+        "coset_identity_holds",
+        "element_identity_holds",
+        "cdes_constant_on_cosets",
+        "generating_function_holds",
+    ])
     _require(report["double_coset"], ["holds"])
     _require(report["cmaj_twist"], ["holds", "inverse_symmetry_holds"])
     return report
@@ -216,8 +211,6 @@ def _cmd_hypersimplex(args) -> dict:
 
 
 def _cmd_thick_check(args) -> dict:
-    from itertools import product
-
     rs = _build(args)
     layer_volumes = polytope.hypersimplex_volumes(rs, args.budget)
     cases = 0
@@ -236,36 +229,26 @@ def _cmd_thick_check(args) -> dict:
     }
 
 
-def _coordinate_rows(vertices: list, index: np.ndarray, rank: int) -> list:
-    """Row k lists the coordinates of the vertices ``index[k]`` in turn;
-    an object array keeps coordinates past int64 exact."""
-    coords = np.array(vertices, dtype=object).reshape(len(vertices), rank)
-    return coords[index].reshape(len(index), index.shape[1] * rank).tolist()
-
-
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
-    rewriter, r = groebner._rewriter(P, args.budget), P.rs.rank
-    pair = [[_SLOT] * r] * 2
+    r, pair = P.rs.rank, [[_SLOT] * P.rs.rank] * 2
+    binomials = groebner.groebner_basis(P, args.budget, flat=True)
     return {
         "type": P.rs.type_label,
         "rank": r,
-        "vertices": _Table([_SLOT] * r, rewriter.vertices),
-        "binomials": _Table({"lead": pair, "trail": pair},
-                            _coordinate_rows(rewriter.vertices, rewriter.rule_rows, r)),
+        "vertices": _Table([_SLOT] * r, groebner._rewriter(P, args.budget).vertices),
+        "binomials": _Table({"lead": pair, "trail": pair}, binomials),
     }
 
 
 def _cmd_triangulate(args) -> dict:
     P = _load_polytope(args)
-    rewriter, r = groebner._rewriter(P, args.budget), P.rs.rank
-    rows = rewriter.simplex_rows()
+    simplices = groebner.triangulate(P, args.budget, flat=True)
     return {
         "type": P.rs.type_label,
-        "rank": r,
-        "volume": len(rows),  # the triangulation check scanned the volume
-        "simplices": _Table([[_SLOT] * r] * (r + 1),
-                            _coordinate_rows(rewriter.vertices, rows, r)),
+        "rank": P.rs.rank,
+        "volume": len(simplices),  # the triangulation check scanned the volume
+        "simplices": _Table([[_SLOT] * P.rs.rank] * (P.rs.rank + 1), simplices),
     }
 
 
@@ -317,7 +300,15 @@ def _cmd_selfcheck(args) -> dict:
     qw = statistics.qweyl_check(rs, W)
     results["q_weyl"] = qw["identity_holds"] and qw["scalar_holds"]
     hs = statistics.hypersimplex_statistic_check(rs, W, args.budget)
-    results["hypersimplex_statistics"] = all(hs[k] for k in _HYPERSIMPLEX_FLAGS)
+    results["hypersimplex_statistics"] = all(
+        hs[k]
+        for k in (
+            "coset_identity_holds",
+            "element_identity_holds",
+            "cdes_constant_on_cosets",
+            "generating_function_holds",
+        )
+    )
     vol_ok = True
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)

@@ -21,12 +21,11 @@ vertex at the polytope's lower simple bounds, so far-away bounds stay
 exact; where a value could pass 2^62 they raise UserInputError instead.
 """
 
-import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -139,15 +138,9 @@ def _exact_dets(M: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _fundamental_vertices(rs: RootSystemData) -> tuple:
     """Vertices of the closed fundamental alcove, 0 and c_i, in omega coords."""
-    verts = [(Fraction(0),) * rs.rank]
-    for i in range(rs.rank):
-        verts.append(
-            tuple(
-                Fraction(1, rs.marks[i]) if j == i else Fraction(0)
-                for j in range(rs.rank)
-            )
-        )
-    return tuple(verts)
+    zero = (Fraction(0),) * rs.rank
+    c = (zero[:i] + (Fraction(1, a),) + zero[i + 1 :] for i, a in enumerate(rs.marks))
+    return (zero, *c)
 
 
 def _edge_direction(rs: RootSystemData, integral_roots):
@@ -155,35 +148,26 @@ def _edge_direction(rs: RootSystemData, integral_roots):
 
     Returns None when the roots do not have rank exactly rank - 1, in
     which case they cut out a face of dimension larger than one rather
-    than a line.
+    than a line.  ``echelon`` maps each pivot column to a row of the
+    reduced row echelon form of the roots seen so far.
     """
-    rows = [tuple(Fraction(c) for c in root) for root in integral_roots]
-    r = rs.rank
-    pivots = []
-    for col in range(r):
-        pivot_row = None
-        for i in range(len(pivots), len(rows)):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[len(pivots)], rows[pivot_row] = rows[pivot_row], rows[len(pivots)]
-        lead = rows[len(pivots)]
-        lead = tuple(x / lead[col] for x in lead)
-        rows[len(pivots)] = lead
-        for i in range(len(rows)):
-            if i != len(pivots) and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = tuple(x - factor * y for x, y in zip(rows[i], lead))
-        pivots.append(col)
-    if len(pivots) != r - 1:
+    echelon = {}
+    for root in integral_roots:
+        row = [Fraction(c) for c in root]
+        for col, lead in echelon.items():
+            row = [x - row[col] * y for x, y in zip(row, lead)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            row = [x / row[col] for x in row]
+            for c, lead in echelon.items():
+                echelon[c] = [x - lead[col] * y for x, y in zip(lead, row)]
+            echelon[col] = row
+    if len(echelon) != rs.rank - 1:
         return None
-    free = next(col for col in range(r) if col not in pivots)
-    direction = [Fraction(0)] * r
-    direction[free] = Fraction(1)
-    for row, col in zip(rows, pivots):
-        direction[col] = -row[free]
+    free = next(col for col in range(rs.rank) if col not in echelon)
+    direction = [Fraction(col == free) for col in range(rs.rank)]
+    for col, lead in echelon.items():
+        direction[col] = -lead[free]
     return tuple(direction)
 
 
@@ -197,9 +181,7 @@ def _verify_vertex_lattice(rs: RootSystemData) -> None:
     land on one of its vertices.
     """
     rng = random.Random(20240 + rs.rank)
-    fundamental = {
-        omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)
-    }
+    fundamental = {omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)}
     for _ in range(20):
         vertex = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
         _, image = geometry.reduce_to_fundamental(rs, vertex_to_omega(rs, vertex))
@@ -210,36 +192,17 @@ def _verify_vertex_lattice(rs: RootSystemData) -> None:
             )
 
 
-def _nearest_on_line(rs: RootSystemData, a, b) -> tuple:
+def _nearest_on_line(a, b) -> tuple:
     """Nearest lattice points around (a+b)/2 on the line through a, b.
 
-    The lattice points on the line form an arithmetic progression that
-    contains a and b and is symmetric about their midpoint, so the two
-    nearest points u, v satisfy u + v = a + b; they may be a and b
-    themselves.
+    The lattice points on the line are ``a + t (b - a) / g``, g the gcd
+    of ``b - a``, with the midpoint at ``t = g / 2``.  The midpoint is
+    not a lattice point, so g is odd and the nearest points, at ``t =
+    (g -+ 1) / 2``, sum to a + b; for g = 1 they are a and b themselves.
     """
-    diff = tuple(x - y for x, y in zip(b, a))
-    g = 0
-    for x in diff:
-        g = math.gcd(g, x)
-    double_mid = tuple(x + y for x, y in zip(a, b))
-    for j in range(1, g + 1):
-        # candidate points (a+b)/2 +- (j/(2g)) * (b-a)
-        candidates = []
-        ok = True
-        for sign in (1, -1):
-            point = tuple(
-                Fraction(dm * g + sign * j * d, 2 * g)
-                for dm, d in zip(double_mid, diff)
-            )
-            if any(x.denominator != 1 for x in point):
-                ok = False
-                break
-            candidates.append(tuple(int(x) for x in point))
-        if ok:
-            u, v = sorted(candidates)
-            return u, v
-    return tuple(sorted((a, b)))  # pragma: no cover - j = g always works
+    g = math.gcd(*(y - x for x, y in zip(a, b)))
+    step = [(y - x) // g for x, y in zip(a, b)]
+    return tuple(tuple(x + t * s for x, s in zip(a, step)) for t in (g // 2, g // 2 + 1))
 
 
 def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
@@ -256,14 +219,8 @@ def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
     if all((x + y) % 2 == 0 for x, y in zip(a, b)):
         mid = tuple((x + y) // 2 for x, y in zip(a, b))
         return mid, mid
-    omega_a = vertex_to_omega(rs, a)
-    omega_b = vertex_to_omega(rs, b)
-    mid = tuple((x + y) / 2 for x, y in zip(omega_a, omega_b))
-    integral = [
-        root
-        for root in rs.positive_roots
-        if pairing(mid, root).denominator == 1
-    ]
+    mid = tuple((x + y) / 2 for x, y in zip(vertex_to_omega(rs, a), vertex_to_omega(rs, b)))
+    integral = [root for root in rs.positive_roots if pairing(mid, root).denominator == 1]
     direction = _edge_direction(rs, integral)
     if direction is None:
         # The midpoint sits on a face of dimension > 1 (this happens in
@@ -271,31 +228,22 @@ def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
         # fundamental-alcove vertices).  Fall back to the lattice points
         # nearest the midpoint on the line through a and b; when a and b
         # are already consecutive there, the pair admits no rewrite.
-        return _nearest_on_line(rs, a, b)
-    # Nearest hyperplane crossings on the edge through the midpoint.
+        return _nearest_on_line(*sorted((a, b)))
+    # Nearest hyperplane crossings on the edge through the midpoint; a
+    # root that moves along the edge is not integral at the midpoint.
     # Each crossing adds a root independent of the rank-(r-1) family
     # cutting out the edge, so it is an arrangement vertex.
-    forward = backward = None
+    crossings = []
     for root in rs.positive_roots:
-        speed = pairing(direction, root)
-        if speed == 0:
-            continue
-        value = pairing(mid, root)
-        below = value.numerator // value.denominator
-        for level in (below, below + 1):
-            t = (level - value) / speed
-            if t > 0 and (forward is None or t < forward):
-                forward = t
-            if t < 0 and (backward is None or t > backward):
-                backward = t
+        speed, value = pairing(direction, root), pairing(mid, root)
+        if speed:
+            crossings += [(m - value) / speed for m in (math.floor(value), math.ceil(value))]
+    forward = min((t for t in crossings if t > 0), default=None)
+    backward = max((t for t in crossings if t < 0), default=None)
     if forward is None or backward is None or forward != -backward:
-        raise DefectError(
-            f"edge crossings around midpoint {mid} are not symmetric"
-        )
+        raise DefectError(f"edge crossings around midpoint {mid} are not symmetric")
     u, v = sorted(
-        omega_to_vertex(
-            rs, tuple(x + t * dx for x, dx in zip(mid, direction))
-        )
+        omega_to_vertex(rs, tuple(x + t * dx for x, dx in zip(mid, direction)))
         for t in (backward, forward)
     )
     if tuple(x + y for x, y in zip(u, v)) != tuple(x + y for x, y in zip(a, b)):
@@ -340,12 +288,11 @@ class Binomial:
 class Rewriter:
     """Rewriting engine for the vertex pairs of one alcoved polytope.
 
-    Rules and simplices are rows of indices into the sorted ``vertices``.
-    Row ``(a, b, u, v)`` of ``rule_rows``, sorted by lead, rewrites the
-    lead pair ``(vertices[a], vertices[b])``, ``a < b``, to the trail
-    pair ``(vertices[u], vertices[v])``, ``u <= v``.  The ``rules`` dict
-    keyed by vertex pairs is built from them on first read, and the
-    weights by vertex one vertex at a time.
+    Rules and simplices are rows of indices into the sorted ``vertices``:
+    row ``(a, b, u, v)`` of ``rule_rows``, sorted by lead, rewrites the
+    pair ``(vertices[a], vertices[b])``, ``a < b``, to ``(vertices[u],
+    vertices[v])``, ``u <= v``.  The ``rules`` dict keyed by vertex pairs
+    is built on first read, and the weights one vertex at a time.
     """
 
     def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
@@ -367,12 +314,9 @@ class Rewriter:
         self._scaled = {}  # denom * weight, by vertex, filled by weight()
         self.rule_rows = self._rule_rows()
 
-    @functools.cached_property
+    @cached_property
     def rules(self) -> dict:
         """``rule_rows`` as a lead pair -> trail pair dict, in lead order."""
-        return self._build_rules()
-
-    def _build_rules(self) -> dict:
         V = self.vertices
         return {(V[a], V[b]): (V[u], V[v]) for a, b, u, v in self.rule_rows.tolist()}
 
@@ -451,9 +395,7 @@ class Rewriter:
 
     def reducible_pairs(self, monomial) -> list:
         support = sorted(set(monomial))
-        return [
-            pair for pair in combinations(support, 2) if pair in self.rules
-        ]
+        return [pair for pair in combinations(support, 2) if pair in self.rules]
 
     def is_standard(self, monomial) -> bool:
         return not self.reducible_pairs(monomial)
@@ -471,18 +413,14 @@ class Rewriter:
             if not pairs:
                 return tuple(current)
             pair = pairs[0] if rng is None else rng.choice(pairs)
-            a, b = pair
+            for a in pair:
+                current.remove(a)
             u, v = self.rules[pair]
-            current.remove(a)
-            current.remove(b)
-            current.extend((u, v))
-            current.sort()
+            current = sorted(current + [u, v])
             new_weight = self.monomial_weight(current)
             if not new_weight < weight:
-                raise DefectError(
-                    f"rewrite {pair} -> {(u, v)} did not decrease the "
-                    "coherent weight"
-                )
+                raise DefectError(f"rewrite {pair} -> {(u, v)} did not decrease the "
+                                  "coherent weight")
             weight = new_weight
         raise DefectError("rewriting did not terminate")
 
@@ -505,18 +443,20 @@ class Rewriter:
     def triangulate(self) -> list:
         """The simplices of ``simplex_rows`` as tuples of vertices."""
         V = self.vertices
-        simplices = [tuple(V[j] for j in row) for row in self._cliques().tolist()]
-        self._validate_triangulation(simplices)
-        return simplices
+        return [tuple(V[j] for j in row) for row in self.simplex_rows().tolist()]
+
+    def coordinates(self, index: np.ndarray) -> list:
+        """Row k lists the coordinates of the vertices ``index[k]`` in turn;
+        an object array keeps coordinates past int64 exact."""
+        V = np.array(self.vertices, dtype=object).reshape(len(self.vertices), self.rs.rank)
+        return V[index].reshape(len(index), index.shape[1] * self.rs.rank).tolist()
 
     def _cliques(self) -> np.ndarray:
         size, n = self.rs.rank + 1, len(self.vertices)
         standard = np.triu(np.ones((n, n), dtype=bool), 1)
         standard[self.rule_rows[:, 0], self.rule_rows[:, 1]] = False
-        later = [
-            int.from_bytes(bits.tobytes(), "little")
-            for bits in np.packbits(standard, axis=1, bitorder="little")
-        ]
+        bits = np.packbits(standard, axis=1, bitorder="little")
+        later = [int.from_bytes(row.tobytes(), "little") for row in bits]
         cliques = []
 
         def extend(clique, candidates):
@@ -532,24 +472,16 @@ class Rewriter:
         extend([], (1 << n) - 1)
         return np.array(cliques, dtype=np.intp).reshape(-1, size)
 
-    def _validate_triangulation(self, simplices) -> None:
-        """The count against the volume scan, then all simplices at once:
-        corner pairings times ``denom``, barycenters times ``s``.  The
-        simplices are rows of indices into ``vertices`` or, if not an
-        array, tuples of vertices.  Reports the first failing simplex and
-        its first failing check."""
+    def _validate_triangulation(self, simplices: np.ndarray) -> None:
+        """The count against the volume scan, then all simplices, rows of
+        indices into ``vertices``, at once: corner pairings times ``denom``,
+        barycenters times ``s``.  Reports the first failing simplex and its
+        first failing check."""
         V = self.vertices
-        if not isinstance(simplices, np.ndarray):
-            index = {}
-            ids = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
-            simplices = np.array(ids, dtype=np.intp).reshape(len(ids), self.rs.rank + 1)
-            V = list(index)
         vol = polytope_mod.volume(self.P, self.budget)
         if len(simplices) != vol:
-            raise DefectError(
-                f"triangulation produced {len(simplices)} simplices for a "
-                f"polytope of volume {vol}"
-            )
+            raise DefectError(f"triangulation produced {len(simplices)} simplices "
+                              f"for a polytope of volume {vol}")
         if not len(simplices):
             return
         X = self._translated(V)[0][simplices]  # simplex, corner, coordinate
@@ -596,9 +528,14 @@ def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> Rewrite
     return rewriter
 
 
-def groebner_basis(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
-    """The marked quadratic binomials over the polytope's vertex pairs."""
-    return _rewriter(P, budget).basis()
+def groebner_basis(
+    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, flat: bool = False
+) -> list:
+    """The marked quadratic binomials over the polytope's vertex pairs, in
+    lead order; with ``flat``, each as the list of the coordinates of its
+    lead and trail vertices in turn."""
+    rewriter = _rewriter(P, budget)
+    return rewriter.coordinates(rewriter.rule_rows) if flat else rewriter.basis()
 
 
 def normal_form(P: AlcovedPolytope, monomial) -> tuple:
@@ -610,12 +547,16 @@ def is_standard(P: AlcovedPolytope, monomial) -> bool:
     return _rewriter(P).is_standard(monomial)
 
 
-def triangulate(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
-    """The alcove triangulation as (rank+1)-sets of arrangement vertices.
+def triangulate(
+    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, flat: bool = False
+) -> list:
+    """The alcove triangulation as (rank+1)-sets of arrangement vertices;
+    with ``flat``, each simplex as the list of its vertices' coordinates.
 
     Raises BudgetExceededError when the vertex scan or the check's
     volume scan has more than ``budget`` box points."""
-    return _rewriter(P, budget).triangulate()
+    rewriter = _rewriter(P, budget)
+    return rewriter.coordinates(rewriter.simplex_rows()) if flat else rewriter.triangulate()
 
 
 def midpoint_closure_check(rs: RootSystemData, vertex_set) -> bool:

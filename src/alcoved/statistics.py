@@ -8,7 +8,6 @@ coweight-mod-coroot quotient map coset classes to such polynomials.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -361,15 +360,3 @@ def cmaj_cross_table(rs: RootSystemData, W=None) -> dict:
         table[x][y] == table[y][x] for x in range(f) for y in range(f)
     )
     return {"table": table, "total": total, "symmetric_under_transpose": symmetric}
-
-
-def brute_force_eulerian(n: int) -> tuple:
-    """Independent oracle: descent generating polynomial over all of S_n."""
-    from itertools import permutations
-
-    counts = [0] * (n + 1)
-    for p in permutations(range(1, n + 1)):
-        d = sum(1 for i in range(n - 1) if p[i] > p[i + 1])
-        counts[d + 1] += 1
-    assert sum(counts) == factorial(n)
-    return poly_trim(counts)

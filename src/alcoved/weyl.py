@@ -171,11 +171,8 @@ class WeylGroup(Sequence):
         if name in _C_TABLES:
             self._build_c_tables()
         elif name in ("C_left", "C_right"):  # read by stats and selfcheck only
-            members = self.C.tolist()
-            self.C_left, self.C_right = (
-                np.stack([action(k) for k in members])
-                for action in (self.left_action, self.right_action)
-            )
+            self.C_left = np.stack([self.left_action(k) for k in self.C.tolist()])
+            self.C_right = np.stack([self.right_action(k) for k in self.C.tolist()])
         else:
             raise AttributeError(name)
         return self.__dict__[name]

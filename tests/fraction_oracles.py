@@ -5,10 +5,12 @@ Matrices are tuples of row tuples.  Everything works over
 textbook form: Gauss-Jordan inverse, elimination determinant, and the
 composition and inverse of affine maps ``x -> linear . x + translation``,
 so that tests can check the library's integer tables and walks against
-an independent computation.
+an independent computation; and the Eulerian numbers counted over S_n.
 """
 
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 from alcoved.geometry import AffineMap
 
@@ -83,3 +85,16 @@ def compose(a: AffineMap, b: AffineMap) -> AffineMap:
 def inverse(sigma: AffineMap) -> AffineMap:
     inv = mat_inv(sigma.linear)
     return AffineMap(inv, tuple(-x for x in mat_vec(inv, sigma.translation)))
+
+
+def brute_force_eulerian(n: int) -> tuple:
+    """Descent generating polynomial over all of S_n, coefficient k + 1
+    for k descents, without trailing zeros."""
+    counts = [0] * (n + 1)
+    for p in permutations(range(1, n + 1)):
+        d = sum(1 for i in range(n - 1) if p[i] > p[i + 1])
+        counts[d + 1] += 1
+    assert sum(counts) == factorial(n)
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)

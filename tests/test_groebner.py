@@ -1,9 +1,11 @@
 """Quadratic binomial rewriting and the induced alcove triangulation."""
 
+import copy
 import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -352,7 +354,8 @@ class _FractionRewriter(groebner.Rewriter):
             cache[vertex] = total
         return cache[vertex]
 
-    def _build_rules(self) -> dict:
+    @cached_property
+    def rules(self) -> dict:
         by_sum = {}
         for u, v in itertools.combinations(self.vertices, 2):
             total = tuple(x + y for x, y in zip(u, v))
@@ -373,7 +376,8 @@ class _FractionRewriter(groebner.Rewriter):
                     rules[pair] = best
         return rules
 
-    def _validate_triangulation(self, simplices) -> None:
+    def _validate_triangulation(self, rows) -> None:
+        simplices = [tuple(self.vertices[j] for j in row) for row in rows.tolist()]
         vol = volume(self.P)
         if len(simplices) != vol:
             raise DefectError(
@@ -433,9 +437,21 @@ def _translate(P, coweight):
     ))
 
 
-def _outcome(check, simplices):
+def _check_vertex_sets(rewriter, simplices) -> None:
+    """The rewriter's triangulation check on simplices given as vertex
+    tuples, some maybe outside P: index rows into the vertex list of a
+    copy of the rewriter that holds just their vertices."""
+    index = {}
+    rows = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
+    probe = copy.copy(rewriter)
+    probe.vertices = list(index)
+    size = rewriter.rs.rank + 1
+    probe._validate_triangulation(np.array(rows, dtype=np.intp).reshape(len(rows), size))
+
+
+def _outcome(rewriter, simplices):
     try:
-        check(simplices)
+        _check_vertex_sets(rewriter, simplices)
     except DefectError as exc:
         return str(exc)
     return None
@@ -514,8 +530,8 @@ def test_triangulation_check_agrees_with_fraction_oracle():
                 for candidate in itertools.combinations(new.vertices, rs.rank + 1)
             ]
         for bad in corrupted:
-            expected = _outcome(old._validate_triangulation, bad)
-            assert _outcome(new._validate_triangulation, bad) == expected
+            expected = _outcome(old, bad)
+            assert _outcome(new, bad) == expected
             if expected is not None:
                 kinds.add(next(k for s, k in _CHECK_KINDS.items() if s in expected))
     assert kinds == set(_CHECK_KINDS.values())
@@ -532,7 +548,7 @@ def test_far_translation_is_exact():
         ]
         simplices = triangulate(far)
         assert simplices == moved
-        groebner._rewriter(far)._validate_triangulation(simplices)
+        _check_vertex_sets(groebner._rewriter(far), simplices)
     # simple bounds whose scaled width overflows the box scan
     with pytest.raises(UserInputError):
         triangulate(_box("A", 2, 0, 2**61))
@@ -547,7 +563,7 @@ def test_far_translation_is_exact():
     simplices = triangulate(P)
     far = [tuple((x + 2**62, y) for x, y in simplices[0])] + simplices[1:]
     with pytest.raises(UserInputError):
-        groebner._rewriter(P)._validate_triangulation(far)
+        _check_vertex_sets(groebner._rewriter(P), far)
 
 
 def test_exact_dets_match_fraction_det():

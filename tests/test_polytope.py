@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from fraction_oracles import brute_force_eulerian
 from alcoved import groebner, polytope
 from alcoved.errors import BudgetExceededError, UserInputError
 from alcoved.polytope import (
@@ -25,7 +26,7 @@ from alcoved.polytope import (
     volume_identity_check,
 )
 from alcoved.rootsys import build, weyl_order
-from alcoved.statistics import brute_force_eulerian, coset_representatives
+from alcoved.statistics import coset_representatives
 from alcoved.weyl import enumerate_weyl
 
 
