@@ -60,8 +60,8 @@ def _table_text(table: _Table, as_json: bool) -> str:
     """What ``json.dumps`` writes for the table's list of rows, as a report
     value with ``indent=2`` (``as_json``) or alone without indent.  json
     writes the row form, and a two-slot list for the frame, at the table's
-    depth, so separators, key order and indentation are json's own; ``%d``
-    writes an int as ``int.__repr__`` does, as json does, past int64 too."""
+    depth, so separators, key order and indentation are json's own; like
+    json, ``%d`` writes an int as ``int.__repr__`` does, past int64 too."""
     if not table.rows:
         return "[]"
     indent = 2 if as_json else None
