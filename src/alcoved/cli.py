@@ -158,9 +158,9 @@ def _cmd_stats(args) -> dict:
     report = {
         "type": rs.type_label,
         "rank": rs.rank,
-        "hypersimplex": statistics.hypersimplex_statistic_check(rs, W, args.budget),
-        "double_coset": statistics.double_coset_check(rs, W),
-        "cmaj_twist": statistics.cmaj_twist_check(rs, W),
+        "hypersimplex": statistics.hypersimplex_statistic_check(W, args.budget),
+        "double_coset": statistics.double_coset_check(W),
+        "cmaj_twist": statistics.cmaj_twist_check(W),
     }
     _require(report["hypersimplex"], [
         "coset_identity_holds",
@@ -175,7 +175,7 @@ def _cmd_stats(args) -> dict:
 
 def _cmd_qweyl(args) -> dict:
     rs = _build(args)
-    report = statistics.qweyl_check(rs, weyl.enumerate_weyl(rs, budget=args.budget))
+    report = statistics.qweyl_check(weyl.enumerate_weyl(rs, budget=args.budget))
     _require(report, ["identity_holds", "scalar_holds"])
     return report
 
@@ -195,7 +195,7 @@ def _cmd_volume(args) -> dict:
 def _cmd_vol_identity(args) -> dict:
     P = _load_polytope(args)
     W = weyl.enumerate_weyl(P.rs, budget=args.budget)
-    report = polytope.volume_identity_check(P, budget=args.budget, W=W)
+    report = polytope.volume_identity_check(P, W, args.budget)
     _require(report, ["identity_holds"])
     return report
 
@@ -254,7 +254,7 @@ def _cmd_triangulate(args) -> dict:
 
 def _cmd_cross_table(args) -> dict:
     rs = _build(args)
-    return statistics.cmaj_cross_table(rs, weyl.enumerate_weyl(rs, budget=args.budget))
+    return statistics.cmaj_cross_table(weyl.enumerate_weyl(rs, budget=args.budget))
 
 
 def _random_polytope(rs, rng, budget):
@@ -292,14 +292,17 @@ def _cmd_selfcheck(args) -> dict:
     W = weyl.enumerate_weyl(rs, budget=args.budget)
     results = {}
     results["weyl_order_formula"] = len(W) == rootsys.weyl_order(rs)
-    statistics.group_C(rs, W)  # validates all three descriptions of C
+    # the first read of W.C builds the C tables, and raises DefectError
+    # unless the cdes = 1 elements permute the affine simple roots by
+    # marks, are closed and take each delta class once
+    W.C
     results["group_C_descriptions"] = True
-    results["double_coset"] = statistics.double_coset_check(rs, W)["holds"]
-    twist = statistics.cmaj_twist_check(rs, W)
+    results["double_coset"] = statistics.double_coset_check(W)["holds"]
+    twist = statistics.cmaj_twist_check(W)
     results["cmaj_twist"] = twist["holds"] and twist["inverse_symmetry_holds"]
-    qw = statistics.qweyl_check(rs, W)
+    qw = statistics.qweyl_check(W)
     results["q_weyl"] = qw["identity_holds"] and qw["scalar_holds"]
-    hs = statistics.hypersimplex_statistic_check(rs, W, args.budget)
+    hs = statistics.hypersimplex_statistic_check(W, args.budget)
     results["hypersimplex_statistics"] = all(
         hs[k]
         for k in (
@@ -313,7 +316,7 @@ def _cmd_selfcheck(args) -> dict:
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)
         vol_ok = vol_ok and polytope.volume_identity_check(
-            P, budget=args.budget, W=W
+            P, W, args.budget
         )["identity_holds"]
     results["volume_lattice_identity"] = vol_ok
     if groebner.supported(rs):

@@ -115,8 +115,10 @@ def neighbors(point: CentralPoint) -> list:
             excess = p[idx] - k * h
             q = [v - excess * c for v, c in zip(p, row)]
             if not all(v % h for v in q):  # not a central point
-                CentralPoint(rs, tuple(q[i] for i in simple))  # raises, or:
-                raise DefectError("coroot_pairings disagree with the pairings")
+                raise DefectError(
+                    f"a reflection of alcove {point.y} lands on a wall: "
+                    "coroot_pairings disagree with the pairings"
+                )
             diffs = [i for i, (v, b) in enumerate(zip(q, base)) if v // h != b]
             if diffs == [idx] and abs(q[idx] // h - base[idx]) == 1:
                 y = tuple(q[i] for i in simple)

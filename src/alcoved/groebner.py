@@ -251,7 +251,7 @@ def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
     return u, v
 
 
-def polytope_vertices(P: AlcovedPolytope, budget: int = 10**7) -> list:
+def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
     """All arrangement vertices inside the polytope.
 
     The vertex lattice lies inside the diagonal lattice ``{y : d*y_i

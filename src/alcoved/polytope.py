@@ -30,7 +30,7 @@ import numpy as np
 from . import geometry
 from .errors import BudgetExceededError, UserInputError
 from .rootsys import RootSystemData, build, pairing
-from .weyl import enumerate_weyl
+from .weyl import WeylGroup
 
 DEFAULT_POINT_BUDGET = 10**8
 
@@ -261,7 +261,7 @@ def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) 
 
 
 def volume_identity_check(
-    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, W=None
+    P: AlcovedPolytope, W: WeylGroup, budget: int = DEFAULT_POINT_BUDGET
 ) -> dict:
     """Both sides of Vol(P) = sum over cosets of lattice points of P_(w).
 
@@ -272,15 +272,13 @@ def volume_identity_check(
     every root where ``(lambda, a) = K_a``.  The points are counted per
     such boundary pattern, and a bool product with the inversion table
     finds the representatives each pattern fits.  ``per_coset`` follows
-    ``coset_representatives``; ``W`` is ``enumerate_weyl(P.rs)``.
+    ``W.coset_indices()``.  W must be the Weyl group of P's root system.
     """
-    from .statistics import _coset_indices  # circular at module level
-
-    vol = volume(P, budget)
     rs = P.rs
-    if W is None:
-        W = enumerate_weyl(rs)
-    reps = _coset_indices(W)
+    if W.rs != rs:
+        raise UserInputError(f"W is the Weyl group of {W.rs}, P a polytope of {rs}")
+    vol = volume(P, budget)
+    reps = W.coset_indices()
     inverted = W.z[W.inverse[reps]] @ rs.root_array.T < 0  # w(rho) is the z of w^-1
     forbidden = np.hstack([inverted, ~inverted]).T  # the roots each side may not meet
     per_coset = np.zeros(len(reps), dtype=np.int64)

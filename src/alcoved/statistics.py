@@ -13,8 +13,8 @@ import numpy as np
 
 from . import polytope as polytope_mod
 from .errors import DefectError, UserInputError
-from .rootsys import RootSystemData, weyl_order
-from .weyl import WeylElement, WeylGroup, descents, enumerate_weyl
+from .rootsys import RootSystemData
+from .weyl import WeylElement, WeylGroup, descents
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +171,22 @@ class CGroup:
         return out
 
 
-def group_C(rs: RootSystemData, W=None) -> CGroup:
+def group_C(W: WeylGroup) -> CGroup:
     """Elements with cdes = 1 and the class map of their delta coweights,
     read off the tables of W; building them validates C against its
-    root-permutation descriptions.
-
-    ``W``, when given, is the result of ``enumerate_weyl(rs)``.
-    """
-    if W is None:
-        W = enumerate_weyl(rs)
+    root-permutation descriptions."""
     classes = _classes(W)
     C = W.C.tolist()
     elements = tuple(W[k] for k in C)
     class_of = {classes[W.delta_class[k]]: w for k, w in zip(C, elements)}
-    return CGroup(rs=rs, elements=elements, identity=W[0], class_of=class_of)
+    return CGroup(rs=W.rs, elements=elements, identity=W[0], class_of=class_of)
 
 
-def cmaj(w: WeylElement, group: CGroup = None) -> WeylElement:
-    """The element of C whose class matches the delta coweight of w."""
-    if group is None:
-        group = group_C(w.rs)
+def cmaj(w: WeylElement, group: CGroup) -> WeylElement:
+    """The element of ``group``, the C of w's Weyl group, whose class
+    matches the delta coweight of w."""
+    if group.rs != w.rs:
+        raise UserInputError(f"C of {group.rs} for an element of {w.rs}")
     return group.class_of[coweight_class(w.rs, delta(w))]
 
 
@@ -205,43 +201,17 @@ def _q_sum(classes, ids, degrees) -> GroupAlgebraElement:
     return out
 
 
-def _coset_indices(W: WeylGroup) -> np.ndarray:
-    """Indices in W of ``coset_representatives``."""
-    rs = W.rs
-    chosen = np.flatnonzero(W.cmaj[W.inverse] == 0)  # W[0] is the identity
-    expected = weyl_order(rs) // rs.index_of_connection
-    if len(chosen) != expected:
-        raise DefectError(
-            f"{len(chosen)} coset representatives, expected {expected}"
-        )
-    # w(rho) is the z of w^-1
-    centres = W.z[W.inverse[chosen]] % rs.h_star
-    if len(set(map(tuple, centres.tolist()))) != len(chosen):
-        raise DefectError("two representatives lie in the same coset")
-    return chosen
-
-
-def coset_representatives(rs: RootSystemData, W=None) -> list:
-    """One representative per right coset wC: the w with cmaj(w^-1) = id.
-
-    The elements with cmaj = id form a transversal of the left cosets;
-    their inverses, used here, are pairwise inequivalent under alcove
-    translation and therefore represent W/C.  That is checked apart from
-    the delta classes: u(A_o) and w(A_o) differ by an integral coweight
-    exactly when u(rho) = w(rho) mod h_star.
-    """
-    if W is None:
-        W = enumerate_weyl(rs)
-    return [W[k] for k in _coset_indices(W).tolist()]
+def coset_representatives(W: WeylGroup) -> list:
+    """One representative per right coset wC (see ``W.coset_indices``)."""
+    return [W[k] for k in W.coset_indices().tolist()]
 
 
 # ---------------------------------------------------------------------------
-# Identity checks.  ``W``, when given, is the result of ``enumerate_weyl(rs)``.
+# Identity checks over one enumerated Weyl group W, of the root system W.rs.
 
-def qweyl_check(rs: RootSystemData, W=None) -> dict:
+def qweyl_check(W: WeylGroup) -> dict:
     """Exact check of the group-algebra q-analogue of Weyl's formula."""
-    if W is None:
-        W = enumerate_weyl(rs)
+    rs = W.rs
     classes = _classes(W)
     lhs = _q_sum(classes, W.delta_class, W.cdes)
     rhs_poly = eulerian_polynomial(rs.rank)
@@ -262,14 +232,13 @@ def qweyl_check(rs: RootSystemData, W=None) -> dict:
 
 
 def hypersimplex_statistic_check(
-    rs: RootSystemData, W=None, budget: int = polytope_mod.DEFAULT_POINT_BUDGET
+    W: WeylGroup, budget: int = polytope_mod.DEFAULT_POINT_BUDGET
 ) -> dict:
     """Hypersimplex volumes against circular-descent counts; ``budget``
     bounds the scan of the hypersimplex volumes."""
-    if W is None:
-        W = enumerate_weyl(rs)
+    rs = W.rs
     f = rs.index_of_connection
-    reps = _coset_indices(W)
+    reps = W.coset_indices()
     cdes_inv = W.cdes[W.inverse]  # cdes(w^-1) for every w
     volumes = dict(enumerate(polytope_mod.hypersimplex_volumes(rs, budget), 1))
     coset_counts = {}
@@ -302,10 +271,8 @@ def hypersimplex_statistic_check(
     }
 
 
-def double_coset_check(rs: RootSystemData, W=None) -> dict:
+def double_coset_check(W: WeylGroup) -> dict:
     """cdes is constant on double cosets of C."""
-    if W is None:
-        W = enumerate_weyl(rs)
     C = W.C.tolist()
     for c1, left in zip(C, W.C_left):
         for c2, right in zip(C, W.C_right):
@@ -315,10 +282,8 @@ def double_coset_check(rs: RootSystemData, W=None) -> dict:
     return {"holds": True}
 
 
-def cmaj_twist_check(rs: RootSystemData, W=None) -> dict:
+def cmaj_twist_check(W: WeylGroup) -> dict:
     """cmaj(c1 w c2) = c1 * cmaj(w) * c2^cdes(w), plus the inverse symmetry."""
-    if W is None:
-        W = enumerate_weyl(rs)
     C = W.C.tolist()
     for c2, right in zip(C, W.C_right):
         # powers[n, j] is the index of w_j c2^n
@@ -337,14 +302,12 @@ def cmaj_twist_check(rs: RootSystemData, W=None) -> dict:
     return {"holds": True, "inverse_symmetry_holds": lhs == rhs}
 
 
-def cmaj_cross_table(rs: RootSystemData, W=None) -> dict:
+def cmaj_cross_table(W: WeylGroup) -> dict:
     """q-refined joint distribution of cmaj(w) and cmaj(w^-1).
 
     Exploratory: entry (x, y) collects q^cdes(w) over the elements with
     cmaj(w) = x and cmaj(w^-1) = y.  Only the total mass is a theorem.
     """
-    if W is None:
-        W = enumerate_weyl(rs)
     f = len(W.C)
     order = np.zeros(len(W), dtype=np.intp)  # position in C
     order[W.C] = np.arange(f)

@@ -26,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BudgetExceededError, DefectError, UserInputError
-from .rootsys import RootSystemData, rho
+from .rootsys import RootSystemData, rho, weyl_order
 
 DEFAULT_GROUP_BUDGET = 10**6
 
@@ -250,6 +250,29 @@ class WeylGroup(Sequence):
         inv = self.inverse
         return inv[self.right_action(inv[k])[inv]]
 
+    def coset_indices(self) -> np.ndarray:
+        """Indices of one representative per right coset wC: the w with
+        cmaj(w^-1) = id.
+
+        The elements with cmaj = id form a transversal of the left cosets;
+        their inverses, used here, are pairwise inequivalent under alcove
+        translation and therefore represent W/C.  That is checked apart
+        from the delta classes: u(A_o) and w(A_o) differ by an integral
+        coweight exactly when u(rho) = w(rho) mod h_star.
+        """
+        rs = self.rs
+        chosen = np.flatnonzero(self.cmaj[self.inverse] == 0)  # self[0] is the identity
+        expected = weyl_order(rs) // rs.index_of_connection
+        if len(chosen) != expected:
+            raise DefectError(
+                f"{len(chosen)} coset representatives, expected {expected}"
+            )
+        # w(rho) is the z of w^-1
+        centres = self.z[self.inverse[chosen]] % rs.h_star
+        if len(set(map(tuple, centres.tolist()))) != len(chosen):
+            raise DefectError("two representatives lie in the same coset")
+        return chosen
+
 
 def identity_element(rs: RootSystemData) -> WeylElement:
     return WeylElement(rs, rho(rs), 0)
@@ -311,11 +334,9 @@ def descents(w: WeylElement) -> tuple:
     return (d0,) + tuple(1 if x < 0 else 0 for x in z)
 
 
-def longest_element(rs: RootSystemData, group=None) -> WeylElement:
+def longest_element(W: WeylGroup) -> WeylElement:
     """The unique element of maximal length."""
-    if group is None:
-        group = enumerate_weyl(rs)
-    return group[int(group.length.argmax())]
+    return W[int(W.length.argmax())]
 
 
 # ---------------------------------------------------------------------------

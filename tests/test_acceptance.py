@@ -103,7 +103,7 @@ def test_criterion_4_q_weyl_identity():
              ("C", 2), ("C", 3), ("B", 3), ("D", 4), ("G", 2)]
     with criterion(4, "q-analogue of the Weyl order formula"):
         for t, r in cases:
-            report = qweyl_check(build(t, r))
+            report = qweyl_check(enumerate_weyl(build(t, r)))
             assert report["identity_holds"]
             assert report["scalar_holds"]
         # closed form in type C_n: every class carries A_n(q) (1+q)^(n-1)
@@ -111,7 +111,7 @@ def test_criterion_4_q_weyl_identity():
             closed = eulerian_polynomial(n)
             for _ in range(n - 1):
                 closed = poly_mul(closed, (1, 1))
-            report = qweyl_check(build("C", n))
+            report = qweyl_check(enumerate_weyl(build("C", n)))
             components = report["lhs"].normalized()
             assert len(components) == 2
             assert all(p == closed for p in components.values())
@@ -132,10 +132,11 @@ def test_criterion_5_volume_equals_lattice_point_sum():
     with criterion(5, "volume equals the coset lattice-point sum"):
         for t, r in (("A", 2), ("C", 2), ("A", 3)):
             rs = build(t, r)
+            W = enumerate_weyl(rs)
             rng = random.Random(20240521 + r)
             for _ in range(20):
                 P = _random_polytope(rs, rng)
-                assert volume_identity_check(P)["identity_holds"]
+                assert volume_identity_check(P, W)["identity_holds"]
 
 
 def test_criterion_6_thick_hypersimplex_identity():
@@ -154,8 +155,8 @@ def test_criterion_7_statistics_theorems():
         for t, r in (("C", 2), ("A", 3), ("C", 3), ("D", 4)):
             rs = build(t, r)
             W = enumerate_weyl(rs)
-            assert double_coset_check(rs, W)["holds"]
-            twist = cmaj_twist_check(rs, W)
+            assert double_coset_check(W)["holds"]
+            twist = cmaj_twist_check(W)
             assert twist["holds"]
             assert twist["inverse_symmetry_holds"]
 
@@ -206,7 +207,7 @@ def test_criterion_9_model_cross_checks():
         for n in range(2, 6):
             rs = build("A", n - 1)
             W = enumerate_weyl(rs)
-            g = group_C(rs, W)
+            g = group_C(W)
             c = long_cycle(rs)
             for w in W:
                 window = to_permutation(w)

@@ -250,6 +250,18 @@ def test_neighbors_check_every_candidate():
         CentralPoint(rs, (1, 2))
 
 
+def test_neighbors_report_a_candidate_on_a_simple_wall_as_a_defect():
+    # the corrupt entry puts a candidate on the wall of a simple root: a
+    # broken root-system table, not bad input
+    rs = build("A", 2)
+    first = rs.simple_index[0]
+    table = [list(row) for row in rs.coroot_pairings]
+    table[first][first] = 1
+    bad = dataclasses.replace(rs, coroot_pairings=tuple(map(tuple, table)))
+    with pytest.raises(DefectError, match=r"alcove \(1, 1\)"):
+        neighbors(fundamental_central_point(bad))
+
+
 def test_reduce_agrees_with_fraction_oracle_on_random_points():
     # the oracle takes one step per hyperplane between the point and A_o,
     # so its cost sets the coordinates, which shrink with the rank; the

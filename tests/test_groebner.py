@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fraction_oracles as oracle
-from alcoved import groebner
+from alcoved import groebner, polytope
 from alcoved.errors import BudgetExceededError, DefectError, UserInputError
 from alcoved.groebner import (
     groebner_basis,
@@ -25,6 +25,7 @@ from alcoved.groebner import (
     vertex_to_omega,
 )
 from alcoved.polytope import (
+    DEFAULT_POINT_BUDGET,
     AlcovedPolytope,
     adjacent_star,
     hypersimplex,
@@ -636,3 +637,15 @@ def test_budget_bounds_vertex_scan_and_check():
     with pytest.raises(BudgetExceededError, match="729"):
         triangulate(P, 728)
     assert triangulate(P, 729) == simplices
+
+
+def test_vertex_scan_defaults_to_the_point_budget(monkeypatch):
+    scan, budgets = polytope._scan, []
+
+    def recorded(P, scale, budget, *args, **kwargs):
+        budgets.append(budget)
+        return scan(P, scale, budget, *args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_scan", recorded)
+    polytope_vertices(_box("A", 2, 0, 1))
+    assert budgets == [DEFAULT_POINT_BUDGET]

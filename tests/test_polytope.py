@@ -130,8 +130,9 @@ def test_volume_lattice_identity_random():
     rng = random.Random(23)
     for t, r in (("A", 2), ("C", 2)):
         rs = build(t, r)
+        W = enumerate_weyl(rs)
         for _ in range(5):
-            report = volume_identity_check(_random_polytope(rs, rng))
+            report = volume_identity_check(_random_polytope(rs, rng), W)
             assert report["identity_holds"]
             assert report["volume"] == report["coset_lattice_sum"]
 
@@ -157,7 +158,7 @@ def _per_coset_oracle(P):
     before every coset was read off one scan of P."""
     return [
         lattice_point_count(_translated_polytope(P, w))
-        for w in coset_representatives(P.rs)
+        for w in coset_representatives(enumerate_weyl(P.rs))
     ]
 
 
@@ -196,14 +197,21 @@ def _coset_samples():
 
 def test_coset_lattice_sum_matches_per_coset_scans():
     for P in _coset_samples():
-        report = volume_identity_check(P)
+        report = volume_identity_check(P, enumerate_weyl(P.rs))
         assert report["per_coset"] == _per_coset_oracle(P)
         assert report["identity_holds"]
     # lattice points on the slab k_theta = K_theta lie in no P_(w)
     rs = build("A", 2)
     slab = make_polytope(rs, [((1, 0), 0, 2), ((0, 1), 0, 2), (rs.theta, 2, 2)])
     assert lattice_point_count(slab) == 3
-    assert volume_identity_check(slab)["per_coset"] == [0, 0]
+    assert volume_identity_check(slab, enumerate_weyl(rs))["per_coset"] == [0, 0]
+
+
+def test_volume_identity_refuses_a_group_of_another_root_system():
+    # summed over W(B3)/C, the A3 box would compare Vol(P) = 6 with 24
+    P, W = parallelepiped(build("A", 3)), enumerate_weyl(build("B", 3))
+    with pytest.raises(UserInputError, match="B3"):
+        volume_identity_check(P, W)
 
 
 def test_coset_lattice_sum_across_chunks(monkeypatch):
@@ -212,7 +220,7 @@ def test_coset_lattice_sum_across_chunks(monkeypatch):
     rs = build("B", 3)
     P = make_polytope(rs, [(s, 0, 2) for s in rs.simple_roots] + [(rs.theta, 3, 7)])
     W = enumerate_weyl(rs)
-    whole = volume_identity_check(P, W=W)
+    whole = volume_identity_check(P, W)
     scan, chunk_counts = polytope._scan, []
 
     def counted(*args, **kwargs):
@@ -223,7 +231,7 @@ def test_coset_lattice_sum_across_chunks(monkeypatch):
 
     monkeypatch.setattr(polytope, "_CHUNK_CELLS", 3 * len(rs.positive_roots))
     monkeypatch.setattr(polytope, "_scan", counted)
-    assert volume_identity_check(P, W=W) == whole
+    assert volume_identity_check(P, W) == whole
     assert chunk_counts[-1] > 3  # the scale-1 scan, after the volume scan
     monkeypatch.undo()
     assert whole["per_coset"] == _per_coset_oracle(P)

@@ -70,12 +70,12 @@ def test_cdes_of_identity_is_one():
 def test_group_C_order_is_index_of_connection():
     for t, r, f in (("A", 3, 4), ("C", 2, 2), ("D", 4, 4), ("G", 2, 1)):
         rs = build(t, r)
-        assert len(group_C(rs).elements) == f
+        assert len(group_C(enumerate_weyl(rs)).elements) == f
 
 
 def test_group_C_is_cyclic_in_type_A():
     rs = build("A", 3)
-    g = group_C(rs)
+    g = group_C(enumerate_weyl(rs))
     c = long_cycle(rs)
     assert c in g.elements
     powers = {g.power(c, k) for k in range(4)}
@@ -85,15 +85,22 @@ def test_group_C_is_cyclic_in_type_A():
 def test_cmaj_lands_in_C_and_is_constant_on_left_cosets():
     rs = build("C", 2)
     W = enumerate_weyl(rs)
-    g = group_C(rs, W)
+    g = group_C(W)
     for w in W:
         assert cmaj(w, g) in g.elements
+
+
+def test_cmaj_refuses_a_group_of_another_root_system():
+    # the identity of A3 has delta 0, whose class B3's C holds too
+    g = group_C(enumerate_weyl(build("B", 3)))
+    with pytest.raises(UserInputError, match="B3"):
+        cmaj(identity_element(build("A", 3)), g)
 
 
 def test_coset_representative_count():
     for t, r in (("A", 2), ("A", 3), ("C", 2), ("D", 4)):
         rs = build(t, r)
-        reps = coset_representatives(rs)
+        reps = coset_representatives(enumerate_weyl(rs))
         assert len(reps) == len(enumerate_weyl(rs)) // rs.index_of_connection
 
 
@@ -101,8 +108,8 @@ def test_double_coset_and_twist_checks():
     for t, r in (("A", 2), ("A", 3), ("C", 2)):
         rs = build(t, r)
         W = enumerate_weyl(rs)
-        assert double_coset_check(rs, W)["holds"]
-        twist = cmaj_twist_check(rs, W)
+        assert double_coset_check(W)["holds"]
+        twist = cmaj_twist_check(W)
         assert twist["holds"]
         assert twist["inverse_symmetry_holds"]
 
@@ -110,7 +117,7 @@ def test_double_coset_and_twist_checks():
 def test_qweyl_identity_small_types():
     for t, r in (("A", 1), ("A", 2), ("A", 3), ("C", 2), ("B", 3), ("G", 2)):
         rs = build(t, r)
-        report = qweyl_check(rs)
+        report = qweyl_check(enumerate_weyl(rs))
         assert report["identity_holds"]
         assert report["scalar_holds"]
 
@@ -122,13 +129,13 @@ def test_qweyl_type_C_closed_form():
         expected = eulerian_polynomial(n)
         for _ in range(n - 1):
             expected = poly_mul(expected, (1, 1))
-        report = qweyl_check(rs)
+        report = qweyl_check(enumerate_weyl(rs))
         for poly in report["lhs"].normalized().values():
             assert poly == expected
 
 
 def test_hypersimplex_statistic_check_A3():
-    report = hypersimplex_statistic_check(build("A", 3))
+    report = hypersimplex_statistic_check(enumerate_weyl(build("A", 3)))
     assert report["volumes"] == {1: 1, 2: 4, 3: 1}
     assert report["coset_identity_holds"]
     assert report["element_identity_holds"]
@@ -138,7 +145,7 @@ def test_hypersimplex_statistic_check_A3():
 
 def test_cmaj_cross_table_symmetry():
     for t, r in (("A", 2), ("C", 2)):
-        report = cmaj_cross_table(build(t, r))
+        report = cmaj_cross_table(enumerate_weyl(build(t, r)))
         assert report["symmetric_under_transpose"]
 
 
@@ -251,6 +258,6 @@ def test_corrupted_adjugate_fails_the_c_tables(t, r, corrupt, message):
     bad = dataclasses.replace(rs, cartan_adjugate=corrupt(rs.cartan_adjugate))
     W = enumerate_weyl(bad)
     with pytest.raises(DefectError, match=message):
-        group_C(bad, W)
+        group_C(W)
     with pytest.raises(DefectError, match=message):
         W.cmaj  # a failed build is not kept

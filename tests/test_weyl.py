@@ -57,7 +57,7 @@ def test_word_length_extremes():
     for t, r in (("A", 3), ("B", 3), ("D", 4), ("G", 2)):
         rs = build(t, r)
         W = enumerate_weyl(rs)
-        assert longest_element(rs, W).word_length == len(rs.positive_roots)
+        assert longest_element(W).word_length == len(rs.positive_roots)
         assert min(w.word_length for w in W) == 0
 
 
@@ -77,7 +77,7 @@ def test_descents_of_identity_and_longest():
         rs = build(t, r)
         W = enumerate_weyl(rs)
         assert descents(identity_element(rs)) == (1,) + (0,) * r
-        assert descents(longest_element(rs, W)) == (0,) + (1,) * r
+        assert descents(longest_element(W)) == (0,) + (1,) * r
 
 
 def test_permutation_model_roundtrip():
@@ -301,6 +301,6 @@ def test_descents_match_signed_permutation_descents(n):
 def test_coset_representative_count_is_order_over_f(t, r):
     rs = build(t, r)
     W = enumerate_weyl(rs)
-    reps = coset_representatives(rs, W)
+    reps = coset_representatives(W)
     assert len(reps) == len(W) // rs.index_of_connection
     assert len(set(reps)) == len(reps)
