@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 user error, 2 violated mathematical identity,
-3 enumeration budget exhausted.
+3 budget exhausted: --budget bounds the Weyl group enumeration and the box
+and vertex scans, and selfcheck also exits 3 when its random polytope
+draws run out.
 """
 
 import argparse
@@ -19,6 +21,18 @@ from . import geometry, groebner, polytope, rootsys, statistics, weyl
 from .errors import BudgetExceededError, DefectError, UserInputError
 
 DEFAULT_SELFCHECK_SEED = 20240521
+_DRAWS = 200
+_MAX_DRAWN_VOLUME = 10**4
+
+# the flags each check's report must hold
+_HYPERSIMPLEX_FLAGS = (
+    "coset_identity_holds",
+    "element_identity_holds",
+    "cdes_constant_on_cosets",
+    "generating_function_holds",
+)
+_TWIST_FLAGS = ("holds", "inverse_symmetry_holds")
+_QWEYL_FLAGS = ("identity_holds", "scalar_holds")
 
 
 def _jsonable(value):
@@ -162,21 +176,16 @@ def _cmd_stats(args) -> dict:
         "double_coset": statistics.double_coset_check(W),
         "cmaj_twist": statistics.cmaj_twist_check(W),
     }
-    _require(report["hypersimplex"], [
-        "coset_identity_holds",
-        "element_identity_holds",
-        "cdes_constant_on_cosets",
-        "generating_function_holds",
-    ])
+    _require(report["hypersimplex"], _HYPERSIMPLEX_FLAGS)
     _require(report["double_coset"], ["holds"])
-    _require(report["cmaj_twist"], ["holds", "inverse_symmetry_holds"])
+    _require(report["cmaj_twist"], _TWIST_FLAGS)
     return report
 
 
 def _cmd_qweyl(args) -> dict:
     rs = _build(args)
     report = statistics.qweyl_check(weyl.enumerate_weyl(rs, budget=args.budget))
-    _require(report, ["identity_holds", "scalar_holds"])
+    _require(report, _QWEYL_FLAGS)
     return report
 
 
@@ -258,8 +267,10 @@ def _cmd_cross_table(args) -> dict:
 
 
 def _random_polytope(rs, rng, budget):
-    """A nonempty random polytope with simple-root bounds in [-2, 2]."""
-    for _ in range(200):
+    """A nonempty random polytope with simple-root bounds in [-2, 2] and
+    volume at most _MAX_DRAWN_VOLUME, whose scan fits ``budget``.
+    Raises BudgetExceededError when no draw of _DRAWS does."""
+    for _ in range(_DRAWS):
         cons = []
         for root in rs.simple_roots:
             lo = rng.randint(-2, 1)
@@ -268,11 +279,14 @@ def _random_polytope(rs, rng, budget):
         if P.is_empty:
             continue
         try:
-            if 0 < polytope.volume(P, budget=budget) <= 10**4:
+            if 0 < polytope.volume(P, budget=budget) <= _MAX_DRAWN_VOLUME:
                 return P
         except BudgetExceededError:
             continue
-    raise DefectError("could not draw a nonempty random polytope")
+    raise BudgetExceededError(
+        f"none of {_DRAWS} random polytopes of {rs.type_label}{rs.rank} has volume "
+        f"1..{_MAX_DRAWN_VOLUME} with a scan within budget {budget}"
+    )
 
 
 def _selfcheck_polytope(rs):
@@ -299,19 +313,11 @@ def _cmd_selfcheck(args) -> dict:
     results["group_C_descriptions"] = True
     results["double_coset"] = statistics.double_coset_check(W)["holds"]
     twist = statistics.cmaj_twist_check(W)
-    results["cmaj_twist"] = twist["holds"] and twist["inverse_symmetry_holds"]
+    results["cmaj_twist"] = all(twist[k] for k in _TWIST_FLAGS)
     qw = statistics.qweyl_check(W)
-    results["q_weyl"] = qw["identity_holds"] and qw["scalar_holds"]
+    results["q_weyl"] = all(qw[k] for k in _QWEYL_FLAGS)
     hs = statistics.hypersimplex_statistic_check(W, args.budget)
-    results["hypersimplex_statistics"] = all(
-        hs[k]
-        for k in (
-            "coset_identity_holds",
-            "element_identity_holds",
-            "cdes_constant_on_cosets",
-            "generating_function_holds",
-        )
-    )
+    results["hypersimplex_statistics"] = all(hs[k] for k in _HYPERSIMPLEX_FLAGS)
     vol_ok = True
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)
@@ -367,7 +373,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", help="polytope spec JSON file")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--seed", type=int, default=DEFAULT_SELFCHECK_SEED)
-    parser.add_argument("--budget", type=int, default=10**8)
+    parser.add_argument("--budget", type=int, default=polytope.DEFAULT_POINT_BUDGET)
     parser.add_argument("--k", type=int, help="hypersimplex index")
     return parser
 

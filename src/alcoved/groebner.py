@@ -312,6 +312,7 @@ class Rewriter:
             for root, (k, K) in zip(self.rs.positive_roots, P.bounds)
         ]
         self._scaled = {}  # denom * weight, by vertex, filled by weight()
+        self._X, self._reach = self._translated(self.vertices)
         self.rule_rows = self._rule_rows()
 
     @cached_property
@@ -342,11 +343,9 @@ class Rewriter:
         can sit on higher-dimensional faces of the arrangement, where
         the weight minimum is the only canonical choice left.
         """
-        V = self.vertices
-        w = self._scaled_weights(V)
-        i, j = np.triu_indices(len(V))  # the pairs (u, v), u <= v, in order
-        sums = self._translated(V)[0]
-        sums = sums[i] + sums[j]
+        w = self._scaled_weights(self._X, self._reach)
+        i, j = np.triu_indices(len(self.vertices))  # the pairs (u, v), u <= v, in order
+        sums = self._X[i] + self._X[j]
         # by sum, then weight, then (stable) pair: a group's first pair is its best
         order = np.lexsort((w[i] + w[j], *sums.T))
         sums = sums[order]
@@ -362,11 +361,12 @@ class Rewriter:
     def weight(self, vertex) -> Fraction:
         """Sum of |distance| to every arrangement hyperplane meeting P."""
         if vertex not in self._scaled:
-            self._scaled[vertex] = int(self._scaled_weights([vertex])[0])
+            self._scaled[vertex] = int(self._scaled_weights(*self._translated([vertex]))[0])
         return Fraction(self._scaled[vertex], self._denom)
 
-    def _scaled_weights(self, vertices) -> np.ndarray:
-        """``denom * weight(v)`` per vertex, exact in int64.
+    def _scaled_weights(self, X: np.ndarray, reach: int) -> np.ndarray:
+        """``denom * weight(v)`` per vertex, exact in int64, from the
+        ``_translated`` rows ``X`` of the vertices and their ``reach``.
 
         Per root, let ``u = denom * ((v, a) - k)``, ``W = K - k`` and
         ``g = u // denom`` clipped to ``[-1, W]``: the levels ``k .. k+g``
@@ -374,7 +374,6 @@ class Rewriter:
         of ``|u - m*denom|`` is ``(2g+1-W) u - denom g (g+1) + denom W (W+1) / 2``.
         """
         d = self._denom
-        X, reach = self._translated(vertices)
         lows = [d * k for k, _ in self._bounds]
         widths = [max(K - k, -1) for k, K in self._bounds]  # -1: no levels
         terms = ((w + 1) * (reach + abs(lo) + 2 * d * w) for w, lo in zip(widths, lows))
@@ -484,7 +483,7 @@ class Rewriter:
                               f"for a polytope of volume {vol}")
         if not len(simplices):
             return
-        X = self._translated(V)[0][simplices]  # simplex, corner, coordinate
+        X = self._X[simplices]  # simplex, corner, coordinate
         d = self._denom
         s = d * (self.rs.rank + 1)
         corners = X @ self._G

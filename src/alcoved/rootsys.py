@@ -15,7 +15,7 @@ only.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class RootSystemData:
     type_label: str
     rank: int
     cartan: tuple
-    symmetrizer: tuple
     positive_roots: tuple
     theta: tuple
     marks: tuple
@@ -153,69 +152,29 @@ def _cartan_matrix(type_label: str, rank: int) -> tuple:
     return tuple(tuple(row) for row in a)
 
 
-def _generate_positive_roots(cartan: tuple, rank: int) -> list:
-    """Closure of the simple roots under root-string addition.
+def _roots_and_coroots(cartan: tuple, rank: int) -> tuple:
+    """The positive roots, sorted by height, and their coroots in
+    simple-coroot coefficients, as one closure of the simple roots under
+    the simple reflections that raise height.
 
-    Processes roots by height; ``beta + alpha_i`` is a root precisely
-    when ``p - (beta, alpha_i^vee) > 0`` where ``p`` is the number of
-    steps the string extends downward from ``beta``.
+    ``s_i`` raises ``beta`` where ``(beta, alpha_i^vee) < 0``, and every
+    positive root but a simple one is reached so from a lower one.  The
+    coroot goes along: ``s_i(beta)^vee = beta^vee - (alpha_i, beta^vee) alpha_i^vee``.
     """
-    roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    layer = list(roots)
-    while layer:
-        new_layer = []
-        for beta in layer:
-            for i in range(rank):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in roots:
-                        p += 1
-                    else:
-                        break
-                pair = sum(beta[j] * cartan[j][i] for j in range(rank))
-                if p - pair > 0:
-                    cand = list(beta)
-                    cand[i] += 1
-                    cand = tuple(cand)
-                    if cand not in roots:
-                        roots.add(cand)
-                        new_layer.append(cand)
-        layer = new_layer
-    return sorted(roots, key=lambda v: (sum(v), v))
-
-
-def _symmetrizer(cartan: tuple, rank: int) -> tuple:
-    """Positive integers d with d[i]*A[i][j] == d[j]*A[j][i]."""
-    d = [None] * rank
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(rank):
-            if cartan[i][j] != 0 and i != j and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                stack.append(j)
-    if any(x is None for x in d):
-        raise DefectError("Cartan matrix has a disconnected diagram")
-    scale = lcm(*(x.denominator for x in d))
-    result = [int(x * scale) for x in d]
-    g = gcd(*result)
-    return tuple(x // g for x in result)
-
-
-def _coroot_pairings(cartan: tuple, symmetrizer: tuple, positive_roots: list) -> tuple:
-    """``(a^vee, b) = 2 (a, b) / (a, a)`` for all positive roots, in the
-    symmetrized form ``cartan[i][j] / symmetrizer[j]`` scaled to integers."""
-    scale = lcm(*symmetrizer)
-    form = np.array(cartan, dtype=np.int64) * (scale // np.array(symmetrizer))
-    roots = np.array(positive_roots, dtype=np.int64)
-    gram = roots @ form @ roots.T
-    norms = np.diagonal(gram)[:, None]
-    if (2 * gram % norms).any():
-        raise DefectError("a coroot pairs with a root to a non-integer")
-    return tuple(map(tuple, (2 * gram // norms).tolist()))
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    coroot = dict(zip(simple, simple))
+    queue = list(simple)
+    for beta in queue:  # the queue grows as the loop walks it
+        dual = coroot[beta]
+        for i in range(rank):
+            down = sum(b * row[i] for b, row in zip(beta, cartan))
+            up = beta[:i] + (beta[i] - down,) + beta[i + 1:]
+            if down < 0 and up not in coroot:
+                lift = sum(a * c for a, c in zip(cartan[i], dual))
+                coroot[up] = dual[:i] + (dual[i] - lift,) + dual[i + 1:]
+                queue.append(up)
+    roots = sorted(coroot, key=lambda v: (sum(v), v))
+    return roots, [coroot[root] for root in roots]
 
 
 def _cartan_adjugate(cartan: tuple) -> tuple:
@@ -249,7 +208,7 @@ def build(type_label: str, rank: int) -> RootSystemData:
         raise UserInputError(f"invalid rank {rank} for type {type_label}")
 
     cartan = _cartan_matrix(type_label, rank)
-    positive_roots = _generate_positive_roots(cartan, rank)
+    positive_roots, coroots = _roots_and_coroots(cartan, rank)
     expected = _positive_root_count(type_label, rank)
     if len(positive_roots) != expected:
         raise DefectError(
@@ -270,9 +229,11 @@ def build(type_label: str, rank: int) -> RootSystemData:
     if f != 1 + sum(1 for a in marks if a == 1):
         raise DefectError("index of connection disagrees with the minuscule count")
 
-    symmetrizer = _symmetrizer(cartan, rank)
-    coroot_pairings = _coroot_pairings(cartan, symmetrizer, positive_roots)
     root_array = np.array(positive_roots, dtype=np.int64)
+    pairings = np.array(coroots, dtype=np.int64) @ np.array(cartan).T @ root_array.T
+    if (np.diagonal(pairings) != 2).any():
+        raise DefectError("a positive root does not pair to 2 with its coroot")
+    coroot_pairings = tuple(map(tuple, pairings.tolist()))
     last = rank - 1 - np.argmax(root_array[:, ::-1] > 0, axis=1)
     column_final = tuple(np.flatnonzero(last == j) for j in range(rank))
     for table in (root_array, *column_final):
@@ -287,7 +248,6 @@ def build(type_label: str, rank: int) -> RootSystemData:
         type_label=type_label,
         rank=rank,
         cartan=cartan,
-        symmetrizer=symmetrizer,
         positive_roots=tuple(positive_roots),
         theta=theta,
         marks=marks,

@@ -5,12 +5,14 @@ Matrices are tuples of row tuples.  Everything works over
 textbook form: Gauss-Jordan inverse, elimination determinant, and the
 composition and inverse of affine maps ``x -> linear . x + translation``,
 so that tests can check the library's integer tables and walks against
-an independent computation; and the Eulerian numbers counted over S_n.
+an independent computation; the positive roots by root strings and the
+coroots from the ``Fraction``-symmetrized Cartan form, against the
+library's one reflection closure; and the Eulerian numbers counted over S_n.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from alcoved.geometry import AffineMap
 
@@ -85,6 +87,72 @@ def compose(a: AffineMap, b: AffineMap) -> AffineMap:
 def inverse(sigma: AffineMap) -> AffineMap:
     inv = mat_inv(sigma.linear)
     return AffineMap(inv, tuple(-x for x in mat_vec(inv, sigma.translation)))
+
+
+def positive_roots(cartan) -> list:
+    """Closure of the simple roots under root-string addition, by height.
+
+    ``beta + alpha_i`` is a root precisely when ``p - (beta, alpha_i^vee) > 0``,
+    where ``p`` is the number of steps the string extends downward from ``beta``.
+    """
+    rank = len(cartan)
+    roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
+    layer = list(roots)
+    while layer:
+        new_layer = []
+        for beta in layer:
+            for i in range(rank):
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in roots:
+                        p += 1
+                    else:
+                        break
+                pair = sum(beta[j] * cartan[j][i] for j in range(rank))
+                if p - pair > 0:
+                    cand = list(beta)
+                    cand[i] += 1
+                    cand = tuple(cand)
+                    if cand not in roots:
+                        roots.add(cand)
+                        new_layer.append(cand)
+        layer = new_layer
+    return sorted(roots, key=lambda v: (sum(v), v))
+
+
+def symmetrizer(cartan) -> tuple:
+    """Positive integers d with d[i]*A[i][j] == d[j]*A[j][i], by a walk
+    over the Dynkin diagram."""
+    rank = len(cartan)
+    d = [None] * rank
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(rank):
+            if cartan[i][j] != 0 and i != j and d[j] is None:
+                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                stack.append(j)
+    if any(x is None for x in d):
+        raise ValueError("Cartan matrix has a disconnected diagram")
+    scale = lcm(*(x.denominator for x in d))
+    result = [int(x * scale) for x in d]
+    g = gcd(*result)
+    return tuple(x // g for x in result)
+
+
+def coroot_covector(cartan, root) -> tuple:
+    """omega-coordinates of the coroot of ``root``: ``2 (root, alpha_j) /
+    (root, root)`` in the form ``cartan[i][j] / symmetrizer[j]``."""
+    d = symmetrizer(cartan)
+    inner = [
+        sum(Fraction(c * cartan[i][j], d[j]) for i, c in enumerate(root))
+        for j in range(len(cartan))
+    ]
+    norm = sum(c * ip for c, ip in zip(root, inner))
+    return tuple(2 * ip / norm for ip in inner)
 
 
 def brute_force_eulerian(n: int) -> tuple:

@@ -3,13 +3,14 @@
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from alcoved import cli, groebner, polytope, rootsys, statistics
-from alcoved.errors import DefectError
+from alcoved.errors import BudgetExceededError, DefectError
 
 
 def run_json(capsys, argv):
@@ -227,6 +228,12 @@ def test_stats_and_selfcheck_budget_bounds_the_hypersimplex_scan(capsys):
     assert "box of 343 candidate points" in capsys.readouterr().err
     assert cli.run(argv + ["343"]) == 0
     capsys.readouterr()
+
+
+def test_running_out_of_random_polytope_draws_is_a_budget_error():
+    # no draw's scan fits budget 1: a sampler limit (exit 3), not a defect
+    with pytest.raises(BudgetExceededError, match="none of 200 random polytopes of A2"):
+        cli._random_polytope(rootsys.build("A", 2), random.Random(0), 1)
 
 
 def test_budget_exhaustion_exit_code(capsys):

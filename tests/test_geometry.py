@@ -114,12 +114,7 @@ TYPES = (
 @functools.cache
 def _fraction_covector(rs, root):
     """omega-coordinates of the coroot of ``root``, from the symmetrized form."""
-    inner = [
-        sum(Fraction(c * rs.cartan[i][j], rs.symmetrizer[j]) for i, c in enumerate(root))
-        for j in range(rs.rank)
-    ]
-    norm = sum(c * ip for c, ip in zip(root, inner))
-    return tuple(2 * ip / norm for ip in inner)
+    return oracle.coroot_covector(rs.cartan, root)
 
 
 def _oracle_m(rs, y):

@@ -446,6 +446,7 @@ def _check_vertex_sets(rewriter, simplices) -> None:
     rows = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
     probe = copy.copy(rewriter)
     probe.vertices = list(index)
+    probe._X, probe._reach = probe._translated(probe.vertices)
     size = rewriter.rs.rank + 1
     probe._validate_triangulation(np.array(rows, dtype=np.intp).reshape(len(rows), size))
 

@@ -138,19 +138,62 @@ def test_coroot_pairings_match_the_symmetrized_form():
                  ("D", 5), ("E", 6), ("E", 7), ("F", 4), ("G", 2)):
         rs = build(t, r)
         roots = rs.positive_roots
-        # covectors[a][j] = 2 (a, b_j) / (a, a) for the simple roots b_j
-        covectors = []
-        for a in roots:
-            row = [
-                sum(Fraction(c * rs.cartan[i][j], rs.symmetrizer[j]) for i, c in enumerate(a))
-                for j in range(r)
-            ]
-            norm = sum(c * x for c, x in zip(a, row))
-            covectors.append([2 * x / norm for x in row])
+        covectors = [oracle.coroot_covector(rs.cartan, a) for a in roots]
         expected = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
         assert rs.coroot_pairings == expected
         assert rs.theta_covector == rs.coroot_covector(rs.theta)
         assert pairing(rs.theta_covector, rs.theta) == 2
+
+
+_ORACLE_SYSTEMS = (
+    [("A", r) for r in range(1, 10)] + [(t, r) for t in "BC" for r in range(2, 10)]
+    + [("D", r) for r in range(4, 10)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("t, r", _ORACLE_SYSTEMS)
+def test_build_matches_the_root_string_and_symmetrized_oracles(t, r):
+    rs = build(t, r)
+    roots = oracle.positive_roots(rs.cartan)
+    simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    covectors = [oracle.coroot_covector(rs.cartan, a) for a in roots]
+    pairings = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
+    f = abs(oracle.det(rs.cartan))
+    last = [max(j for j, c in enumerate(root) if c) for root in roots]
+    assert rs.positive_roots == tuple(roots)
+    assert rs.coroot_pairings == pairings
+    assert rs.theta_covector == covectors[-1]
+    inverse = oracle.mat_inv(rs.cartan)
+    assert rs.cartan_adjugate == tuple(tuple(f * x for x in row) for row in inverse)
+    assert rs.root_array.tolist() == [list(root) for root in roots]
+    assert rs.simple_index == tuple(roots.index(alpha) for alpha in simple)
+    assert [c.tolist() for c in rs.column_final] == [
+        [k for k, j in enumerate(last) if j == i] for i in range(r)
+    ]
+    assert rootsys.info_dict(rs) == {
+        "type": t,
+        "rank": r,
+        "cartan": [list(row) for row in rs.cartan],
+        "marks": list(roots[-1]),
+        "h": 1 + sum(roots[-1]),
+        "f": f,
+        "positive_roots": [list(root) for root in roots],
+        "theta": list(roots[-1]),
+        "weyl_order": f * math.factorial(r) * math.prod(roots[-1]),
+    }
+
+
+def test_a_coroot_that_does_not_pair_to_two_raises(monkeypatch):
+    closure = rootsys._roots_and_coroots
+
+    def corrupted(cartan, rank):
+        roots, coroots = closure(cartan, rank)
+        coroots[4] = tuple(2 * c for c in coroots[4])  # pairs to 4 with its root
+        return roots, coroots
+
+    monkeypatch.setattr(rootsys, "_roots_and_coroots", corrupted)
+    with pytest.raises(DefectError, match="pair to 2"):
+        build.__wrapped__("B", 3)  # past the cache
 
 
 def test_rho_pairs_to_one_with_simple_coroots():
@@ -163,7 +206,7 @@ def test_rho_pairs_to_one_with_simple_coroots():
 def test_symmetrizer_makes_cartan_symmetric():
     for t, r in (("B", 3), ("C", 3), ("G", 2), ("F", 4)):
         rs = build(t, r)
-        d = rs.symmetrizer
+        d = oracle.symmetrizer(rs.cartan)
         for i in range(r):
             for j in range(r):
                 assert Fraction(rs.cartan[i][j], d[j]) == Fraction(
