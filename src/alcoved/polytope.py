@@ -108,9 +108,7 @@ _INT64_HEADROOM = 2**62
 _CHUNK_CELLS = 1 << 26  # int64 cells of one candidate block, 0.5 GB
 
 
-def _scan(
-    P: AlcovedPolytope, scale: int, budget: int, walls=False, chunk_rows=None
-) -> tuple:
+def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
     """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
     every bound ``(k, K)`` of P, in int64 after a translation; with
     ``walls``, only those with no pairing divisible by ``scale``.
@@ -124,8 +122,7 @@ def _scan(
     pairings keep their residues.  Raises UserInputError when one could
     reach 2^62 (a wrapped int64 would give a wrong count silently) and
     BudgetExceededError when the box has more than ``budget`` points.
-    A candidate block has at most ``chunk_rows`` rows, by default as many
-    as fit ``_CHUNK_CELLS`` pairings.
+    A candidate block has as many rows as fit ``_CHUNK_CELLS`` pairings.
     """
     rs = P.rs
     box = P.simple_bounds()
@@ -144,8 +141,8 @@ def _scan(
             f"box of {total} candidate points exceeds budget {budget}"
         )
     lo, hi = _shifted_bounds(P, offset, scale)
-    chunk_rows = chunk_rows or _CHUNK_CELLS // len(lo)
-    return offset, _layers(rs, widths, lo, hi, scale if walls else 0, chunk_rows)
+    wall = scale if walls else 0
+    return offset, _layers(rs, widths, lo, hi, wall, _CHUNK_CELLS // len(lo))
 
 
 def _shifted_bounds(P: AlcovedPolytope, offset, scale: int) -> tuple:
@@ -359,9 +356,11 @@ def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_POINT_BUDGET)
 
 
 def thick_identity_check(
-    rs: RootSystemData, b, k: int, K: int, budget: int = DEFAULT_POINT_BUDGET
+    rs: RootSystemData, boxes, budget: int = DEFAULT_POINT_BUDGET
 ) -> dict:
-    """Volume of a thick hypersimplex against its slice decomposition.
+    """Volume of a thick hypersimplex against its slice decomposition, for
+    every box b in ``boxes`` and window ``0 <= k <= K <= (b, theta)``,
+    keyed by ``(b, k, K)``.
 
     An alcove of the layer-l hypersimplex translated by a coweight mu
     lies in the thick hypersimplex exactly when mu fits the shrunken box
@@ -369,37 +368,32 @@ def thick_identity_check(
     over the layers therefore reproduces the volume.  The sides come
     from different scans: the volume from the central points of the box
     ``0..b_i``, the layers from those of the parallelepiped and from the
-    lattice points of the box ``0..b_i - 1``.
+    lattice points of the box ``0..b_i - 1``, one scan each per box.
     """
-    return _thick_identities(rs, b, hypersimplex_volumes(rs, budget), budget)(k, K)
-
-
-def _thick_identities(rs, b, layer_volumes, budget: int):
-    """``(k, K) -> thick_identity_check(rs, b, k, K)`` for one box b,
-    from one scan of each side, given the layer volumes."""
-    if len(b) != rs.rank or any(x < 1 for x in b):
-        raise UserInputError(
-            "thick-hypersimplex identity needs one b_i >= 1 per simple root"
-        )
-    thick = _theta_slices(rs, b, rs.h_star, True, budget)
-    inner = _theta_slices(rs, [x - 1 for x in b], 1, False, budget)
-
-    def check(k: int, K: int) -> dict:
-        # slices k..K - 1 of thick and k - l + 1..K - l of inner
-        lhs = sum(thick[max(k, 0) : max(K, 0)])
-        terms = [
-            vol_layer * sum(inner[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
-            for layer, vol_layer in enumerate(layer_volumes, start=1)
-        ]
-        total = sum(terms)
-        return {
-            "volume": lhs,
-            "slice_sum": total,
-            "per_layer": terms,
-            "identity_holds": lhs == total,
-        }
-
-    return check
+    layer_volumes = hypersimplex_volumes(rs, budget)
+    reports = {}
+    for b in map(tuple, boxes):
+        if len(b) != rs.rank or any(x < 1 for x in b):
+            raise UserInputError(
+                "thick-hypersimplex identity needs one b_i >= 1 per simple root"
+            )
+        thick = _theta_slices(rs, b, rs.h_star, True, budget)
+        inner = _theta_slices(rs, [x - 1 for x in b], 1, False, budget)
+        for k, K in itertools.combinations_with_replacement(range(len(thick)), 2):
+            # slices k..K - 1 of thick and k - l + 1..K - l of inner
+            lhs = sum(thick[k:K])
+            terms = [
+                vol_layer * sum(inner[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
+                for layer, vol_layer in enumerate(layer_volumes, start=1)
+            ]
+            total = sum(terms)
+            reports[b, k, K] = {
+                "volume": lhs,
+                "slice_sum": total,
+                "per_layer": terms,
+                "identity_holds": lhs == total,
+            }
+    return reports
 
 
 def spec_to_polytope(spec: dict) -> AlcovedPolytope:

@@ -5,9 +5,9 @@ below ``h_star * rank``); elements of the group algebra over the
 coweight-mod-coroot quotient map coset classes to such polynomials.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -50,10 +50,6 @@ def poly_eval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def q_power(k: int) -> tuple:
-    return (0,) * k + (1,)
 
 
 def q_integer(n: int) -> tuple:
@@ -112,30 +108,6 @@ def _classes(W: WeylGroup) -> list:
     return [CosetClass(tuple(Fraction(x, f) for x in row)) for row in rows]
 
 
-@dataclass
-class GroupAlgebraElement:
-    """Finitely supported map from coset classes to polynomials in q."""
-
-    coeffs: dict = field(default_factory=dict)
-
-    def add_term(self, cls: CosetClass, poly) -> None:
-        self.coeffs[cls] = poly_add(self.coeffs.get(cls, ()), poly)
-
-    def normalized(self) -> dict:
-        return {c: p for c, p in self.coeffs.items() if poly_trim(p)}
-
-    def __eq__(self, other):
-        return isinstance(other, GroupAlgebraElement) and (
-            self.normalized() == other.normalized()
-        )
-
-    def scalar_sum(self) -> tuple:
-        total = ()
-        for p in self.coeffs.values():
-            total = poly_add(total, p)
-        return total
-
-
 # ---------------------------------------------------------------------------
 # Statistics on Weyl group elements.
 
@@ -190,15 +162,13 @@ def cmaj(w: WeylElement, group: CGroup) -> WeylElement:
     return group.class_of[coweight_class(w.rs, delta(w))]
 
 
-def _q_sum(classes, ids, degrees) -> GroupAlgebraElement:
-    """The group-algebra sum of ``[class ids[k]] q^degrees[k]`` over k."""
+def _q_sum(classes, ids, degrees) -> dict:
+    """The group-algebra sum of ``[class ids[k]] q^degrees[k]`` over k, as
+    ``{CosetClass: polynomial}`` without the classes whose sum is zero."""
     counts = np.zeros((len(classes), int(degrees.max()) + 1), dtype=np.int64)
     np.add.at(counts, (ids, degrees), 1)
-    out = GroupAlgebraElement()
-    for cls, row in zip(classes, counts.tolist()):
-        if any(row):
-            out.add_term(cls, row)
-    return out
+    rows = zip(classes, counts.tolist())
+    return {cls: poly_trim(row) for cls, row in rows if any(row)}
 
 
 def coset_representatives(W: WeylGroup) -> list:
@@ -209,18 +179,20 @@ def coset_representatives(W: WeylGroup) -> list:
 # ---------------------------------------------------------------------------
 # Identity checks over one enumerated Weyl group W, of the root system W.rs.
 
+def _component_poly(rs: RootSystemData) -> tuple:
+    """A_r(q) times the q-integers [a_i]_q of the marks a_i of ``rs``."""
+    return reduce(poly_mul, map(q_integer, rs.marks), eulerian_polynomial(rs.rank))
+
+
 def qweyl_check(W: WeylGroup) -> dict:
     """Exact check of the group-algebra q-analogue of Weyl's formula."""
     rs = W.rs
     classes = _classes(W)
     lhs = _q_sum(classes, W.delta_class, W.cdes)
-    rhs_poly = eulerian_polynomial(rs.rank)
-    for a in rs.marks:
-        rhs_poly = poly_mul(rhs_poly, q_integer(a))
-    rhs = GroupAlgebraElement()
-    for k in W.C.tolist():
-        rhs.add_term(classes[W.delta_class[k]], rhs_poly)
-    scalar_lhs = lhs.scalar_sum()
+    rhs_poly = _component_poly(rs)
+    # one term per element of C: C's tables raise DefectError on a repeated class
+    rhs = {classes[W.delta_class[k]]: rhs_poly for k in W.C.tolist()}
+    scalar_lhs = reduce(poly_add, lhs.values(), ())
     scalar_rhs = poly_mul((rs.index_of_connection,), rhs_poly)
     return {
         "lhs": lhs,
@@ -254,12 +226,7 @@ def hypersimplex_statistic_check(
         for left in W.C_left
         for right in W.C_right
     )
-    genfun = ()
-    for k, v in volumes.items():
-        genfun = poly_add(genfun, poly_mul((v,), q_power(k)))
-    expected = eulerian_polynomial(rs.rank)
-    for a in rs.marks:
-        expected = poly_mul(expected, q_integer(a))
+    genfun = poly_trim((0, *volumes.values()))  # the keys run 1..h - 1
     return {
         "volumes": volumes,
         "coset_counts": coset_counts,
@@ -267,7 +234,7 @@ def hypersimplex_statistic_check(
         "coset_identity_holds": coset_ok,
         "element_identity_holds": element_ok,
         "cdes_constant_on_cosets": constant_ok,
-        "generating_function_holds": genfun == expected,
+        "generating_function_holds": genfun == _component_poly(rs),
     }
 
 

@@ -3,13 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from alcoved import cli, groebner, polytope, rootsys, statistics
+import alcoved
+from alcoved import cli, groebner, polytope, rootsys, statistics, weyl
 from alcoved.errors import BudgetExceededError, DefectError
 
 
@@ -148,6 +152,61 @@ def test_thick_check_scans_each_layer_once(monkeypatch, capsys):
         assert code == 0
         assert report == {"type": t, "rank": r, "cases": cases, "identity_holds": True}
         assert len(calls) == 1 + 2 * 2**r
+
+
+def test_thick_check_calls_the_identity_check_once(monkeypatch, capsys):
+    calls = []
+    check = polytope.thick_identity_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "thick_identity_check", counted)
+    for t, r in (("B", 2), ("A", 3)):
+        calls.clear()
+        assert cli.run(["thick-check", "--type", t, "--rank", str(r)]) == 0
+        assert len(calls) == 1
+
+
+def test_wrong_layer_volume_fails_the_thick_identity(monkeypatch, capsys):
+    # one layer volume off by one breaks the slice sums that use it
+    volumes = polytope.hypersimplex_volumes
+
+    def wrong(*args, **kwargs):
+        out = volumes(*args, **kwargs)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(polytope, "hypersimplex_volumes", wrong)
+    rs = rootsys.build("C", 2)
+    reports = polytope.thick_identity_check(rs, [(1, 1), (2, 2)])
+    assert not all(report["identity_holds"] for report in reports.values())
+    assert cli.run(["thick-check", "--type", "C", "--rank", "2"]) == 2
+    assert "identity check failed: identity_holds" in capsys.readouterr().err
+
+
+def test_wrong_eulerian_polynomial_fails_the_q_weyl_identity(monkeypatch, capsys):
+    monkeypatch.setattr(statistics, "eulerian_polynomial", lambda n: (0, 1, 2))
+    report = statistics.qweyl_check(weyl.enumerate_weyl(rootsys.build("B", 3)))
+    assert report["identity_holds"] is False
+    assert report["scalar_holds"] is False
+    assert cli.run(["qweyl", "--type", "B", "--rank", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "identity check failed: identity_holds, scalar_holds" in err
+
+
+def test_python_m_alcoved_runs_the_cli(capsys):
+    argv = ["info", "--type", "A", "--rank", "1"]
+    src = os.path.dirname(os.path.dirname(alcoved.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "alcoved", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert cli.run(argv) == 0
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_selfcheck_reports_skip_for_unsupported_type(capsys):
@@ -297,13 +356,6 @@ def _oracle_jsonable(value):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, statistics.CosetClass):
         return "(" + ",".join(str(_oracle_jsonable(x)) for x in value.frac) + ")"
-    if isinstance(value, statistics.GroupAlgebraElement):
-        return {
-            _oracle_jsonable(cls): list(poly)
-            for cls, poly in sorted(
-                value.coeffs.items(), key=lambda kv: str(_oracle_jsonable(kv[0]))
-            )
-        }
     if isinstance(value, dict):
         return {str(_oracle_jsonable(k)): _oracle_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -240,11 +240,12 @@ def test_coset_lattice_sum_across_chunks(monkeypatch):
 
 def test_thick_hypersimplex_identity_samples():
     rs = build("C", 2)
+    reports = thick_identity_check(rs, [(1, 1), (2, 1), (2, 2)])
     for b, k, K in (((1, 1), 0, 3), ((2, 1), 1, 3), ((2, 2), 2, 5)):
-        report = thick_identity_check(rs, b, k, K)
+        report = reports[b, k, K]
         assert report["identity_holds"]
     with pytest.raises(UserInputError):
-        thick_identity_check(rs, (0, 1), 0, 1)
+        thick_identity_check(rs, [(0, 1)])
 
 
 def _thick_identity_oracle(rs, b, k, K, layer_volumes, budget):
@@ -280,26 +281,10 @@ def test_thick_identity_matches_per_case_oracle():
     for t, r in (("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)):
         rs = build(t, r)
         layers = [volume(hypersimplex(rs, i)) for i in range(1, rs.h_star)]
+        reports = thick_identity_check(rs, product((1, 2), repeat=r))
         for b, k, K in _thick_cases(rs):
             oracle = _thick_identity_oracle(rs, b, k, K, layers, 10**8)
-            assert thick_identity_check(rs, b, k, K) == oracle
-
-
-def test_thick_identity_with_given_layer_volumes():
-    # the helper behind thick-check, given the layer volumes once, returns
-    # what thick_identity_check returns after scanning them itself
-    for t, r in (("B", 2), ("C", 2), ("A", 3)):
-        rs = build(t, r)
-        layers = polytope.hypersimplex_volumes(rs)
-        checks = {}
-        for b, k, K in _thick_cases(rs):
-            if b not in checks:
-                checks[b] = polytope._thick_identities(
-                    rs, b, layers, polytope.DEFAULT_POINT_BUDGET
-                )
-            report = checks[b](k, K)
-            assert report == thick_identity_check(rs, b, k, K)
-            assert report["identity_holds"]
+            assert reports[b, k, K] == oracle
 
 
 def test_hypersimplex_volumes_match_per_slice_scans():
@@ -473,8 +458,8 @@ def test_scans_agree_with_untranslated_masks():
         _assert_scans_agree(hypersimplex(rs, k))
 
 
-def test_scan_in_small_chunks_keeps_rows_and_order():
-    # a block whose extension would pass chunk_rows is extended in parts,
+def test_scan_in_small_chunks_keeps_rows_and_order(monkeypatch):
+    # a block whose extension would pass 7 rows is extended in parts,
     # splitting the 9 values of a B4 coordinate too; the parts, joined,
     # are the rows of the unsplit scan in the same order
     samples = [
@@ -489,8 +474,10 @@ def test_scan_in_small_chunks_keeps_rows_and_order():
             offset, chunks = polytope._scan(P, scale, 10**8, walls)
             whole = list(chunks)
             assert len(whole) == 1
-            small_offset, small = polytope._scan(P, scale, 10**8, walls, chunk_rows=7)
+            monkeypatch.setattr(polytope, "_CHUNK_CELLS", 7 * len(P.rs.positive_roots))
+            small_offset, small = polytope._scan(P, scale, 10**8, walls)
             parts = list(small)
+            monkeypatch.undo()
             assert small_offset == offset
             assert len(parts) > 1 or scale == 1
             assert max(len(part) for part in parts) <= 7
