@@ -1,15 +1,24 @@
 """Quadratic binomial rewriting and the alcove triangulation.
 
-Supported in types A, C and D_4 only, where the vertex set of the
-affine arrangement is the lattice spanned by ``c_i = omega_i / a_i``.
-Vertices are integer vectors in the ``c_i`` basis (so omega-coordinates
-are ``n[i] / a_i``).
+Supported in types A, C and D_4 only.  Vertices are integer vectors in
+a basis of the lattice of arrangement vertices (``_vertex_lattice``):
+in types A and C the fundamental-alcove vertices ``c_i = omega_i / a_i``,
+so omega-coordinates are ``n[i] / a_i``; in D4 the halved simple
+coroots, since there the vertex lattice is half the coroot lattice.
 
-Every unordered pair of arrangement vertices either spans an edge of a
-common alcove or rewrites to the pair of closest vertices around its
-midpoint; collecting the nontrivial rewrites over the vertices of an
-alcoved polytope gives the marked quadratic binomial basis whose
-irreducible monomials are the faces of the alcove triangulation.
+The one rewrite rule groups the vertex pairs by their sum: in each
+group the pair of least coherent weight is standard, and every other
+pair rewrites to it.  In types A and C this equals the paper's rule,
+kept in the tests as an oracle, which rewrites a pair to the two
+vertices nearest its midpoint on the arrangement edge through it.  In
+D4 the two rules differ, since there the center of a pair can lie on a
+face of the arrangement of higher dimension than an edge.
+
+The nontrivial rewrites over the vertices of an alcoved polytope form
+the marked quadratic binomial basis whose irreducible monomials are the
+faces of the alcove triangulation.  In D4 this is known to hold only
+on polytopes of one or two alcoves; on the larger ones tried (the unit
+box, the adjacent star) the triangulation check raises DefectError.
 
 The vertex-lattice tables (the basis, its inverse and the root
 pairings) are each a denominator and an int64 matrix, so converting
@@ -30,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import geometry, polytope as polytope_mod
+from . import polytope as polytope_mod
 from .errors import DefectError, UserInputError
 from .polytope import _INT64_HEADROOM, DEFAULT_POINT_BUDGET, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
@@ -76,14 +85,6 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
     B, M = (np.array(x, dtype=np.int64).reshape(r, r) for x in (B, M))
     B.flags.writeable = M.flags.writeable = False  # cached: shared by every caller
     return d, B, q, M
-
-
-def vertex_to_omega(rs: RootSystemData, vertex) -> tuple:
-    d, B, _, _ = _vertex_lattice(rs)
-    return tuple(
-        Fraction(sum(b * x for b, x in zip(row, vertex, strict=True)), d)
-        for row in B.tolist()
-    )
 
 
 @lru_cache(maxsize=None)
@@ -141,114 +142,6 @@ def _fundamental_vertices(rs: RootSystemData) -> tuple:
     zero = (Fraction(0),) * rs.rank
     c = (zero[:i] + (Fraction(1, a),) + zero[i + 1 :] for i, a in enumerate(rs.marks))
     return (zero, *c)
-
-
-def _edge_direction(rs: RootSystemData, integral_roots):
-    """Rational spanning vector of the common kernel of the given roots.
-
-    Returns None when the roots do not have rank exactly rank - 1, in
-    which case they cut out a face of dimension larger than one rather
-    than a line.  ``echelon`` maps each pivot column to a row of the
-    reduced row echelon form of the roots seen so far.
-    """
-    echelon = {}
-    for root in integral_roots:
-        row = [Fraction(c) for c in root]
-        for col, lead in echelon.items():
-            row = [x - row[col] * y for x, y in zip(row, lead)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            row = [x / row[col] for x in row]
-            for c, lead in echelon.items():
-                echelon[c] = [x - lead[col] * y for x, y in zip(lead, row)]
-            echelon[col] = row
-    if len(echelon) != rs.rank - 1:
-        return None
-    free = next(col for col in range(rs.rank) if col not in echelon)
-    direction = [Fraction(col == free) for col in range(rs.rank)]
-    for col, lead in echelon.items():
-        direction[col] = -lead[free]
-    return tuple(direction)
-
-
-@lru_cache(maxsize=None)
-def _verify_vertex_lattice(rs: RootSystemData) -> None:
-    """Startup self-check: sampled lattice points reduce onto {0, c_i}.
-
-    The identification of the arrangement vertices with the integer
-    span of the chosen basis is used without proof, so sampled points
-    are reduced into the closed fundamental alcove and required to
-    land on one of its vertices.
-    """
-    rng = random.Random(20240 + rs.rank)
-    fundamental = {omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)}
-    for _ in range(20):
-        vertex = tuple(rng.randint(-3, 3) for _ in range(rs.rank))
-        _, image = geometry.reduce_to_fundamental(rs, vertex_to_omega(rs, vertex))
-        if omega_to_vertex(rs, image) not in fundamental:
-            raise DefectError(
-                f"{rs}: arrangement vertex {vertex} does not reduce onto a "
-                "fundamental-alcove vertex"
-            )
-
-
-def _nearest_on_line(a, b) -> tuple:
-    """Nearest lattice points around (a+b)/2 on the line through a, b.
-
-    The lattice points on the line are ``a + t (b - a) / g``, g the gcd
-    of ``b - a``, with the midpoint at ``t = g / 2``.  The midpoint is
-    not a lattice point, so g is odd and the nearest points, at ``t =
-    (g -+ 1) / 2``, sum to a + b; for g = 1 they are a and b themselves.
-    """
-    g = math.gcd(*(y - x for x, y in zip(a, b)))
-    step = [(y - x) // g for x, y in zip(a, b)]
-    return tuple(tuple(x + t * s for x, s in zip(a, step)) for t in (g // 2, g // 2 + 1))
-
-
-def midpoint_pair(rs: RootSystemData, a, b) -> tuple:
-    """The two closest arrangement vertices around the midpoint of a, b.
-
-    Returns ``(u, v)`` with ``u + v = a + b``; when the midpoint is
-    itself a vertex, ``u == v``.
-    """
-    _require_supported(rs)
-    _verify_vertex_lattice(rs)
-    a, b = tuple(a), tuple(b)
-    if a == b:
-        raise UserInputError("midpoint_pair needs two distinct vertices")
-    if all((x + y) % 2 == 0 for x, y in zip(a, b)):
-        mid = tuple((x + y) // 2 for x, y in zip(a, b))
-        return mid, mid
-    mid = tuple((x + y) / 2 for x, y in zip(vertex_to_omega(rs, a), vertex_to_omega(rs, b)))
-    integral = [root for root in rs.positive_roots if pairing(mid, root).denominator == 1]
-    direction = _edge_direction(rs, integral)
-    if direction is None:
-        # The midpoint sits on a face of dimension > 1 (this happens in
-        # D4, where the arrangement vertices outnumber the span of the
-        # fundamental-alcove vertices).  Fall back to the lattice points
-        # nearest the midpoint on the line through a and b; when a and b
-        # are already consecutive there, the pair admits no rewrite.
-        return _nearest_on_line(*sorted((a, b)))
-    # Nearest hyperplane crossings on the edge through the midpoint; a
-    # root that moves along the edge is not integral at the midpoint.
-    # Each crossing adds a root independent of the rank-(r-1) family
-    # cutting out the edge, so it is an arrangement vertex.
-    crossings = []
-    for root in rs.positive_roots:
-        speed, value = pairing(direction, root), pairing(mid, root)
-        if speed:
-            crossings += [(m - value) / speed for m in (math.floor(value), math.ceil(value))]
-    forward = min((t for t in crossings if t > 0), default=None)
-    backward = max((t for t in crossings if t < 0), default=None)
-    if forward is None or backward is None or forward != -backward:
-        raise DefectError(f"edge crossings around midpoint {mid} are not symmetric")
-    u, v = sorted(
-        omega_to_vertex(rs, tuple(x + t * dx for x, dx in zip(mid, direction)))
-        for t in (backward, forward)
-    )
-    if tuple(x + y for x, y in zip(u, v)) != tuple(x + y for x, y in zip(a, b)):
-        raise DefectError("midpoint endpoints do not sum to a + b")
-    return u, v
 
 
 def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
@@ -333,16 +226,9 @@ class Rewriter:
         return np.array(rows, dtype=np.int64).reshape(-1, self.rs.rank), reach
 
     def _rule_rows(self) -> np.ndarray:
-        """One rewrite per non-minimal decomposition class, as ``rule_rows``.
-
-        Vertex pairs are grouped by their sum; within a group the pair
-        of smallest coherent weight is the standard form, and every
-        other pair rewrites to it.  In types A and C this reproduces
-        the nearest-vertices-around-the-midpoint rule (the carrier-edge
-        endpoints are the unique weight minimizers); in D4 midpoints
-        can sit on higher-dimensional faces of the arrangement, where
-        the weight minimum is the only canonical choice left.
-        """
+        """One rewrite per non-minimal decomposition class, as ``rule_rows``:
+        vertex pairs are grouped by their sum, and within a group every
+        pair rewrites to the pair of smallest coherent weight."""
         w = self._scaled_weights(self._X, self._reach)
         i, j = np.triu_indices(len(self.vertices))  # the pairs (u, v), u <= v, in order
         sums = self._X[i] + self._X[j]
@@ -557,17 +443,3 @@ def triangulate(
     rewriter = _rewriter(P, budget)
     return rewriter.coordinates(rewriter.simplex_rows()) if flat else rewriter.triangulate()
 
-
-def midpoint_closure_check(rs: RootSystemData, vertex_set) -> bool:
-    """Whether the set is closed under taking midpoint-nearest vertices.
-
-    For vertex sets of convex polytopes this is the alcovedness
-    criterion; convexity itself is the caller's responsibility.
-    """
-    _require_supported(rs)
-    vertices = {tuple(v) for v in vertex_set}
-    for a, b in combinations(sorted(vertices), 2):
-        u, v = midpoint_pair(rs, a, b)
-        if u not in vertices or v not in vertices:
-            return False
-    return True

@@ -13,7 +13,6 @@ only.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -31,6 +30,10 @@ _RANK_RANGE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+
+#: most entries of the |Phi+| x |Phi+| coroot_pairings table that build()
+#: allocates: A_140 fits, A_141 does not
+PAIRING_TABLE_LIMIT = 10**8
 
 
 def _positive_root_count(type_label: str, rank: int) -> int:
@@ -206,10 +209,16 @@ def build(type_label: str, rank: int) -> RootSystemData:
     lo, hi = _RANK_RANGE[type_label]
     if rank < lo or (hi is not None and rank > hi):
         raise UserInputError(f"invalid rank {rank} for type {type_label}")
+    expected = _positive_root_count(type_label, rank)
+    if expected**2 > PAIRING_TABLE_LIMIT:
+        raise UserInputError(
+            f"{type_label}{rank}: the coroot pairing table would have "
+            f"{expected}x{expected} = {expected**2} entries, more than the "
+            f"limit of {PAIRING_TABLE_LIMIT}"
+        )
 
     cartan = _cartan_matrix(type_label, rank)
     positive_roots, coroots = _roots_and_coroots(cartan, rank)
-    expected = _positive_root_count(type_label, rank)
     if len(positive_roots) != expected:
         raise DefectError(
             f"{type_label}{rank}: generated {len(positive_roots)} positive "
@@ -274,21 +283,6 @@ def pairing(coweight, root):
             f"root of length {len(root)}"
         )
     return sum(y * c for y, c in zip(coweight, root))
-
-
-def coroot_coordinates(rs: RootSystemData, coweight) -> tuple:
-    """Coordinates of a coweight in the simple-coroot basis.
-
-    The omega-coordinates of the j-th simple coroot form column j of the
-    Cartan matrix, so this solves ``cartan . x = y`` exactly.
-    """
-    if len(coweight) != rs.rank:
-        raise UserInputError("coweight has wrong length")
-    f = rs.index_of_connection
-    y = [Fraction(v) for v in coweight]
-    return tuple(
-        Fraction(sum(a * v for a, v in zip(row, y)), f) for row in rs.cartan_adjugate
-    )
 
 
 def rho(rs: RootSystemData) -> tuple:

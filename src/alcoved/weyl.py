@@ -334,11 +334,6 @@ def descents(w: WeylElement) -> tuple:
     return (d0,) + tuple(1 if x < 0 else 0 for x in z)
 
 
-def longest_element(W: WeylGroup) -> WeylElement:
-    """The unique element of maximal length."""
-    return W[int(W.length.argmax())]
-
-
 # ---------------------------------------------------------------------------
 # Type A model: permutations of [n] acting on e_i -> e_{w_i}.
 

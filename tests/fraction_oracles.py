@@ -7,14 +7,17 @@ composition and inverse of affine maps ``x -> linear . x + translation``,
 so that tests can check the library's integer tables and walks against
 an independent computation; the positive roots by root strings and the
 coroots from the ``Fraction``-symmetrized Cartan form, against the
-library's one reflection closure; and the Eulerian numbers counted over S_n.
+library's one reflection closure; the Eulerian numbers counted over S_n;
+and the paper's midpoint rewrite rule in types A and C, against the
+weight-minimal rule of ``groebner.Rewriter``.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import ceil, factorial, floor, gcd, lcm
 
 from alcoved.geometry import AffineMap
+from alcoved.rootsys import pairing
 
 
 def mat_vec(m, v) -> tuple:
@@ -166,3 +169,73 @@ def brute_force_eulerian(n: int) -> tuple:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def _kernel_line(rows, n) -> tuple:
+    """A spanning vector of the common kernel of the rows, by Gauss-Jordan
+    elimination; ValueError unless the rows have rank n - 1."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        k = len(pivots)
+        p = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        m[k], m[p] = m[p], m[k]
+        m[k] = [x / m[k][col] for x in m[k]]
+        for i in range(len(m)):
+            factor = m[i][col]
+            if i != k and factor:
+                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
+        pivots.append(col)
+    if len(pivots) != n - 1:
+        raise ValueError(f"the roots cut out a face of dimension {n - len(pivots)}")
+    free = next(col for col in range(n) if col not in pivots)
+    direction = [Fraction(col == free) for col in range(n)]
+    for k, col in enumerate(pivots):
+        direction[col] = -m[k][free]
+    return tuple(direction)
+
+
+def midpoint_pair(rs, a, b) -> tuple:
+    """The paper's rewrite of two distinct arrangement vertices in type A
+    or C: the two vertices nearest their midpoint on the arrangement edge
+    through it, sorted, or the midpoint twice when it is a vertex itself.
+
+    Vertices are in the ``c_i = omega_i / a_i`` basis of ``groebner``.
+    The edge is the common kernel of the roots that are integral at the
+    midpoint; in these types that is always a line, and ValueError says
+    it was not.
+    """
+    if rs.type_label not in ("A", "C"):
+        raise ValueError(f"the midpoint oracle covers types A and C only, not {rs}")
+    a, b = tuple(a), tuple(b)
+    if a == b:
+        raise ValueError("midpoint_pair needs two distinct vertices")
+    if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+        mid = tuple((x + y) // 2 for x, y in zip(a, b))
+        return mid, mid
+    marks = rs.marks
+    mid = tuple(Fraction(x + y, 2 * m) for x, y, m in zip(a, b, marks))
+    integral = [root for root in rs.positive_roots if pairing(mid, root).denominator == 1]
+    direction = _kernel_line(integral, rs.rank)
+    # the nearest hyperplane crossings on either side along the edge
+    crossings = []
+    for root in rs.positive_roots:
+        speed, value = pairing(direction, root), pairing(mid, root)
+        if speed:
+            crossings += [(m - value) / speed for m in (floor(value), ceil(value))]
+    forward = min(t for t in crossings if t > 0)
+    backward = max(t for t in crossings if t < 0)
+    if forward != -backward:
+        raise ValueError(f"edge crossings around the midpoint {mid} are not symmetric")
+    ends = []
+    for t in (backward, forward):
+        end = [(x + t * dx) * m for x, dx, m in zip(mid, direction, marks)]
+        if any(x.denominator != 1 for x in end):
+            raise ValueError(f"edge end {end} is not a vertex")
+        ends.append(tuple(int(x) for x in end))
+    u, v = sorted(ends)
+    if tuple(x + y for x, y in zip(u, v)) != tuple(x + y for x, y in zip(a, b)):
+        raise ValueError("the edge ends do not sum to a + b")
+    return u, v

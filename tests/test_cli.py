@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,13 @@ def test_usage_errors(capsys):
     assert cli.run(["hypersimplex", "--type", "A", "--rank", "2", "--k", "9"]) == 1
     assert cli.run(["info", "--type", "A", "--rank", "2", "--budget", "0"]) == 1
     capsys.readouterr()
+
+
+def test_rank_past_the_pairing_table_limit_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.run(["info", "--type", "A", "--rank", "200"]) == 1
+    assert time.perf_counter() - start < 1
+    assert "404010000 entries" in capsys.readouterr().err
 
 
 def test_k_is_only_for_hypersimplex(capsys):

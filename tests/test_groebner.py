@@ -11,18 +11,15 @@ import numpy as np
 import pytest
 
 import fraction_oracles as oracle
-from alcoved import groebner, polytope
+from alcoved import geometry, groebner, polytope
 from alcoved.errors import BudgetExceededError, DefectError, UserInputError
 from alcoved.groebner import (
     groebner_basis,
     is_standard,
-    midpoint_closure_check,
-    midpoint_pair,
     normal_form,
     omega_to_vertex,
     polytope_vertices,
     triangulate,
-    vertex_to_omega,
 )
 from alcoved.polytope import (
     DEFAULT_POINT_BUDGET,
@@ -50,7 +47,7 @@ def test_vertex_coordinate_roundtrip():
         rng = random.Random(5)
         for _ in range(20):
             v = tuple(rng.randint(-4, 4) for _ in range(r))
-            assert omega_to_vertex(rs, vertex_to_omega(rs, v)) == v
+            assert omega_to_vertex(rs, _fraction_vertex_to_omega(rs, v)) == v
     with pytest.raises(UserInputError):
         omega_to_vertex(build("A", 2), (Fraction(1, 3), Fraction(0)))
 
@@ -105,53 +102,65 @@ def test_d4_slab():
 
 
 def test_rewrites_agree_with_midpoint_rule():
-    for P in (
-        adjacent_star(build("A", 2)),
-        adjacent_star(build("C", 2)),
-        hypersimplex(build("A", 3), 2),
-    ):
-        rs = P.rs
-        for binomial in groebner_basis(P):
-            expected = frozenset(midpoint_pair(rs, *binomial.lead))
-            assert frozenset(binomial.trail) == expected
+    # in types A and C the weight-minimal pair of each sum class is the
+    # paper's midpoint pair, for every pair of vertices of P
+    cases = [
+        (adjacent_star(build("A", 2)), None),
+        (adjacent_star(build("C", 2)), None),
+        (hypersimplex(build("A", 3), 2), 2),
+        # the A and C specs of the bench triangulate workload
+        (_box("A", 2, 0, 4), 244),
+        (_box("A", 2, 0, 6), 1056),
+        (_box("C", 2, 0, 3), 315),
+        (_box("C", 2, 0, 4), 882),
+        (_box("A", 3, 0, 2), 253),
+        (_box("A", 4, 0, 1), 55),
+        (_box("C", 3, 0, 1), 96),
+    ]
+    for P, count in cases:
+        rules = groebner.Rewriter(P).rules
+        assert count is None or len(rules) == count
+        for lead in itertools.combinations(polytope_vertices(P), 2):
+            expected = oracle.midpoint_pair(P.rs, *lead)
+            assert set(rules.get(lead, lead)) == set(expected), lead
 
 
 def test_midpoint_pair_invariants():
-    rs = build("C", 2)
+    # every midpoint in types A and C has a carrier edge (the oracle
+    # raises otherwise), and its ends sum to a + b
     rng = random.Random(17)
-    for _ in range(100):
-        a = tuple(rng.randint(-5, 5) for _ in range(2))
-        b = tuple(rng.randint(-5, 5) for _ in range(2))
-        if a == b:
-            continue
-        u, v = midpoint_pair(rs, a, b)
-        assert tuple(x + y for x, y in zip(u, v)) == tuple(
-            x + y for x, y in zip(a, b)
-        )
-        if all((x + y) % 2 == 0 for x, y in zip(a, b)):
-            assert u == v
-
-
-def test_midpoint_closure_of_fundamental_vertices():
-    for t, r in (("A", 3), ("C", 2)):
+    for t, r in [("A", r) for r in range(1, 5)] + [("C", r) for r in range(2, 5)]:
         rs = build(t, r)
-        vertices = [(0,) * r] + [
-            tuple(1 if i == j else 0 for j in range(r)) for i in range(r)
-        ]
-        assert midpoint_closure_check(rs, vertices)
+        for _ in range(100):
+            a = tuple(rng.randint(-5, 5) for _ in range(r))
+            b = tuple(rng.randint(-5, 5) for _ in range(r))
+            if a == b:
+                continue
+            u, v = oracle.midpoint_pair(rs, a, b)
+            assert tuple(x + y for x, y in zip(u, v)) == tuple(
+                x + y for x, y in zip(a, b)
+            )
+            if all((x + y) % 2 == 0 for x, y in zip(a, b)):
+                assert u == v
 
 
-def test_d4_fundamental_simplex_is_not_midpoint_closed():
-    # the midpoint of two outer vertices of the fundamental alcove lies
-    # on an arrangement edge through the origin, so the nearest-vertex
-    # pair {0, c_i + c_j} escapes the simplex
-    rs = build("D", 4)
-    vertices = [(0,) * 4] + [
-        tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
-    ]
-    assert not midpoint_closure_check(rs, vertices)
-    u, v = midpoint_pair(rs, (1, 0, 0, 0), (0, 1, 0, 0))
-    assert {u, v} == {(0, 0, 0, 0), (1, 1, 0, 0)}
+def test_vertex_lattice_points_are_arrangement_vertices():
+    # the span of the library's vertex-lattice basis is taken to be the set
+    # of arrangement vertices: sampled points of it must reduce onto a
+    # fundamental-alcove vertex
+    systems = [("A", r) for r in range(1, 9)] + [("C", r) for r in range(2, 7)]
+    for t, r in systems + [("D", 4)]:
+        rs = build(t, r)
+        d, B, _, _ = groebner._vertex_lattice(rs)
+        rng = random.Random(20240 + r)
+        fundamental = {
+            omega_to_vertex(rs, p) for p in groebner._fundamental_vertices(rs)
+        }
+        for _ in range(20):
+            vertex = tuple(rng.randint(-3, 3) for _ in range(r))
+            omega = tuple(Fraction(int(x), d) for x in B @ vertex)
+            _, image = geometry.reduce_to_fundamental(rs, omega)
+            assert omega_to_vertex(rs, image) in fundamental, (rs, vertex)
 
 
 def test_normal_forms_are_standard_and_confluent():
@@ -182,8 +191,8 @@ def test_standard_pairs_fit_in_one_alcove():
         for v in rewriter.vertices:
             if not is_standard(P, tuple(sorted((u, v)))):
                 continue
-            pu = vertex_to_omega(rs, u)
-            pv = vertex_to_omega(rs, v)
+            pu = _fraction_vertex_to_omega(rs, u)
+            pv = _fraction_vertex_to_omega(rs, v)
             for root in rs.positive_roots:
                 lo = min(pairing(pu, root), pairing(pv, root))
                 hi = max(pairing(pu, root), pairing(pv, root))
@@ -281,9 +290,7 @@ def test_vertex_lattice_tables_agree_with_fraction_oracle():
         for top in (4, 10**15):
             for _ in range(25):
                 v = tuple(rng.randint(-top, top) for _ in range(r))
-                omega = vertex_to_omega(rs, v)
-                assert omega == _fraction_vertex_to_omega(rs, v)
-                assert all(type(x) is Fraction for x in omega)
+                omega = _fraction_vertex_to_omega(rs, v)
                 assert omega_to_vertex(rs, omega) == v
                 # a point off the lattice, or not even a coweight
                 for den in (2, 3, 4, 6):

@@ -9,7 +9,7 @@ import fraction_oracles as oracle
 from alcoved import rootsys
 from alcoved.errors import DefectError, UserInputError
 from alcoved.polytope import adjacent_star
-from alcoved.rootsys import build, coroot_coordinates, pairing, rho, weyl_order
+from alcoved.rootsys import build, pairing, rho, weyl_order
 
 
 def test_cartan_matrices_small_types():
@@ -113,17 +113,6 @@ def test_pairing_is_the_plain_dot_product():
     assert pairing(omega_1, rs.theta) == rs.marks[0]
 
 
-def test_coroot_coordinates_invert_the_cartan_matrix():
-    for t, r in (("A", 3), ("B", 3), ("C", 2), ("D", 4), ("G", 2)):
-        rs = build(t, r)
-        for j in range(r):
-            # column j of the Cartan matrix is the coweight vector of
-            # the j-th simple coroot
-            col = tuple(rs.cartan[i][j] for i in range(r))
-            coords = coroot_coordinates(rs, col)
-            assert coords == tuple(1 if i == j else 0 for i in range(r))
-
-
 def test_coroot_covector_of_simple_roots():
     rs = build("B", 3)
     for j, alpha in enumerate(rs.simple_roots):
@@ -194,6 +183,21 @@ def test_a_coroot_that_does_not_pair_to_two_raises(monkeypatch):
     monkeypatch.setattr(rootsys, "_roots_and_coroots", corrupted)
     with pytest.raises(DefectError, match="pair to 2"):
         build.__wrapped__("B", 3)  # past the cache
+
+
+def test_pairing_table_limit_is_checked_before_the_closure(monkeypatch):
+    def unreachable(cartan, rank):
+        raise AssertionError("the closure ran past the table limit")
+
+    monkeypatch.setattr(rootsys, "_roots_and_coroots", unreachable)
+    with pytest.raises(UserInputError, match="10011x10011 = 100220121 .* 100000000"):
+        build("A", 141)
+    monkeypatch.undo()
+    # at the limit a table builds, one root more is refused
+    monkeypatch.setattr(rootsys, "PAIRING_TABLE_LIMIT", 36)
+    assert len(build.__wrapped__("A", 3).coroot_pairings) == 6  # past the cache
+    with pytest.raises(UserInputError, match="100 entries"):
+        build.__wrapped__("A", 4)
 
 
 def test_rho_pairs_to_one_with_simple_coroots():
