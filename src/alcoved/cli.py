@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 user error, 2 violated mathematical identity,
-3 budget exhausted: --budget bounds the Weyl group enumeration and the box
-and vertex scans, and selfcheck also exits 3 when its random polytope
-draws run out.
+3 budget exhausted: --budget bounds the Weyl group enumeration, the box
+and vertex scans and the table of vertex pairs, and selfcheck also exits
+3 when its random polytope draws run out.
 """
 
 import argparse

@@ -40,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from . import polytope as polytope_mod
-from .errors import DefectError, UserInputError
+from .errors import BudgetExceededError, DefectError, UserInputError
 from .polytope import _INT64_HEADROOM, DEFAULT_POINT_BUDGET, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
@@ -192,7 +192,7 @@ class Rewriter:
         _require_supported(P.rs)
         self.P = P
         self.rs = P.rs
-        self.budget = budget  # bounds the vertex scan and the check's volume scan
+        self.budget = budget  # bounds the vertex scan, pair table and check's volume scan
         self.vertices = polytope_vertices(P, budget)
         # Weights and check use pairings times denom, v @ G, taken from the
         # vertex of P's lower simple bounds, with the bounds moved to match.
@@ -228,9 +228,15 @@ class Rewriter:
     def _rule_rows(self) -> np.ndarray:
         """One rewrite per non-minimal decomposition class, as ``rule_rows``:
         vertex pairs are grouped by their sum, and within a group every
-        pair rewrites to the pair of smallest coherent weight."""
+        pair rewrites to the pair of smallest coherent weight.  Raises
+        BudgetExceededError before building the table when the vertices
+        have more than ``budget`` pairs."""
+        n = len(self.vertices)
+        pairs = n * (n + 1) // 2
+        if pairs > self.budget:
+            raise BudgetExceededError(f"{pairs} vertex pairs exceed budget {self.budget}")
         w = self._scaled_weights(self._X, self._reach)
-        i, j = np.triu_indices(len(self.vertices))  # the pairs (u, v), u <= v, in order
+        i, j = np.triu_indices(n)  # the pairs (u, v), u <= v, in order
         sums = self._X[i] + self._X[j]
         # by sum, then weight, then (stable) pair: a group's first pair is its best
         order = np.lexsort((w[i] + w[j], *sums.T))
@@ -439,7 +445,8 @@ def triangulate(
     with ``flat``, each simplex as the list of its vertices' coordinates.
 
     Raises BudgetExceededError when the vertex scan or the check's
-    volume scan has more than ``budget`` box points."""
+    volume scan has more than ``budget`` box points, or the vertices
+    more than ``budget`` pairs."""
     rewriter = _rewriter(P, budget)
     return rewriter.coordinates(rewriter.simplex_rows()) if flat else rewriter.triangulate()
 

@@ -11,8 +11,10 @@ pairing has passed its upper bound or can no longer reach its lower one;
 a volume scan drops the points on a wall as each pairing becomes final.
 The families sliced along theta (the hypersimplices of the parallelepiped
 and the thick hypersimplices of a box) are read off one scan per box.
-Only a box whose widths could take a pairing past int64 is refused, so
-every count is exact or raises.
+A scan runs in int16, int32 or int64, whichever is the narrowest to hold
+twice the largest pairing over its translated box, and yields int64
+points.  Only a box whose widths could take a pairing to 2^62 is
+refused, so every count is exact or raises.
 The volume identity Vol(P) = sum over W/C of #(P_(w) ∩ L) stays a check
 of two different scans: central points at scale h on the left, and on
 the right the lattice points of P at scale 1, each counted for the cosets
@@ -105,20 +107,21 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
 
 
 _INT64_HEADROOM = 2**62
-_CHUNK_CELLS = 1 << 26  # int64 cells of one candidate block, 0.5 GB
+_CHUNK_CELLS = 1 << 26  # cells per candidate block: 128 MB in int16, 0.5 GB in int64
 
 
 def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
     """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
-    every bound ``(k, K)`` of P, in int64 after a translation; with
-    ``walls``, only those with no pairing divisible by ``scale``.
+    every bound ``(k, K)`` of P, after a translation; with ``walls``,
+    only those with no pairing divisible by ``scale``.
 
     Returns ``(offset, chunks)``: ``offset`` is ``scale`` times the
     coweight of P's lower simple bounds, and ``chunks`` yields int64
     arrays of ``y - offset``, one row per point, in lexicographic order
     of y.  The scan runs over the box ``[0, (K_i - k_i)*scale]`` with
-    every root bound shifted by ``(offset, a)``, so int64 only holds box
-    pairings; the offset is a multiple of ``scale``, so the shifted
+    every root bound shifted by ``(offset, a)``, so the kernel only holds
+    box pairings, in the narrowest integer type that their ``reach``
+    allows; the offset is a multiple of ``scale``, so the shifted
     pairings keep their residues.  Raises UserInputError when one could
     reach 2^62 (a wrapped int64 would give a wrong count silently) and
     BudgetExceededError when the box has more than ``budget`` points.
@@ -140,43 +143,56 @@ def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
         raise BudgetExceededError(
             f"box of {total} candidate points exceeds budget {budget}"
         )
-    lo, hi = _shifted_bounds(P, offset, scale)
+    lo, hi = _shifted_bounds(P, offset, scale, reach + 1)
     wall = scale if walls else 0
-    return offset, _layers(rs, widths, lo, hi, wall, _CHUNK_CELLS // len(lo))
+    return offset, _layers(rs, widths, reach, lo, hi, wall, _CHUNK_CELLS // len(lo))
 
 
-def _shifted_bounds(P: AlcovedPolytope, offset, scale: int) -> tuple:
-    """P's bounds times ``scale`` less ``(offset, a)`` as int64 ``(lo, hi)``,
-    clipped to ``[-1, 2^62]``: box pairings lie in ``[0, 2^62)``, so the
-    clip keeps every comparison and fits any bound of a directly built P."""
+def _shifted_bounds(P: AlcovedPolytope, offset, scale: int, top: int) -> tuple:
+    """P's bounds times ``scale`` less ``(offset, a)``, as lists ``(lo, hi)``
+    clipped to ``[-1, top]``.  Box pairings lie in ``[0, top)`` for a
+    ``top`` past the box's reach, so the clip keeps every comparison and
+    fits the bounds into the scan's integer type."""
     base = [sum(map(operator.mul, offset, root)) for root in P.rs.positive_roots]
-    shifted = [
-        [min(max(b * scale - o, -1), _INT64_HEADROOM) for b in bound]
-        for bound, o in zip(P.bounds, base)
-    ]
-    return np.array(shifted, dtype=np.int64).T
+    return tuple(
+        [min(max(b * scale - o, -1), top) for b, o in zip(side, base)]
+        for side in zip(*P.bounds)
+    )
 
 
-def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
+def _scan_dtype(reach: int):
+    """The narrowest of int16, int32 and int64 with room for twice ``reach``:
+    a scan's pairings lie in ``[0, reach]``, its bounds and floors in
+    ``[-reach - 1, reach + 1]``."""
+    if reach < 2**14:
+        return np.int16
+    return np.int32 if reach < 2**30 else np.int64
+
+
+def _layers(rs, widths, reach: int, lo, hi, wall: int, chunk_rows: int):
     """The points of the box ``[0, widths]`` with pairings in ``[lo, hi]``
-    and, for ``wall > 0``, none divisible by it, as row blocks in
+    and, for ``wall > 0``, none divisible by it, as int64 row blocks in
     lexicographic order.
 
-    Coordinates and root coefficients are nonnegative, so pairings only
-    grow: a prefix dies once a pairing passes ``hi`` or the most the
-    later coordinates can add leaves it below ``lo``.  Past the first
-    coordinate only the pairings that coordinate j moves are tested
-    again, and only the surviving candidates are built.  A pairing is
-    final, and tested for a wall, at the last simple root of its
-    support.  A block whose extension would pass ``chunk_rows`` rows is
-    extended in parts (single prefixes and runs of values if need be), in
-    order, one candidate block at a time.
+    Every pairing, bound and candidate is held in ``_scan_dtype(reach)``:
+    the bounds must lie in ``[-1, reach + 1]`` and the box pairings lie
+    in ``[0, reach]``.  Coordinates and root coefficients are
+    nonnegative, so pairings only grow: a prefix dies once a pairing
+    passes ``hi`` or the most the later coordinates can add leaves it
+    below ``lo``.  Past the first coordinate only the pairings that
+    coordinate j moves are tested again, and only the surviving
+    candidates are built.  A pairing is final, and tested for a wall, at
+    the last simple root of its support.  A block whose extension would
+    pass ``chunk_rows`` rows is extended in parts (single prefixes and
+    runs of values if need be), in order, one candidate block at a time.
     """
-    roots, simple = rs.root_array, list(rs.simple_index)
-    most = roots * np.array(widths, dtype=np.int64)  # the most each coordinate adds
-    later = most[:, ::-1].cumsum(axis=1)[:, ::-1] - most
+    dtype = _scan_dtype(reach)
+    roots, simple = rs.root_arrays[dtype], list(rs.simple_index)
+    lo, hi = np.array((lo, hi), dtype=dtype)
+    most = roots * np.array(widths, dtype=dtype)  # the most each coordinate adds
+    later = most[:, ::-1].cumsum(axis=1, dtype=dtype)[:, ::-1] - most
     floors = (lo[:, None] - later).T  # floors[j]: least partial pairing after j
-    moved = [np.arange(len(lo))] + [np.flatnonzero(c) for c in roots.T[1:]]
+    moved = (np.arange(len(lo)), *rs.column_support[1:])
 
     def extend(block, j):
         tested = moved[j]
@@ -186,7 +202,7 @@ def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
         size, span = max(1, chunk_rows // count), min(count, chunk_rows)
         parts = itertools.product(range(0, len(block), size), range(0, count, span))
         for start, first in parts:
-            values = np.arange(first, min(first + span, count), dtype=np.int64)
+            values = np.arange(first, min(first + span, count), dtype=dtype)
             rows = block[start : start + size]
             cand = rows[:, None, tested] + values[:, None] * roots[tested, j]
             alive = (cand <= hi[tested]).all(axis=2)
@@ -202,11 +218,11 @@ def _layers(rs, widths, lo, hi, wall: int, chunk_rows: int):
             grown = rows[row][:, columns]
             grown += values[value, None] * roots[columns, j]
             if last:
-                yield grown
+                yield grown.astype(np.int64)
             elif len(grown):
                 yield from extend(grown, j + 1)
 
-    return extend(np.zeros((1, len(lo)), dtype=np.int64), 0)
+    return extend(np.zeros((1, len(lo)), dtype=dtype), 0)
 
 
 def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
@@ -280,7 +296,7 @@ def volume_identity_check(
     forbidden = np.hstack([inverted, ~inverted]).T  # the roots each side may not meet
     per_coset = np.zeros(len(reps), dtype=np.int64)
     offset, chunks = _scan(P, 1, budget)
-    lo, hi = _shifted_bounds(P, offset, 1)
+    lo, hi = np.array(_shifted_bounds(P, offset, 1, _INT64_HEADROOM), dtype=np.int64)
     step = max(1, _CHUNK_CELLS // len(reps))  # patterns x reps cells per product
     for ys in chunks:
         pairings = ys @ rs.root_array.T

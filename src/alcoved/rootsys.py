@@ -64,8 +64,10 @@ class RootSystemData:
     omega-coordinates of ``theta^vee``.
 
     The array tables are read-only: ``root_array`` holds the positive
-    roots as int64 rows and ``simple_index[j]`` is the row of alpha_j.
-    ``column_final[j]`` lists the rows whose last simple root is alpha_j.
+    roots as int64 rows, ``root_arrays`` the same rows by dtype (int16,
+    int32 and int64), and ``simple_index[j]`` is the row of alpha_j.
+    ``column_support[j]`` lists the rows with alpha_j in their support,
+    ``column_final[j]`` those whose last simple root is alpha_j.
     """
 
     type_label: str
@@ -80,7 +82,9 @@ class RootSystemData:
     cartan_adjugate: tuple = field(compare=False)  # these are determined by the rest
     coroot_pairings: tuple = field(compare=False)
     root_array: np.ndarray = field(compare=False)
+    root_arrays: dict = field(compare=False)
     simple_index: tuple = field(compare=False)
+    column_support: tuple = field(compare=False)
     column_final: tuple = field(compare=False)
 
     def __post_init__(self):
@@ -243,9 +247,12 @@ def build(type_label: str, rank: int) -> RootSystemData:
     if (np.diagonal(pairings) != 2).any():
         raise DefectError("a positive root does not pair to 2 with its coroot")
     coroot_pairings = tuple(map(tuple, pairings.tolist()))
+    dtypes = (np.int16, np.int32, np.int64)
+    root_arrays = {t: root_array.astype(t, copy=False) for t in dtypes}
+    column_support = tuple(map(np.flatnonzero, root_array.T))
     last = rank - 1 - np.argmax(root_array[:, ::-1] > 0, axis=1)
     column_final = tuple(np.flatnonzero(last == j) for j in range(rank))
-    for table in (root_array, *column_final):
+    for table in (root_array, *root_arrays.values(), *column_support, *column_final):
         table.flags.writeable = False
     simple_index = tuple(
         positive_roots.index(tuple(int(i == j) for j in range(rank))) for i in range(rank)
@@ -266,7 +273,9 @@ def build(type_label: str, rank: int) -> RootSystemData:
         cartan_adjugate=adjugate,
         coroot_pairings=coroot_pairings,
         root_array=root_array,
+        root_arrays=root_arrays,
         simple_index=simple_index,
+        column_support=column_support,
         column_final=column_final,
     )
 

@@ -336,6 +336,26 @@ def test_triangulate_and_groebner_obey_budget(tmp_path, capsys):
     assert "729" in capsys.readouterr().err
 
 
+def test_vertex_pairs_past_the_budget_exit_3_at_once(tmp_path, capsys):
+    # A1 0..20000: the 20,001 vertices fit the default budget of 10^8, their
+    # 200,030,001 pairs do not, and the pair table is refused before it is built
+    rs = rootsys.build("A", 1)
+    path = _write_spec(tmp_path, rs, [((1,), 0, 20000)])
+    for cmd in ("triangulate", "groebner"):
+        start = time.perf_counter()
+        assert cli.run([cmd, "--spec", path]) == 3
+        assert time.perf_counter() - start < 5
+        assert "200030001 vertex pairs exceed budget 100000000" in capsys.readouterr().err
+    # the bench triangulate specs stay within the default budget
+    for t, r, hi in (("A", 2, 4), ("A", 2, 6), ("C", 2, 3), ("C", 2, 4),
+                     ("A", 3, 2), ("A", 4, 1), ("C", 3, 1)):
+        rs = rootsys.build(t, r)
+        path = _write_spec(tmp_path, rs, [(s, 0, hi) for s in rs.simple_roots])
+        assert cli.run(["triangulate", "--spec", path]) == 0
+        assert cli.run(["groebner", "--spec", path]) == 0
+    capsys.readouterr()
+
+
 # -- the emit oracle ---------------------------------------------------------
 def _oracle_rows(table):
     """A table's rows as nested lists: its form with the ints of each row

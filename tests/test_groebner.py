@@ -647,6 +647,16 @@ def test_budget_bounds_vertex_scan_and_check():
     assert triangulate(P, 729) == simplices
 
 
+def test_budget_bounds_the_vertex_pair_table(monkeypatch):
+    # A1 0..3: 4 vertices and 10 pairs; the scans need 4 and 7 points
+    P = make_polytope(build("A", 1), [((1,), 0, 3)])
+    assert len(triangulate(P, 10)) == 3
+    monkeypatch.setattr(np, "triu_indices", None)  # refused before the table
+    for build_rules in (triangulate, groebner_basis):
+        with pytest.raises(BudgetExceededError, match="^10 vertex pairs exceed budget 9"):
+            build_rules(P, 9)
+
+
 def test_vertex_scan_defaults_to_the_point_budget(monkeypatch):
     scan, budgets = polytope._scan, []
 

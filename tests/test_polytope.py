@@ -434,7 +434,10 @@ def _assert_scans_agree(P):
     assert lattice_point_count(P) == expected
 
 
-def test_scans_agree_with_untranslated_masks():
+def _mask_cases():
+    """Wide, far and unit boxes with random cuts on non-simple roots, some
+    of them empty, then the first E6 slices, where the scan prunes nearly
+    all of the 13^6 box."""
     rng = random.Random(31)
     wide = ((-2, 0), (5, 7), (10**12, 10**12 + 1))
     unit = ((-1, 0), (5, 6), (10**12, 10**12 + 1))  # rank 4 and 5 boxes
@@ -446,29 +449,54 @@ def test_scans_agree_with_untranslated_masks():
         inner = [root for root in rs.positive_roots if sum(root) > 1]
         for lo, hi in boxes:
             cons = [(s, lo, hi) for s in rs.simple_roots]
-            # random cuts on non-simple roots, some of them empty
             for root in rng.sample(inner, min(2, len(inner))):
                 top = sum(root) * lo + rng.randint(0, sum(root) * (hi - lo))
                 cons.append((root, top, top + rng.randint(0, 2)))
-            for P in (make_polytope(rs, cons[:r]), make_polytope(rs, cons)):
-                _assert_scans_agree(P)
-    # the first E6 slices: the scan prunes nearly all of the 13^6 box
+            yield make_polytope(rs, cons[:r])
+            yield make_polytope(rs, cons)
     rs = build("E", 6)
     for k in (1, 2):
-        _assert_scans_agree(hypersimplex(rs, k))
+        yield hypersimplex(rs, k)
+
+
+def test_scans_agree_with_untranslated_masks():
+    for P in _mask_cases():
+        _assert_scans_agree(P)
+
+
+def test_scan_dtype_boundary_on_a1_boxes(monkeypatch):
+    # at h = 2 the A1 boxes 0..8191 and 0..8192 reach 16,382 and 16,384, on
+    # either side of 2^14: an int16 and an int32 scan against the masks
+    natural, reaches = polytope._scan_dtype, []
+
+    def recorded(reach):
+        reaches.append(reach)
+        return natural(reach)
+
+    monkeypatch.setattr(polytope, "_scan_dtype", recorded)
+    rs = build("A", 1)
+    for top in (8191, 8192):
+        _assert_scans_agree(make_polytope(rs, [((1,), 0, top)]))
+    assert reaches == [16382, 16382, 8191, 16384, 16384, 8192]
+    tops = (2**14 - 1, 2**14, 2**30 - 1, 2**30, 2**62 - 1)
+    expected = [np.int16, np.int32, np.int32, np.int64, np.int64]
+    assert [natural(top) for top in tops] == expected
+
+
+def _chunk_samples():
+    return [
+        make_polytope(build("B", 4), [(s, -1, 0) for s in build("B", 4).simple_roots]),
+        hypersimplex(build("F", 4), 3),
+        thick_hypersimplex(build("C", 3), (2, 1, 2), 2, 5),
+        make_polytope(build("A", 2), [((1, 0), 10**12, 10**12 + 2), ((0, 1), 0, 1)]),
+    ]
 
 
 def test_scan_in_small_chunks_keeps_rows_and_order(monkeypatch):
     # a block whose extension would pass 7 rows is extended in parts,
     # splitting the 9 values of a B4 coordinate too; the parts, joined,
     # are the rows of the unsplit scan in the same order
-    samples = [
-        make_polytope(build("B", 4), [(s, -1, 0) for s in build("B", 4).simple_roots]),
-        hypersimplex(build("F", 4), 3),
-        thick_hypersimplex(build("C", 3), (2, 1, 2), 2, 5),
-        make_polytope(build("A", 2), [((1, 0), 10**12, 10**12 + 2), ((0, 1), 0, 1)]),
-    ]
-    for P in samples:
+    for P in _chunk_samples():
         h = P.rs.h_star
         for scale, walls in ((h, True), (h, False), (1, False)):
             offset, chunks = polytope._scan(P, scale, 10**8, walls)
@@ -484,6 +512,33 @@ def test_scan_in_small_chunks_keeps_rows_and_order(monkeypatch):
             joined = np.concatenate(parts)
             assert joined.dtype == np.int64
             assert np.array_equal(joined, whole[0])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_every_scan_dtype_gives_the_same_rows(monkeypatch, dtype):
+    # these scans run in int16; forced into a wider type, each yields the
+    # same int64 rows, in the same blocks and order, from the same offset
+    natural, chosen = polytope._scan_dtype, set()
+
+    def recorded(reach):
+        chosen.add(natural(reach))
+        return natural(reach)
+
+    for P in [*_chunk_samples(), *_mask_cases()]:
+        h = P.rs.h_star
+        for scale, walls in ((h, True), (h, False), (1, False)):
+            monkeypatch.setattr(polytope, "_scan_dtype", recorded)
+            offset, chunks = polytope._scan(P, scale, 10**8, walls)
+            rows = list(chunks)
+            monkeypatch.setattr(polytope, "_scan_dtype", lambda reach: dtype)
+            wide_offset, wide = polytope._scan(P, scale, 10**8, walls)
+            wide = list(wide)
+            assert wide_offset == offset
+            assert len(wide) == len(rows)
+            for block, wide_block in zip(rows, wide):
+                assert block.dtype == wide_block.dtype == np.int64
+                assert np.array_equal(block, wide_block)
+    assert chosen == {np.int16}
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fraction_oracles as oracle
@@ -155,6 +156,12 @@ def test_build_matches_the_root_string_and_symmetrized_oracles(t, r):
     inverse = oracle.mat_inv(rs.cartan)
     assert rs.cartan_adjugate == tuple(tuple(f * x for x in row) for row in inverse)
     assert rs.root_array.tolist() == [list(root) for root in roots]
+    assert list(rs.root_arrays) == [np.int16, np.int32, np.int64]
+    for dtype, array in rs.root_arrays.items():
+        assert array.dtype == dtype and array.tolist() == rs.root_array.tolist()
+    assert [c.tolist() for c in rs.column_support] == [
+        [k for k, root in enumerate(roots) if root[i]] for i in range(r)
+    ]
     assert rs.simple_index == tuple(roots.index(alpha) for alpha in simple)
     assert [c.tolist() for c in rs.column_final] == [
         [k for k, j in enumerate(last) if j == i] for i in range(r)
