@@ -25,7 +25,7 @@ from .polytope import (
     volume_identity_check,
 )
 from .rootsys import RootSystemData, build, weyl_order
-from .statistics import cdes, cmaj, group_C, qweyl_check
+from .statistics import group_C, qweyl_check
 from .weyl import enumerate_weyl
 
 __version__ = "0.1.0"
@@ -42,9 +42,7 @@ __all__ = [
     "adjacent_star",
     "alcove_of",
     "build",
-    "cdes",
     "cli",
-    "cmaj",
     "enumerate_weyl",
     "geometry",
     "groebner",

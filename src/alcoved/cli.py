@@ -9,6 +9,7 @@ and vertex scans and the table of vertex pairs, and selfcheck also exits
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry, groebner, polytope, rootsys, statistics, weyl
+from . import groebner, polytope, rootsys, statistics, weyl
 from .errors import BudgetExceededError, DefectError, UserInputError
 
 DEFAULT_SELFCHECK_SEED = 20240521
@@ -260,22 +261,24 @@ def _cmd_cross_table(args) -> dict:
 
 
 def _random_polytope(rs, rng, budget):
-    """A nonempty random polytope with simple-root bounds in [-2, 2] and
-    volume at most _MAX_DRAWN_VOLUME, whose scan fits ``budget``.
-    Raises BudgetExceededError when no draw of _DRAWS does."""
+    """A random box with simple-root bounds in [-2, 2] and volume at most
+    _MAX_DRAWN_VOLUME, whose volume scan fits ``budget``.  Raises
+    BudgetExceededError when no draw of _DRAWS does.
+
+    A draw is judged without a scan: a box of widths ``K_i - k_i >= 1``
+    holds ``prod(K_i - k_i)`` copies of the parallelepiped, of volume
+    ``|W| / f``, and its volume scan at scale h has
+    ``prod((K_i - k_i) * h + 1)`` points."""
+    cell = rootsys.weyl_order(rs) // rs.index_of_connection
     for _ in range(_DRAWS):
         cons = []
         for root in rs.simple_roots:
             lo = rng.randint(-2, 1)
             cons.append((root, lo, rng.randint(lo + 1, 2)))
-        P = polytope.make_polytope(rs, cons)
-        if P.is_empty:
-            continue
-        try:
-            if 0 < polytope.volume(P, budget=budget) <= _MAX_DRAWN_VOLUME:
-                return P
-        except BudgetExceededError:
-            continue
+        widths = [hi - lo for _, lo, hi in cons]
+        points = math.prod(w * rs.h_star + 1 for w in widths)
+        if cell * math.prod(widths) <= _MAX_DRAWN_VOLUME and points <= budget:
+            return polytope.make_polytope(rs, cons)
     raise BudgetExceededError(
         f"none of {_DRAWS} random polytopes of {rs.type_label}{rs.rank} has volume "
         f"1..{_MAX_DRAWN_VOLUME} with a scan within budget {budget}"

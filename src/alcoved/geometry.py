@@ -6,7 +6,10 @@ stored as integer omega-vectors ``y`` with the implicit denominator
 ``h_star`` and keep their pairings with the positive roots.  The walk
 to neighbouring alcoves and the reduction into the fundamental alcove
 run in integers too; ``Fraction`` appears only in a reduction's input
-and image.
+and image.  The central point of the fundamental alcove A_o is
+``CentralPoint(rs, rho(rs))``, and that of ``w(A_o)`` is
+``CentralPoint(rs, w.inverse().z)``, since ``w(rho)`` is the ``z`` of
+``w^-1``.
 """
 
 import math
@@ -50,11 +53,6 @@ class CentralPoint:
                 )
         object.__setattr__(self, "pairings", pairings)
 
-    def omega_point(self) -> tuple:
-        """Exact rational omega-coordinates of the point."""
-        h = self.rs.h_star
-        return tuple(Fraction(v, h) for v in self.y)
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -70,21 +68,10 @@ class AffineMap:
         )
 
 
-def fundamental_central_point(rs: RootSystemData) -> CentralPoint:
-    """rho / h_star, the central point of the fundamental alcove."""
-    return CentralPoint(rs, rho(rs))
-
-
 def alcove_of(point: CentralPoint) -> Alcove:
     """The m-vector of the alcove containing the central point."""
     h = point.rs.h_star
     return Alcove(point.rs, tuple(v // h for v in point.pairings))
-
-
-def weyl_alcove(w) -> CentralPoint:
-    """Central point of w(A_o)."""
-    y = w.act_on_coweight(rho(w.rs))
-    return CentralPoint(w.rs, tuple(int(v) for v in y))
 
 
 def _trusted_point(rs: RootSystemData, y: tuple, pairings: tuple) -> CentralPoint:

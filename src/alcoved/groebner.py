@@ -91,12 +91,14 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
 def _alcove_index(rs: RootSystemData) -> int:
     """Normalized volume of one alcove with respect to the vertex lattice.
 
-    1 in types A and C.  In D4 the vertex lattice is twice as fine as
-    the span of the fundamental-alcove vertices, so each alcove has
-    normalized volume 2.
+    The fundamental alcove has the vertices 0 and ``c_i = omega_i / a_i``,
+    whose vertex coordinates are ``M e_i / (q a_i)``, so its index is
+    ``|det M| / (q^r a_1 ... a_r)``.  That is 1 in types A and C.  In D4
+    the vertex lattice is twice as fine as the span of the c_i, so each
+    alcove has normalized volume 2.
     """
-    corners = np.array([omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)])
-    return abs(int(_exact_dets((corners[1:] - corners[0])[None])[0]))
+    _, _, q, M = _vertex_lattice(rs)
+    return abs(int(_exact_dets(M[None])[0])) // (q**rs.rank * math.prod(rs.marks))
 
 
 def omega_to_vertex(rs: RootSystemData, point) -> tuple:
@@ -134,14 +136,6 @@ def _exact_dets(M: np.ndarray) -> np.ndarray:
         rest[...] = (M[:, k, k, None, None] * rest - column * row) // prev
         prev = (M[:, k, k] + (M[:, k, k] == 0))[:, None, None]  # no pivot: rest is 0
     return sign * M[:, -1, -1]
-
-
-@lru_cache(maxsize=None)
-def _fundamental_vertices(rs: RootSystemData) -> tuple:
-    """Vertices of the closed fundamental alcove, 0 and c_i, in omega coords."""
-    zero = (Fraction(0),) * rs.rank
-    c = (zero[:i] + (Fraction(1, a),) + zero[i + 1 :] for i, a in enumerate(rs.marks))
-    return (zero, *c)
 
 
 def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:

@@ -105,12 +105,6 @@ class RootSystemData:
         except KeyError:
             raise UserInputError(f"{root} is not a positive root of {self}") from None
 
-    def coroot_covector(self, root) -> tuple:
-        """Fundamental-coweight coordinates of the coroot of a positive
-        root: its pairings with the simple roots."""
-        row = self.coroot_pairings[self.root_index(root)]
-        return tuple(row[i] for i in self.simple_index)
-
     def __hash__(self):
         # type and rank determine the rest; hashing every compared field
         # would rehash all the nested tuples on each cache lookup

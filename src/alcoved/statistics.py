@@ -1,8 +1,11 @@
 """Circular descent statistics, the group C, and the q-Weyl identity.
 
-Polynomials in q are dense integer coefficient tuples (degrees stay
-below ``h_star * rank``); elements of the group algebra over the
-coweight-mod-coroot quotient map coset classes to such polynomials.
+The statistics are the tables of an enumerated :class:`WeylGroup`:
+``W.descents``, ``W.cdes``, ``W.delta_class`` and ``W.cmaj``, read here
+by the whole-group checks.  Polynomials in q are dense integer
+coefficient tuples (degrees stay below ``h_star * rank``); elements of
+the group algebra over the coweight-mod-coroot quotient map coset
+classes to such polynomials.
 """
 
 from dataclasses import dataclass
@@ -14,7 +17,7 @@ import numpy as np
 from . import polytope as polytope_mod
 from .errors import DefectError, UserInputError
 from .rootsys import RootSystemData
-from .weyl import WeylElement, WeylGroup, descents
+from .weyl import WeylGroup
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +91,6 @@ class CosetClass:
     frac: tuple
 
 
-def coweight_class(rs: RootSystemData, coweight) -> CosetClass:
-    """Class of an integral coweight in the coweight-mod-coroot group."""
-    cw = tuple(coweight)
-    if any(Fraction(x).denominator != 1 for x in cw):
-        raise UserInputError(f"{cw} is not an integral coweight")
-    # the coroot coordinates are adjugate . cw / f: reduce the numerators mod f
-    f = rs.index_of_connection
-    return CosetClass(tuple(
-        Fraction(sum(a * int(y) for a, y in zip(row, cw)) % f, f)
-        for row in rs.cartan_adjugate
-    ))
-
-
 def _classes(W: WeylGroup) -> list:
     """The CosetClass of each delta class id of W."""
     f = W.rs.index_of_connection
@@ -109,23 +99,7 @@ def _classes(W: WeylGroup) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Statistics on Weyl group elements.
-
-def cdes(w: WeylElement) -> int:
-    """Circular descent number: marks-weighted sum of the descent bits."""
-    d = descents(w)
-    marks = (1,) + w.rs.marks
-    value = sum(a * di for a, di in zip(marks, d))
-    if value < 1:
-        raise DefectError("cdes must be positive")
-    return value
-
-
-def delta(w: WeylElement) -> tuple:
-    """The integral coweight translating w^-1(A_o) into the coweight box."""
-    d = descents(w)
-    return tuple(d[1:])
-
+# The group C and the coset representatives, as elements.
 
 @dataclass
 class CGroup:
@@ -133,42 +107,12 @@ class CGroup:
 
     rs: RootSystemData
     elements: tuple
-    identity: WeylElement
-    class_of: dict  # CosetClass -> WeylElement
-
-    def power(self, c: WeylElement, n: int) -> WeylElement:
-        out = self.identity
-        for _ in range(n):
-            out = out * c
-        return out
 
 
 def group_C(W: WeylGroup) -> CGroup:
-    """Elements with cdes = 1 and the class map of their delta coweights,
-    read off the tables of W; building them validates C against its
+    """The elements of ``W.C``; reading the table validates C against its
     root-permutation descriptions."""
-    classes = _classes(W)
-    C = W.C.tolist()
-    elements = tuple(W[k] for k in C)
-    class_of = {classes[W.delta_class[k]]: w for k, w in zip(C, elements)}
-    return CGroup(rs=W.rs, elements=elements, identity=W[0], class_of=class_of)
-
-
-def cmaj(w: WeylElement, group: CGroup) -> WeylElement:
-    """The element of ``group``, the C of w's Weyl group, whose class
-    matches the delta coweight of w."""
-    if group.rs != w.rs:
-        raise UserInputError(f"C of {group.rs} for an element of {w.rs}")
-    return group.class_of[coweight_class(w.rs, delta(w))]
-
-
-def _q_sum(classes, ids, degrees) -> dict:
-    """The group-algebra sum of ``[class ids[k]] q^degrees[k]`` over k, as
-    ``{CosetClass: polynomial}`` without the classes whose sum is zero."""
-    counts = np.zeros((len(classes), int(degrees.max()) + 1), dtype=np.int64)
-    np.add.at(counts, (ids, degrees), 1)
-    rows = zip(classes, counts.tolist())
-    return {cls: poly_trim(row) for cls, row in rows if any(row)}
+    return CGroup(rs=W.rs, elements=tuple(W[k] for k in W.C.tolist()))
 
 
 def coset_representatives(W: WeylGroup) -> list:
@@ -178,6 +122,15 @@ def coset_representatives(W: WeylGroup) -> list:
 
 # ---------------------------------------------------------------------------
 # Identity checks over one enumerated Weyl group W, of the root system W.rs.
+
+def _q_sum(classes, ids, degrees) -> dict:
+    """The group-algebra sum of ``[class ids[k]] q^degrees[k]`` over k, as
+    ``{CosetClass: polynomial}`` without the classes whose sum is zero."""
+    counts = np.zeros((len(classes), int(degrees.max()) + 1), dtype=np.int64)
+    np.add.at(counts, (ids, degrees), 1)
+    rows = zip(classes, counts.tolist())
+    return {cls: poly_trim(row) for cls, row in rows if any(row)}
+
 
 def _component_poly(rs: RootSystemData) -> tuple:
     """A_r(q) times the q-integers [a_i]_q of the marks a_i of ``rs``."""

@@ -1,4 +1,4 @@
-"""Weyl group elements as orbit points of rho, enumeration, descents and cdes.
+"""Weyl group elements as orbit points of rho, and their enumeration.
 
 An element ``w`` is stored as the integer vector ``z = w^-1(rho)`` in
 omega-coordinates; ``rho`` is regular, so ``z`` identifies ``w``.  The
@@ -127,7 +127,10 @@ class WeylGroup(Sequence):
     identity.  ``z[k]`` is its orbit vector and ``length[k]`` its word
     length, from which ``self[k]`` is built on access; the tables are
     the only stored form of the group.  ``descents[k]`` holds its
-    descent bits (see :func:`descents`).  ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
+    descent bits ``(d_0, d_1, ..., d_r)``: ``d_i`` for i >= 1 records an
+    inversion at the i-th simple root, ``z_i < 0``, and ``d_0`` the
+    descent at ``-theta``, ``w(theta) > 0``, that is ``(z, theta) > 0``.
+    ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
     ``letter[k]`` give ``w_k = w_parent s_{letter+1}``, the breadth-first
     tree (both are -1 at the identity); ``inverse[k]`` is the index of
     ``w_k^-1``.
@@ -146,9 +149,8 @@ class WeylGroup(Sequence):
     of the element of C in the class of ``w_k``.
     """
 
-    def __init__(self, rs: RootSystemData, zs, index, length, parent, letter, rmul):
+    def __init__(self, rs: RootSystemData, zs, length, parent, letter, rmul):
         self.rs = rs
-        self._index = index
         self.z = np.array(zs, dtype=np.int64)
         self.length = np.array(length, dtype=np.intp)
         self.parent = np.array(parent, dtype=np.intp)
@@ -233,7 +235,11 @@ class WeylGroup(Sequence):
             yield WeylElement(self.rs, z, n)
 
     def __contains__(self, w):
-        return isinstance(w, WeylElement) and w.rs == self.rs and w.z in self._index
+        return (
+            isinstance(w, WeylElement)
+            and w.rs == self.rs
+            and bool((self.z == w.z).all(axis=1).any())
+        )
 
     def _times(self, rows: np.ndarray, k: int) -> np.ndarray:
         """The indices of ``w_j w_k`` for the indices j in ``rows``."""
@@ -294,7 +300,11 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> We
 
     Every edge ``{w, w s_i}`` of the Cayley graph is followed from its
     lower end: ``w s_i`` is longer than ``w`` exactly when ``z_i > 0``.
+    Raises BudgetExceededError before the search when the order of W
+    exceeds ``budget``.
     """
+    if weyl_order(rs) > budget:
+        raise BudgetExceededError(f"Weyl group of {rs} exceeds budget {budget}")
     cartan = rs.cartan
     start = tuple(rho(rs))
     zs, index = [start], {start: 0}
@@ -307,10 +317,6 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> We
             j = index.get(t)
             if j is None:
                 j = len(zs)
-                if j >= budget:
-                    raise BudgetExceededError(
-                        f"Weyl group of {rs} exceeds budget {budget}"
-                    )
                 index[t] = j
                 zs.append(t)
                 parent.append(k)
@@ -319,19 +325,7 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> We
                 rmul.append([-1] * rs.rank)
             rmul[k][i] = j
             rmul[j][i] = k
-    return WeylGroup(rs, zs, index, length, parent, letter, rmul)
-
-
-def descents(w: WeylElement) -> tuple:
-    """The bit vector (d_0, d_1, ..., d_r).
-
-    ``d_i`` for i >= 1 records an inversion at the i-th simple root, that
-    is ``z_i < 0``; ``d_0`` is the descent at ``-theta``, i.e.
-    ``w(theta) > 0``, that is ``(z, theta) > 0``.
-    """
-    z = w.z
-    d0 = 1 if sum(x * c for x, c in zip(z, w.rs.theta)) > 0 else 0
-    return (d0,) + tuple(1 if x < 0 else 0 for x in z)
+    return WeylGroup(rs, zs, length, parent, letter, rmul)
 
 
 # ---------------------------------------------------------------------------

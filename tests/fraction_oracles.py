@@ -8,8 +8,10 @@ so that tests can check the library's integer tables and walks against
 an independent computation; the positive roots by root strings and the
 coroots from the ``Fraction``-symmetrized Cartan form, against the
 library's one reflection closure; the Eulerian numbers counted over S_n;
-and the paper's midpoint rewrite rule in types A and C, against the
-weight-minimal rule of ``groebner.Rewriter``.
+the descent bits and cdes of one element, read off its orbit vector
+``z``, against the whole-group tables of ``WeylGroup``; and the paper's
+midpoint rewrite rule in types A and C, against the weight-minimal rule
+of ``groebner.Rewriter``.
 """
 
 from fractions import Fraction
@@ -169,6 +171,18 @@ def brute_force_eulerian(n: int) -> tuple:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def descent_bits(rs, z) -> tuple:
+    """(d_0, d_1, ..., d_r) of the element with orbit vector ``z``: d_0 is
+    ``(z, theta) > 0``, the descent at -theta, and d_i is ``z_i < 0``."""
+    return (int(pairing(z, rs.theta) > 0),) + tuple(int(x < 0) for x in z)
+
+
+def cdes(rs, z) -> int:
+    """The circular descent number: the descent bits weighted by 1 and
+    the marks."""
+    return sum(a * d for a, d in zip((1,) + rs.marks, descent_bits(rs, z)))
 
 
 def _kernel_line(rows, n) -> tuple:

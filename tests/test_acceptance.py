@@ -21,17 +21,13 @@ from alcoved.polytope import (
 )
 from alcoved.rootsys import build, weyl_order
 from alcoved.statistics import (
-    cdes,
-    cmaj,
     cmaj_twist_check,
     double_coset_check,
     eulerian_polynomial,
-    group_C,
     poly_mul,
     qweyl_check,
 )
 from alcoved.weyl import (
-    descents,
     enumerate_weyl,
     long_cycle,
     major_index,
@@ -204,21 +200,26 @@ def test_criterion_8_groebner_triangulation():
 
 
 def test_criterion_9_model_cross_checks():
+    # the descent, cdes and cmaj tables of W, which every command reads
     with criterion(9, "permutation and signed-permutation model agreement"):
         for n in range(2, 6):
             rs = build("A", n - 1)
             W = enumerate_weyl(rs)
-            g = group_C(W)
-            c = long_cycle(rs)
-            for w in W:
+            times_c = W.right_action(W.z.tolist().index(list(long_cycle(rs).z)))
+            powers = [0]  # powers[m] is the index of c^m
+            for _ in range(n - 1):
+                powers.append(times_c[powers[-1]])
+            for k, w in enumerate(W):
                 window = to_permutation(w)
-                assert descents(w) == permutation_descents(window)
-                assert cmaj(w, g) == g.power(c, (-major_index(window)) % n)
+                bits = permutation_descents(window)
+                assert tuple(W.descents[k].tolist()) == bits
+                assert W.cdes[k] == sum(bits)
+                assert W.cmaj[k] == powers[(-major_index(window)) % n]
         for n in (2, 3):
             rs = build("C", n)
             W = enumerate_weyl(rs)
             marks = (1,) + rs.marks
-            for w in W:
+            for k, w in enumerate(W):
                 bits = signed_permutation_descents(to_signed_permutation(w))
-                assert descents(w) == bits
-                assert cdes(w) == sum(a * d for a, d in zip(marks, bits))
+                assert tuple(W.descents[k].tolist()) == bits
+                assert W.cdes[k] == sum(a * d for a, d in zip(marks, bits))

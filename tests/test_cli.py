@@ -303,6 +303,63 @@ def test_running_out_of_random_polytope_draws_is_a_budget_error():
         cli._random_polytope(rootsys.build("A", 2), random.Random(0), 1)
 
 
+def _scanned_draw(rs, rng, budget):
+    """The sampler's rule by scans: a box is kept when its volume scan fits
+    the budget and counts at most 10^4 alcoves."""
+    for _ in range(cli._DRAWS):
+        cons = []
+        for root in rs.simple_roots:
+            lo = rng.randint(-2, 1)
+            cons.append((root, lo, rng.randint(lo + 1, 2)))
+        P = polytope.make_polytope(rs, cons)
+        try:
+            if polytope.volume(P, budget=budget) <= cli._MAX_DRAWN_VOLUME:
+                return P
+        except BudgetExceededError:
+            continue
+    return None
+
+
+_DRAW_SYSTEMS = (("A", 2), ("A", 3), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("G", 2))
+
+
+def test_random_polytope_draws_match_the_scanned_rule():
+    for t, r in _DRAW_SYSTEMS:
+        rs = rootsys.build(t, r)
+        for seed in range(4):
+            for budget in (10**8, 3000):
+                rng, want = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    expected = _scanned_draw(rs, want, budget)
+                    if expected is None:
+                        with pytest.raises(BudgetExceededError):
+                            cli._random_polytope(rs, rng, budget)
+                        break
+                    assert cli._random_polytope(rs, rng, budget) == expected
+
+
+def test_random_polytope_runs_no_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler scanned a draw")
+
+    monkeypatch.setattr(polytope, "_scan", refuse)
+    for t, r in _DRAW_SYSTEMS + (("B", 5), ("D", 6)):
+        cli._random_polytope(rootsys.build(t, r), random.Random(0), 10**8)
+    # every E6 box holds 17,280 alcoves or more: all 200 draws are refused
+    with pytest.raises(BudgetExceededError, match="none of 200"):
+        cli._random_polytope(rootsys.build("E", 6), random.Random(0), 10**8)
+
+
+@pytest.mark.parametrize("command", ("enumerate", "qweyl", "stats", "cross-table", "selfcheck"))
+def test_e8_weyl_group_exits_3_before_enumerating(command, capsys):
+    # |W(E8)| = 696,729,600 passes the default budget of 10^8
+    start = time.perf_counter()
+    assert cli.run([command, "--type", "E", "--rank", "8"]) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "Weyl group of RootSystemData(E8) exceeds budget 100000000" in err
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.run(["enumerate", "--type", "A", "--rank", "4", "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err

@@ -14,20 +14,28 @@ from alcoved.geometry import (
     AffineMap,
     CentralPoint,
     alcove_of,
-    fundamental_central_point,
     neighbors,
     reduce_to_fundamental,
-    weyl_alcove,
 )
 from alcoved.errors import BudgetExceededError, DefectError, UserInputError
-from alcoved.rootsys import build, pairing
+from alcoved.rootsys import build, pairing, rho
 from alcoved.weyl import enumerate_weyl
+
+
+def _fundamental(rs):
+    """rho / h_star, the central point of the fundamental alcove."""
+    return CentralPoint(rs, rho(rs))
+
+
+def _omega(point):
+    """Exact rational omega-coordinates of a central point."""
+    return tuple(Fraction(v, point.rs.h_star) for v in point.y)
 
 
 def test_fundamental_central_point_lies_in_the_open_alcove():
     for t, r in (("A", 3), ("C", 2), ("D", 4), ("G", 2)):
         rs = build(t, r)
-        p = fundamental_central_point(rs).omega_point()
+        p = _omega(_fundamental(rs))
         for root in rs.positive_roots:
             assert 0 < pairing(p, root) < 1
         # central points live in (1/h) times the coweight lattice
@@ -37,16 +45,16 @@ def test_fundamental_central_point_lies_in_the_open_alcove():
 
 def test_fundamental_alcove_has_zero_floor_vector():
     rs = build("C", 2)
-    alc = alcove_of(fundamental_central_point(rs))
+    alc = alcove_of(_fundamental(rs))
     assert all(m == 0 for m in alc.m)
 
 
 def test_alcove_floors_bound_the_central_point():
     rs = build("A", 3)
-    point = fundamental_central_point(rs)
+    point = _fundamental(rs)
     for q in neighbors(point):
         alc = alcove_of(q)
-        y = q.omega_point()
+        y = _omega(q)
         for root, m in zip(rs.positive_roots, alc.m):
             assert m < pairing(y, root) < m + 1
 
@@ -54,7 +62,7 @@ def test_alcove_floors_bound_the_central_point():
 def test_neighbors_count_and_distinctness():
     for t, r in (("A", 2), ("C", 3), ("D", 4)):
         rs = build(t, r)
-        ns = neighbors(fundamental_central_point(rs))
+        ns = neighbors(_fundamental(rs))
         assert len(ns) == r + 1
         assert len({alcove_of(q).m for q in ns}) == r + 1
 
@@ -62,17 +70,17 @@ def test_neighbors_count_and_distinctness():
 def test_weyl_alcoves_are_distinct():
     rs = build("C", 2)
     W = enumerate_weyl(rs)
-    alcoves = {alcove_of(weyl_alcove(w)).m for w in W}
+    alcoves = {alcove_of(CentralPoint(rs, w.inverse().z)).m for w in W}
     assert len(alcoves) == len(W)
 
 
 def test_reduce_to_fundamental_roundtrip():
     rs = build("A", 2)
     W = enumerate_weyl(rs)
-    base = fundamental_central_point(rs)
-    target = base.omega_point()
+    base = _fundamental(rs)
+    target = _omega(base)
     for w in W:
-        coords = weyl_alcove(w).omega_point()
+        coords = _omega(CentralPoint(rs, w.inverse().z))  # w(A_o)
         sigma, image = reduce_to_fundamental(rs, coords)
         assert image == target
         assert sigma.apply(coords) == image
@@ -80,21 +88,21 @@ def test_reduce_to_fundamental_roundtrip():
 
 def test_reduce_to_fundamental_reaches_far_alcoves():
     rs = build("C", 2)
-    point = fundamental_central_point(rs)
+    point = _fundamental(rs)
     # walk a deterministic zig-zag path away from the origin
     for step in range(12):
         point = neighbors(point)[step % (rs.rank + 1)]
-    coords = point.omega_point()
+    coords = _omega(point)
     sigma, image = reduce_to_fundamental(rs, coords)
-    assert image == fundamental_central_point(rs).omega_point()
+    assert image == _omega(_fundamental(rs))
     assert sigma.apply(coords) == image
 
 
 def test_affine_map_compose_and_inverse():
     rs = build("A", 3)
-    p = fundamental_central_point(rs)
+    p = _fundamental(rs)
     q = neighbors(neighbors(p)[0])[2]
-    sigma, _ = reduce_to_fundamental(rs, q.omega_point())
+    sigma, _ = reduce_to_fundamental(rs, _omega(q))
     rt = oracle.compose(sigma, oracle.inverse(sigma))
     ident = oracle.identity_map(rs.rank)
     assert rt.linear == ident.linear
@@ -196,7 +204,7 @@ def _assert_same_reduction(rs, point):
 
 
 def _walk(rs, rng, steps):
-    point = fundamental_central_point(rs)
+    point = _fundamental(rs)
     for _ in range(steps):
         point = rng.choice(neighbors(point))
     return point
@@ -209,7 +217,7 @@ def test_neighbors_agree_with_fraction_oracle():
     rng = random.Random(41)
     for t, r in TYPES:
         rs = build(t, r)
-        point = fundamental_central_point(rs)
+        point = _fundamental(rs)
         walls = set()
         for step in range(2000):
             if step >= 20 and len(walls) == len(rs.positive_roots):
@@ -254,7 +262,7 @@ def test_neighbors_report_a_candidate_on_a_simple_wall_as_a_defect():
     table[first][first] = 1
     bad = dataclasses.replace(rs, coroot_pairings=tuple(map(tuple, table)))
     with pytest.raises(DefectError, match=r"alcove \(1, 1\)"):
-        neighbors(fundamental_central_point(bad))
+        neighbors(_fundamental(bad))
 
 
 def test_reduce_agrees_with_fraction_oracle_on_random_points():
@@ -319,7 +327,7 @@ def test_reduce_agrees_with_fraction_oracle_on_walls():
             points.append(
                 tuple(sum(w * v[j] for w, v in zip(weights, vertices)) / total for j in range(r))
             )
-        far = _walk(rs, rng, 12 if r <= 3 else 6).omega_point()
+        far = _omega(_walk(rs, rng, 12 if r <= 3 else 6))
         back = oracle.inverse(_oracle_reduce(rs, far)[0])
         for p in list(points):
             points.append(oracle.apply(back, p))

@@ -144,6 +144,15 @@ def test_midpoint_pair_invariants():
                 assert u == v
 
 
+def _fundamental_vertices(rs):
+    """Vertices of the closed fundamental alcove, 0 and omega_i / a_i, in
+    omega coordinates."""
+    r = rs.rank
+    return [(Fraction(0),) * r] + [
+        tuple(Fraction(int(i == j), a) for j in range(r)) for i, a in enumerate(rs.marks)
+    ]
+
+
 def test_vertex_lattice_points_are_arrangement_vertices():
     # the span of the library's vertex-lattice basis is taken to be the set
     # of arrangement vertices: sampled points of it must reduce onto a
@@ -153,9 +162,7 @@ def test_vertex_lattice_points_are_arrangement_vertices():
         rs = build(t, r)
         d, B, _, _ = groebner._vertex_lattice(rs)
         rng = random.Random(20240 + r)
-        fundamental = {
-            omega_to_vertex(rs, p) for p in groebner._fundamental_vertices(rs)
-        }
+        fundamental = {omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)}
         for _ in range(20):
             vertex = tuple(rng.randint(-3, 3) for _ in range(r))
             omega = tuple(Fraction(int(x), d) for x in B @ vertex)
@@ -256,9 +263,7 @@ def _fraction_pairing_matrix(rs):
 
 
 def _fraction_alcove_index(rs):
-    corners = [
-        _fraction_omega_to_vertex(rs, p) for p in groebner._fundamental_vertices(rs)
-    ]
+    corners = [_fraction_omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)]
     edges = [tuple(x - y for x, y in zip(c, corners[0])) for c in corners[1:]]
     return abs(oracle.det(edges))
 

@@ -115,10 +115,14 @@ def test_pairing_is_the_plain_dot_product():
 
 
 def test_coroot_covector_of_simple_roots():
+    # the coroot of alpha_j pairs with alpha_i to cartan[i][j]: its row of
+    # coroot_pairings, read at the simple roots, is column j of the Cartan matrix
     rs = build("B", 3)
     for j, alpha in enumerate(rs.simple_roots):
         col = tuple(rs.cartan[i][j] for i in range(rs.rank))
-        assert rs.coroot_covector(alpha) == col
+        assert oracle.coroot_covector(rs.cartan, alpha) == col
+        row = rs.coroot_pairings[rs.simple_index[j]]
+        assert tuple(row[i] for i in rs.simple_index) == col
 
 
 def test_coroot_pairings_match_the_symmetrized_form():
@@ -131,7 +135,7 @@ def test_coroot_pairings_match_the_symmetrized_form():
         covectors = [oracle.coroot_covector(rs.cartan, a) for a in roots]
         expected = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
         assert rs.coroot_pairings == expected
-        assert rs.theta_covector == rs.coroot_covector(rs.theta)
+        assert rs.theta_covector == oracle.coroot_covector(rs.cartan, rs.theta)
         assert pairing(rs.theta_covector, rs.theta) == 2
 
 

@@ -6,11 +6,11 @@ from itertools import accumulate, permutations
 
 import pytest
 
+import fraction_oracles as oracle
 from alcoved import weyl
 from alcoved.errors import BudgetExceededError, UserInputError
 from alcoved.rootsys import build
 from alcoved.weyl import (
-    descents,
     enumerate_weyl,
     from_permutation,
     from_signed_permutation,
@@ -75,8 +75,8 @@ def test_descents_of_identity_and_longest():
     for t, r in (("A", 3), ("C", 2), ("D", 4)):
         rs = build(t, r)
         W = enumerate_weyl(rs)
-        assert descents(identity_element(rs)) == (1,) + (0,) * r
-        assert descents(W[int(W.length.argmax())]) == (0,) + (1,) * r
+        assert W.descents[0].tolist() == [1] + [0] * r
+        assert W.descents[int(W.length.argmax())].tolist() == [0] + [1] * r
 
 
 def test_permutation_model_roundtrip():
@@ -110,7 +110,10 @@ def test_long_cycle_has_cdes_one_descent_pattern():
     rs = build("A", 3)
     c = long_cycle(rs)
     assert to_permutation(c) == (2, 3, 4, 1)
-    assert descents(c) == (0, 0, 0, 1)
+    W = enumerate_weyl(rs)
+    k = W.z.tolist().index(list(c.z))
+    assert W.descents[k].tolist() == [0, 0, 0, 1]
+    assert W.cdes[k] == 1
 
 
 def test_signed_permutation_model_roundtrip():
@@ -284,16 +287,17 @@ def test_left_and_right_actions_match_products(t, r):
 def test_descents_match_permutation_descents(n):
     W = enumerate_weyl(build("A", n - 1))
     for k, w in enumerate(W):
-        assert descents(w) == permutation_descents(to_permutation(w))
-        assert tuple(W.descents[k].tolist()) == descents(w)
+        assert tuple(W.descents[k].tolist()) == permutation_descents(to_permutation(w))
+        assert tuple(W.descents[k].tolist()) == oracle.descent_bits(W.rs, w.z)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_descents_match_signed_permutation_descents(n):
     W = enumerate_weyl(build("C", n))
     for k, w in enumerate(W):
-        assert descents(w) == signed_permutation_descents(to_signed_permutation(w))
-        assert tuple(W.descents[k].tolist()) == descents(w)
+        bits = signed_permutation_descents(to_signed_permutation(w))
+        assert tuple(W.descents[k].tolist()) == bits
+        assert tuple(W.descents[k].tolist()) == oracle.descent_bits(W.rs, w.z)
 
 
 @pytest.mark.parametrize("t, r", TABLE_TYPES)
