@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import groebner, polytope, rootsys, statistics, weyl
-from .errors import BudgetExceededError, DefectError, UserInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
 
 DEFAULT_SELFCHECK_SEED = 20240521
 _DRAWS = 200
@@ -235,7 +235,7 @@ def _cmd_thick_check(args) -> dict:
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
     r, pair = P.rs.rank, [[_SLOT] * P.rs.rank] * 2
-    binomials = groebner.groebner_basis(P, args.budget, flat=True)
+    binomials = groebner.groebner_basis(P, args.budget)
     return {
         "type": P.rs.type_label,
         "rank": r,
@@ -246,7 +246,7 @@ def _cmd_groebner(args) -> dict:
 
 def _cmd_triangulate(args) -> dict:
     P = _load_polytope(args)
-    simplices = groebner.triangulate(P, args.budget, flat=True)
+    simplices = groebner.triangulate(P, args.budget)
     return {
         "type": P.rs.type_label,
         "rank": P.rs.rank,
@@ -369,7 +369,7 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", help="polytope spec JSON file")
     parser.add_argument("--json", action="store_true", help="JSON output")
     parser.add_argument("--seed", type=int, default=DEFAULT_SELFCHECK_SEED)
-    parser.add_argument("--budget", type=int, default=polytope.DEFAULT_POINT_BUDGET)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--k", type=int, help="hypersimplex index")
     return parser
 

@@ -9,7 +9,12 @@ CLI) can map them to distinct exit codes:
   hold.  This always indicates a bug, never bad input.
 * ``BudgetExceededError`` -- an enumeration would exceed the configured
   resource budget.
+
+``DEFAULT_BUDGET`` is that budget wherever the caller gives none: the
+default of every ``budget`` parameter and of the CLI's ``--budget``.
 """
+
+DEFAULT_BUDGET = 10**8
 
 
 class AlcovedError(Exception):

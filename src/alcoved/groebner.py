@@ -20,11 +20,19 @@ faces of the alcove triangulation.  In D4 this is known to hold only
 on polytopes of one or two alcoves; on the larger ones tried (the unit
 box, the adjacent star) the triangulation check raises DefectError.
 
+The basis has one form: ``Rewriter.rules``, rows ``(a, b, u, v)`` of
+indices into the sorted vertex list, one per rewrite of a lead pair to
+its trail pair.  ``groebner_basis`` and ``triangulate`` return the
+coordinate rows that the CLI prints; ``normal_form`` and ``is_standard``
+take monomials as sequences of vertices of P and look their pairs up in
+the index rows.
+
 The vertex-lattice tables (the basis, its inverse and the root
 pairings) are each a denominator and an int64 matrix, so converting
 between vertex and omega coordinates is integer arithmetic.  The
-coherent weights that pick the rewrites and the self-check of the
-triangulation are int64 numpy code on scaled integers: pairings times
+coherent weights (``Rewriter.weights``) that pick the rewrites and that
+``normal_form`` checks drop, and the self-check of the triangulation,
+are int64 numpy code on scaled integers: pairings times
 ``denom`` (barycenters times ``denom * (rank + 1)``), taken from the
 vertex at the polytope's lower simple bounds, so far-away bounds stay
 exact; where a value could pass 2^62 they raise UserInputError instead.
@@ -32,16 +40,16 @@ exact; where a value could pass 2^62 they raise UserInputError instead.
 
 import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from . import polytope as polytope_mod
-from .errors import BudgetExceededError, DefectError, UserInputError
-from .polytope import _INT64_HEADROOM, DEFAULT_POINT_BUDGET, AlcovedPolytope
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
+from .polytope import _INT64_HEADROOM, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
 REWRITE_STEP_GUARD = 10**6
@@ -138,7 +146,7 @@ def _exact_dets(M: np.ndarray) -> np.ndarray:
     return sign * M[:, -1, -1]
 
 
-def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> list:
+def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
     """All arrangement vertices inside the polytope.
 
     The vertex lattice lies inside the diagonal lattice ``{y : d*y_i
@@ -164,25 +172,17 @@ def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) ->
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """Marked rewrite: the lead pair reduces to the trail pair."""
-
-    lead: tuple  # (a, b), a < b
-    trail: tuple  # (u, v), u <= v
-
-
 class Rewriter:
     """Rewriting engine for the vertex pairs of one alcoved polytope.
 
     Rules and simplices are rows of indices into the sorted ``vertices``:
-    row ``(a, b, u, v)`` of ``rule_rows``, sorted by lead, rewrites the
-    pair ``(vertices[a], vertices[b])``, ``a < b``, to ``(vertices[u],
-    vertices[v])``, ``u <= v``.  The ``rules`` dict keyed by vertex pairs
-    is built on first read, and the weights one vertex at a time.
+    row ``(a, b, u, v)`` of ``rules``, an (m, 4) int64 array sorted by
+    lead, rewrites the pair ``(vertices[a], vertices[b])``, ``a < b``, to
+    ``(vertices[u], vertices[v])``, ``u <= v``.  ``weights[k]`` is the
+    coherent weight of ``vertices[k]`` times ``denom``, in int64.
     """
 
-    def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
+    def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_BUDGET):
         _require_supported(P.rs)
         self.P = P
         self.rs = P.rs
@@ -198,15 +198,9 @@ class Rewriter:
             (k - pairing(low, root), K - pairing(low, root))
             for root, (k, K) in zip(self.rs.positive_roots, P.bounds)
         ]
-        self._scaled = {}  # denom * weight, by vertex, filled by weight()
         self._X, self._reach = self._translated(self.vertices)
-        self.rule_rows = self._rule_rows()
-
-    @cached_property
-    def rules(self) -> dict:
-        """``rule_rows`` as a lead pair -> trail pair dict, in lead order."""
-        V = self.vertices
-        return {(V[a], V[b]): (V[u], V[v]) for a, b, u, v in self.rule_rows.tolist()}
+        self.weights = self._scaled_weights(self._X, self._reach)
+        self.rules = self._rule_rows()
 
     def _translated(self, vertices) -> tuple:
         """``(X, reach)``: the vertices minus the origin as int64 rows,
@@ -220,7 +214,7 @@ class Rewriter:
         return np.array(rows, dtype=np.int64).reshape(-1, self.rs.rank), reach
 
     def _rule_rows(self) -> np.ndarray:
-        """One rewrite per non-minimal decomposition class, as ``rule_rows``:
+        """One rewrite per non-minimal decomposition class, as ``rules``:
         vertex pairs are grouped by their sum, and within a group every
         pair rewrites to the pair of smallest coherent weight.  Raises
         BudgetExceededError before building the table when the vertices
@@ -229,7 +223,7 @@ class Rewriter:
         pairs = n * (n + 1) // 2
         if pairs > self.budget:
             raise BudgetExceededError(f"{pairs} vertex pairs exceed budget {self.budget}")
-        w = self._scaled_weights(self._X, self._reach)
+        w = self.weights
         i, j = np.triu_indices(n)  # the pairs (u, v), u <= v, in order
         sums = self._X[i] + self._X[j]
         # by sum, then weight, then (stable) pair: a group's first pair is its best
@@ -243,16 +237,10 @@ class Rewriter:
         best = best[keep]
         return np.column_stack((i[keep], j[keep], i[best], j[best]))
 
-    # -- coherent weight -------------------------------------------------
-    def weight(self, vertex) -> Fraction:
-        """Sum of |distance| to every arrangement hyperplane meeting P."""
-        if vertex not in self._scaled:
-            self._scaled[vertex] = int(self._scaled_weights(*self._translated([vertex]))[0])
-        return Fraction(self._scaled[vertex], self._denom)
-
     def _scaled_weights(self, X: np.ndarray, reach: int) -> np.ndarray:
-        """``denom * weight(v)`` per vertex, exact in int64, from the
-        ``_translated`` rows ``X`` of the vertices and their ``reach``.
+        """``denom`` times the coherent weight, the sum of |distance| to
+        every arrangement hyperplane meeting P, per vertex, exact in int64,
+        from the ``_translated`` rows ``X`` of the vertices and their ``reach``.
 
         Per root, let ``u = denom * ((v, a) - k)``, ``W = K - k`` and
         ``g = u // denom`` clipped to ``[-1, W]``: the levels ``k .. k+g``
@@ -271,41 +259,57 @@ class Rewriter:
         levels = (2 * g + 1 - W) * u - d * g * (g + 1) + d * W * (W + 1) // 2
         return levels.sum(axis=1)
 
-    def monomial_weight(self, monomial) -> Fraction:
-        return sum((self.weight(v) for v in monomial), Fraction(0))
-
     # -- reduction -------------------------------------------------------
-    def basis(self) -> list:
-        return [Binomial(lead, trail) for lead, trail in self.rules.items()]
+    def _index(self, monomial) -> list:
+        """The index in ``vertices`` of each point of the monomial; raises
+        UserInputError for a point that is not a vertex of P."""
+        V, index = self.vertices, []
+        for point in monomial:
+            point = tuple(point)
+            k = bisect_left(V, point)
+            if k == len(V) or V[k] != point:
+                raise UserInputError(f"{point} is not a vertex of {self.P}")
+            index.append(k)
+        return index
 
-    def reducible_pairs(self, monomial) -> list:
-        support = sorted(set(monomial))
-        return [pair for pair in combinations(support, 2) if pair in self.rules]
+    def _reducible(self, index) -> np.ndarray:
+        """The rows of ``rules`` whose lead is a pair of distinct vertices
+        among the indices, in lead order: the lead ``(a, b)`` has the key
+        ``a * n + b``, and the rows are sorted by it."""
+        n = len(self.vertices)
+        support = sorted(set(index))
+        pairs = np.array([a * n + b for a, b in combinations(support, 2)], dtype=np.int64)
+        leads = self.rules[:, 0] * n + self.rules[:, 1]
+        at = np.searchsorted(leads, pairs)
+        hit = at < len(leads)
+        hit[hit] = leads[at[hit]] == pairs[hit]
+        return self.rules[at[hit]]
 
     def is_standard(self, monomial) -> bool:
-        return not self.reducible_pairs(monomial)
+        return not len(self._reducible(self._index(monomial)))
 
     def normal_form(self, monomial, rng: random.Random = None) -> tuple:
         """Reduce until irreducible; asserts the coherent weight drops.
 
         ``rng`` randomizes which applicable rule fires at each step; the
-        normal form is independent of that choice (confluence).
+        normal form is independent of that choice (confluence).  Raises
+        UserInputError when a point of the monomial is not a vertex of P.
         """
-        current = sorted(monomial)
-        weight = self.monomial_weight(current)
+        current = sorted(self._index(monomial))
+        weight = sum(self.weights[current].tolist())
         for _ in range(REWRITE_STEP_GUARD):
-            pairs = self.reducible_pairs(current)
-            if not pairs:
-                return tuple(current)
-            pair = pairs[0] if rng is None else rng.choice(pairs)
-            for a in pair:
-                current.remove(a)
-            u, v = self.rules[pair]
+            rows = self._reducible(current)
+            if not len(rows):
+                return tuple(self.vertices[k] for k in current)
+            a, b, u, v = rows[0 if rng is None else rng.randrange(len(rows))].tolist()
+            current.remove(a)
+            current.remove(b)
             current = sorted(current + [u, v])
-            new_weight = self.monomial_weight(current)
+            new_weight = sum(self.weights[current].tolist())
             if not new_weight < weight:
-                raise DefectError(f"rewrite {pair} -> {(u, v)} did not decrease the "
-                                  "coherent weight")
+                V = self.vertices
+                raise DefectError(f"rewrite {(V[a], V[b])} -> {(V[u], V[v])} did not "
+                                  "decrease the coherent weight")
             weight = new_weight
         raise DefectError("rewriting did not terminate")
 
@@ -325,11 +329,6 @@ class Rewriter:
         self._validate_triangulation(rows)
         return rows
 
-    def triangulate(self) -> list:
-        """The simplices of ``simplex_rows`` as tuples of vertices."""
-        V = self.vertices
-        return [tuple(V[j] for j in row) for row in self.simplex_rows().tolist()]
-
     def coordinates(self, index: np.ndarray) -> list:
         """Row k lists the coordinates of the vertices ``index[k]`` in turn;
         an object array keeps coordinates past int64 exact."""
@@ -339,7 +338,7 @@ class Rewriter:
     def _cliques(self) -> np.ndarray:
         size, n = self.rs.rank + 1, len(self.vertices)
         standard = np.triu(np.ones((n, n), dtype=bool), 1)
-        standard[self.rule_rows[:, 0], self.rule_rows[:, 1]] = False
+        standard[self.rules[:, 0], self.rules[:, 1]] = False
         bits = np.packbits(standard, axis=1, bitorder="little")
         later = [int.from_bytes(row.tobytes(), "little") for row in bits]
         cliques = []
@@ -405,7 +404,7 @@ _FAULTS = (
 _REWRITERS = {}
 
 
-def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> Rewriter:
+def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> Rewriter:
     # keyed by the budget too, so that a smaller budget is checked again
     rewriter = _REWRITERS.get((P, budget))
     if rewriter is None:
@@ -413,18 +412,17 @@ def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> Rewrite
     return rewriter
 
 
-def groebner_basis(
-    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, flat: bool = False
-) -> list:
+def groebner_basis(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
     """The marked quadratic binomials over the polytope's vertex pairs, in
-    lead order; with ``flat``, each as the list of the coordinates of its
-    lead and trail vertices in turn."""
+    lead order, each as the list of the coordinates of its lead and trail
+    vertices in turn."""
     rewriter = _rewriter(P, budget)
-    return rewriter.coordinates(rewriter.rule_rows) if flat else rewriter.basis()
+    return rewriter.coordinates(rewriter.rules)
 
 
 def normal_form(P: AlcovedPolytope, monomial) -> tuple:
-    """The unique irreducible multiset reachable from the monomial."""
+    """The unique irreducible multiset reachable from the monomial, a
+    sequence of vertices of P, as a sorted tuple of vertices."""
     return _rewriter(P).normal_form(monomial)
 
 
@@ -432,15 +430,12 @@ def is_standard(P: AlcovedPolytope, monomial) -> bool:
     return _rewriter(P).is_standard(monomial)
 
 
-def triangulate(
-    P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET, flat: bool = False
-) -> list:
-    """The alcove triangulation as (rank+1)-sets of arrangement vertices;
-    with ``flat``, each simplex as the list of its vertices' coordinates.
+def triangulate(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
+    """The alcove triangulation, each simplex as the list of the
+    coordinates of its rank + 1 vertices in turn.
 
     Raises BudgetExceededError when the vertex scan or the check's
     volume scan has more than ``budget`` box points, or the vertices
     more than ``budget`` pairs."""
     rewriter = _rewriter(P, budget)
-    return rewriter.coordinates(rewriter.simplex_rows()) if flat else rewriter.triangulate()
-
+    return rewriter.coordinates(rewriter.simplex_rows())

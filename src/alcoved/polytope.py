@@ -30,11 +30,9 @@ from numbers import Integral
 import numpy as np
 
 from . import geometry
-from .errors import BudgetExceededError, UserInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, UserInputError
 from .rootsys import RootSystemData, build, pairing
 from .weyl import WeylGroup
-
-DEFAULT_POINT_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def _layers(rs, widths, reach: int, lo, hi, wall: int, chunk_rows: int):
     return extend(np.zeros((1, len(lo)), dtype=dtype), 0)
 
 
-def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def volume(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     """Number of alcoves in P, counted through their central points.
 
     Those are the points ``y / h_star`` of the scan at scale h_star on
@@ -235,7 +233,7 @@ def volume(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
     return sum(len(ys) for ys in _scan(P, P.rs.h_star, budget, walls=True)[1])
 
 
-def central_points(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
+def central_points(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET):
     """Central points of the alcoves of P (as geometry.CentralPoint)."""
     offset, chunks = _scan(P, P.rs.h_star, budget, walls=True)
     for ys in chunks:
@@ -243,7 +241,7 @@ def central_points(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET):
             yield geometry.CentralPoint(P.rs, tuple(v + o for v, o in zip(y, offset)))
 
 
-def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     """Independent volume oracle: BFS over the facet-adjacency graph.
 
     Seeds at the first central point found by enumeration and walks the
@@ -268,13 +266,13 @@ def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> 
     return len(seen)
 
 
-def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_POINT_BUDGET) -> int:
+def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     """The number of integral coweights in P."""
     return sum(len(ys) for ys in _scan(P, 1, budget)[1])
 
 
 def volume_identity_check(
-    P: AlcovedPolytope, W: WeylGroup, budget: int = DEFAULT_POINT_BUDGET
+    P: AlcovedPolytope, W: WeylGroup, budget: int = DEFAULT_BUDGET
 ) -> dict:
     """Both sides of Vol(P) = sum over cosets of lattice points of P_(w).
 
@@ -364,7 +362,7 @@ def _theta_slices(rs: RootSystemData, b, scale: int, walls: bool, budget: int) -
     return counts.tolist()
 
 
-def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_POINT_BUDGET) -> list:
+def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> list:
     """``volume(hypersimplex(rs, k))`` for k = 1..h - 1 from one scan of
     the parallelepiped: Delta_k holds its alcoves with m_theta = k - 1,
     and none has m_theta = h - 1, the last slice."""
@@ -372,7 +370,7 @@ def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_POINT_BUDGET)
 
 
 def thick_identity_check(
-    rs: RootSystemData, boxes, budget: int = DEFAULT_POINT_BUDGET
+    rs: RootSystemData, boxes, budget: int = DEFAULT_BUDGET
 ) -> dict:
     """Volume of a thick hypersimplex against its slice decomposition, for
     every box b in ``boxes`` and window ``0 <= k <= K <= (b, theta)``,

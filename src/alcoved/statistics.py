@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import polytope as polytope_mod
-from .errors import DefectError, UserInputError
+from .errors import DEFAULT_BUDGET, DefectError, UserInputError
 from .rootsys import RootSystemData
 from .weyl import WeylGroup
 
@@ -157,7 +157,7 @@ def qweyl_check(W: WeylGroup) -> dict:
 
 
 def hypersimplex_statistic_check(
-    W: WeylGroup, budget: int = polytope_mod.DEFAULT_POINT_BUDGET
+    W: WeylGroup, budget: int = DEFAULT_BUDGET
 ) -> dict:
     """Hypersimplex volumes against circular-descent counts; ``budget``
     bounds the scan of the hypersimplex volumes."""

@@ -25,10 +25,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BudgetExceededError, DefectError, UserInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
 from .rootsys import RootSystemData, rho, weyl_order
-
-DEFAULT_GROUP_BUDGET = 10**6
 
 #: the circular-descent tables of a WeylGroup, built together on first read
 _C_TABLES = frozenset(("cdes", "C", "delta_class", "class_residues", "cmaj"))
@@ -90,7 +88,7 @@ class WeylElement:
         return letters
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.rs is not other.rs:
+        if self.rs != other.rs:
             raise UserInputError("elements of different root systems")
         # (uv)^-1(rho) = v^-1(u^-1(rho)), and v^-1 = s_{a_l} ... s_{a_1}
         cartan = self.rs.cartan
@@ -291,7 +289,7 @@ def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
     return WeylElement(rs, _reflect_coweight(rs.cartan, i - 1, rho(rs)), 1)
 
 
-def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_GROUP_BUDGET) -> WeylGroup:
+def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGroup:
     """Breadth-first closure of the identity under the simple reflections.
 
     Deterministic: generators are applied in index order, so element

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, JSON output and exit codes."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alcoved
-from alcoved import cli, groebner, polytope, rootsys, statistics, weyl
-from alcoved.errors import BudgetExceededError, DefectError
+from alcoved import cli, geometry, groebner, polytope, rootsys, statistics, weyl
+from alcoved.errors import DEFAULT_BUDGET, BudgetExceededError, DefectError
 
 
 def run_json(capsys, argv):
@@ -360,6 +361,26 @@ def test_e8_weyl_group_exits_3_before_enumerating(command, capsys):
     assert "Weyl group of RootSystemData(E8) exceeds budget 100000000" in err
 
 
+def test_every_budget_defaults_to_the_cli_budget():
+    # one constant: a library call refuses or admits what the command does
+    assert cli._make_parser().get_default("budget") == DEFAULT_BUDGET
+    defaults = {}
+    for module in (geometry, groebner, polytope, rootsys, statistics, weyl):
+        for name, member in vars(module).items():
+            if inspect.isclass(member) and member.__module__ == module.__name__:
+                candidates = [(f"{name}.{k}", v) for k, v in vars(member).items()]
+            else:
+                candidates = [(name, member)]
+            for key, fn in candidates:
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    budget = inspect.signature(fn).parameters.get("budget")
+                    if budget is not None and budget.default is not budget.empty:
+                        defaults[f"{module.__name__}.{key}"] = budget.default
+    assert "alcoved.weyl.enumerate_weyl" in defaults
+    assert "alcoved.groebner.Rewriter.__init__" in defaults
+    assert {k: v for k, v in defaults.items() if v is not DEFAULT_BUDGET} == {}
+
+
 def test_budget_exhaustion_exit_code(capsys):
     assert cli.run(["enumerate", "--type", "A", "--rank", "4", "--budget", "5"]) == 3
     assert "budget" in capsys.readouterr().err
@@ -578,14 +599,15 @@ def test_far_tables_print_as_json_prints_library_results(t, tmp_path, capsys):
     cons = [(a, far, far + 2) for a in rs.simple_roots]
     spec = _write_spec(tmp_path, rs, cons)
     P = polytope.make_polytope(rs, cons)
-    simplices = groebner.triangulate(P)
+    simplices = [[row[k : k + 2] for k in (0, 2, 4)] for row in groebner.triangulate(P)]
     expected = {
         "groebner": {
             "type": t,
             "rank": 2,
             "vertices": groebner.polytope_vertices(P),
             "binomials": [
-                {"lead": b.lead, "trail": b.trail} for b in groebner.groebner_basis(P)
+                {"lead": [row[0:2], row[2:4]], "trail": [row[4:6], row[6:8]]}
+                for row in groebner.groebner_basis(P)
             ],
         },
         "triangulate": {"type": t, "rank": 2, "volume": len(simplices), "simplices": simplices},

@@ -5,14 +5,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
 
 import fraction_oracles as oracle
 from alcoved import geometry, groebner, polytope
-from alcoved.errors import BudgetExceededError, DefectError, UserInputError
+from alcoved.errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
 from alcoved.groebner import (
     groebner_basis,
     is_standard,
@@ -22,7 +21,6 @@ from alcoved.groebner import (
     triangulate,
 )
 from alcoved.polytope import (
-    DEFAULT_POINT_BUDGET,
     AlcovedPolytope,
     adjacent_star,
     hypersimplex,
@@ -39,6 +37,17 @@ def d4_two_alcove_slab():
     cons = [(root, 0, 1) for root in rs.positive_roots]
     cons[rs.root_index(rs.simple_roots[0])] = (rs.simple_roots[0], -1, 1)
     return make_polytope(rs, cons)
+
+
+def _simplices(P) -> list:
+    """The coordinate rows of ``triangulate(P)`` as tuples of vertices."""
+    r = P.rs.rank
+    return [tuple(tuple(row[k : k + r]) for k in range(0, len(row), r)) for row in triangulate(P)]
+
+
+def _rule_map(rewriter) -> dict:
+    """The rows of ``rewriter.rules`` as a lead index pair -> trail index pair dict."""
+    return {(a, b): (u, v) for a, b, u, v in rewriter.rules.tolist()}
 
 
 def test_vertex_coordinate_roundtrip():
@@ -118,11 +127,13 @@ def test_rewrites_agree_with_midpoint_rule():
         (_box("C", 3, 0, 1), 96),
     ]
     for P, count in cases:
-        rules = groebner.Rewriter(P).rules
-        assert count is None or len(rules) == count
-        for lead in itertools.combinations(polytope_vertices(P), 2):
-            expected = oracle.midpoint_pair(P.rs, *lead)
-            assert set(rules.get(lead, lead)) == set(expected), lead
+        rewriter = groebner.Rewriter(P)
+        assert rewriter.rules.shape == (len(rewriter.rules), 4)
+        assert count is None or len(rewriter.rules) == count
+        rules, V = _rule_map(rewriter), rewriter.vertices
+        for lead in itertools.combinations(range(len(V)), 2):
+            expected = oracle.midpoint_pair(P.rs, *(V[k] for k in lead))
+            assert {V[k] for k in rules.get(lead, lead)} == set(expected), lead
 
 
 def test_midpoint_pair_invariants():
@@ -211,16 +222,51 @@ def test_standard_pairs_fit_in_one_alcove():
 def test_rewrite_step_strictly_decreases_weight():
     P = adjacent_star(build("C", 2))
     rewriter = groebner._rewriter(P)
-    for binomial in rewriter.basis():
-        lead_w = rewriter.monomial_weight(binomial.lead)
-        trail_w = rewriter.monomial_weight(binomial.trail)
-        assert trail_w < lead_w
+    w, (a, b, u, v) = rewriter.weights, rewriter.rules.T
+    assert w.dtype == np.int64 and len(rewriter.rules)
+    assert (w[u] + w[v] < w[a] + w[b]).all()
+
+
+def test_points_outside_P_are_not_monomials():
+    # (50, 50) is an arrangement vertex far outside the A2 adjacent star
+    P = adjacent_star(build("A", 2))
+    v = polytope_vertices(P)[0]
+    for monomial in [((50, 50), v), ((50, 50), (50, 50), v), (v, (1, 2, 3)), (v, (0,))]:
+        with pytest.raises(UserInputError, match="is not a vertex of"):
+            is_standard(P, monomial)
+        with pytest.raises(UserInputError, match="is not a vertex of"):
+            normal_form(P, monomial)
+    assert normal_form(P, [list(v), v]) == (v, v)
+
+
+def test_normal_form_guards_raise_on_corrupted_rules(monkeypatch):
+    P = adjacent_star(build("C", 2))
+    rewriter = groebner.Rewriter(P)
+    V, w, top = rewriter.vertices, rewriter.weights, int(rewriter.weights.argmax())
+    # a row whose lead is lighter than the heaviest vertex taken twice
+    k = next(k for k, (a, b, _, _) in enumerate(rewriter.rules) if w[a] + w[b] < 2 * w[top])
+    a, b, u, v = rewriter.rules[k].tolist()
+    lead = (V[a], V[b])
+    assert rewriter.normal_form(lead) == (V[u], V[v])
+    for trail in ((a, b), (top, top)):  # as heavy as the lead, and heavier
+        probe = copy.copy(rewriter)
+        probe.rules = rewriter.rules.copy()
+        probe.rules[k, 2:] = trail
+        with pytest.raises(DefectError, match="did not decrease the coherent weight"):
+            probe.normal_form(lead)
+    # a lead pair takes one rewrite: a guard of one step stops it before the
+    # check that would find its trail irreducible
+    monkeypatch.setattr(groebner, "REWRITE_STEP_GUARD", 1)
+    with pytest.raises(DefectError, match="rewriting did not terminate"):
+        rewriter.normal_form(lead)
+    monkeypatch.setattr(groebner, "REWRITE_STEP_GUARD", 2)
+    assert rewriter.normal_form(lead) == (V[u], V[v])
 
 
 def test_simplices_are_alcove_vertex_sets():
     P = hypersimplex(build("A", 3), 2)
     rs = P.rs
-    for simplex in triangulate(P):
+    for simplex in _simplices(P):
         assert len(simplex) == rs.rank + 1
         assert len(set(simplex)) == rs.rank + 1
         for u in simplex:
@@ -353,7 +399,9 @@ def test_vertices_agree_with_fraction_grid():
 
 class _FractionRewriter(groebner.Rewriter):
     """The Fraction weights, rewrite rules and triangulation check that
-    the scaled-integer ones replaced, kept as their oracle."""
+    the scaled-integer ones replaced, kept as their oracle: ``weight`` and
+    ``fraction_rules`` weigh and rewrite vertices, and the check overrides
+    the integer one."""
 
     def weight(self, vertex) -> Fraction:
         cache = self.__dict__.setdefault("_fraction_weights", {})
@@ -367,8 +415,8 @@ class _FractionRewriter(groebner.Rewriter):
             cache[vertex] = total
         return cache[vertex]
 
-    @cached_property
-    def rules(self) -> dict:
+    def fraction_rules(self) -> dict:
+        """Lead vertex pair -> trail vertex pair."""
         by_sum = {}
         for u, v in itertools.combinations(self.vertices, 2):
             total = tuple(x + y for x, y in zip(u, v))
@@ -483,18 +531,28 @@ def test_weights_and_rules_agree_with_fraction_oracle():
     cases += [slab, _translate(slab, (10**12, 0, 3, -7))]
     for P in cases:
         new, old = groebner.Rewriter(P), _FractionRewriter(P)
-        assert new.rules == old.rules
-        for v in new.vertices:
-            assert new.weight(v) == old.weight(v)
+        index = {v: k for k, v in enumerate(new.vertices)}
+        expected = sorted(
+            [index[a], index[b], index[u], index[v]]
+            for (a, b), (u, v) in old.fraction_rules().items()
+        )
+        assert new.rules.dtype == np.int64 and new.rules.tolist() == expected
+        assert new.weights.dtype == np.int64
+        assert new.weights.tolist() == [old.weight(v) * new._denom for v in new.vertices]
         # a vertex outside P takes the same linear continuation of the weight
         outside = tuple(x + 3 for x in new.vertices[-1])
-        assert new.weight(outside) == old.weight(outside)
+        assert _scaled_weight(new, outside) == old.weight(outside) * new._denom
     # an empty polytope: a root whose bounds are crossed has no levels at all
     P = _box("A", 2, 0, 2)
     P = AlcovedPolytope(P.rs, P.bounds[:-1] + ((4, 1),))
     new, old = groebner.Rewriter(P), _FractionRewriter(P)
-    assert new.vertices == [] and new.rules == {}
-    assert new.weight((1, 1)) == old.weight((1, 1))
+    assert new.vertices == [] and new.rules.shape == (0, 4) and len(new.weights) == 0
+    assert _scaled_weight(new, (1, 1)) == old.weight((1, 1)) * new._denom
+
+
+def _scaled_weight(rewriter, vertex) -> int:
+    """``denom`` times the coherent weight of any vertex, in P or not."""
+    return int(rewriter._scaled_weights(*rewriter._translated([vertex]))[0])
 
 
 _CHECK_KINDS = {
@@ -519,8 +577,9 @@ def test_triangulation_check_agrees_with_fraction_oracle():
     kinds = set()
     for P in cases:
         new, old = groebner.Rewriter(P), _FractionRewriter(P)
-        simplices = new.triangulate()
-        assert old.triangulate() == simplices
+        rows = new.simplex_rows()
+        assert old.simplex_rows().tolist() == rows.tolist()
+        simplices = [tuple(new.vertices[j] for j in row) for row in rows.tolist()]
         rs = P.rs
         base, *rest = simplices[-1]
         stretched = tuple(b + 2 * (x - b) for x, b in zip(rest[-1], base))
@@ -558,9 +617,9 @@ def test_far_translation_is_exact():
         offset = omega_to_vertex(rs, (10**12, 10**12))
         moved = [
             tuple(tuple(x + o for x, o in zip(v, offset)) for v in simplex)
-            for simplex in triangulate(near)
+            for simplex in _simplices(near)
         ]
-        simplices = triangulate(far)
+        simplices = _simplices(far)
         assert simplices == moved
         _check_vertex_sets(groebner._rewriter(far), simplices)
     # simple bounds whose scaled width overflows the box scan
@@ -573,8 +632,8 @@ def test_far_translation_is_exact():
         groebner.Rewriter(AlcovedPolytope(P.rs, bounds))
     # so do the weight of a far vertex and the check of a far simplex
     with pytest.raises(UserInputError):
-        groebner._rewriter(P).weight((2**62, 0))
-    simplices = triangulate(P)
+        _scaled_weight(groebner._rewriter(P), (2**62, 0))
+    simplices = _simplices(P)
     far = [tuple((x + 2**62, y) for x, y in simplices[0])] + simplices[1:]
     with pytest.raises(UserInputError):
         _check_vertex_sets(groebner._rewriter(P), far)
@@ -596,23 +655,19 @@ def test_exact_dets_match_fraction_det():
 
 def _set_cliques(rewriter):
     """The dict-of-sets clique search that the bitsets replaced, kept as
-    their oracle."""
+    their oracle, on the leads of the rule rows."""
     r = rewriter.rs.rank
-    verts = rewriter.vertices
-    n = len(verts)
+    n = len(rewriter.vertices)
+    leads = set(_rule_map(rewriter))
     compatible = {
-        i: {
-            j
-            for j in range(n)
-            if j != i and tuple(sorted((verts[i], verts[j]))) not in rewriter.rules
-        }
+        i: {j for j in range(n) if j != i and (min(i, j), max(i, j)) not in leads}
         for i in range(n)
     }
     simplices = []
 
     def extend(clique, candidates):
         if len(clique) == r + 1:
-            simplices.append(tuple(verts[i] for i in clique))
+            simplices.append(clique)
             return
         for j in sorted(candidates):
             extend(clique + [j], {x for x in candidates if x > j} & compatible[j])
@@ -631,7 +686,7 @@ def test_bitset_cliques_agree_with_set_oracle():
     for P in _confluence_cases() + bench_specs:
         rewriter = groebner.Rewriter(P)
         rewriter._validate_triangulation = lambda simplices: None
-        simplices = rewriter.triangulate()
+        simplices = rewriter.simplex_rows().tolist()
         assert simplices == _set_cliques(rewriter)
     assert len(simplices) == 414  # the D4 unit box, whose check fails
     with pytest.raises(DefectError, match="414 simplices"):
@@ -671,4 +726,4 @@ def test_vertex_scan_defaults_to_the_point_budget(monkeypatch):
 
     monkeypatch.setattr(polytope, "_scan", recorded)
     polytope_vertices(_box("A", 2, 0, 1))
-    assert budgets == [DEFAULT_POINT_BUDGET]
+    assert budgets == [DEFAULT_BUDGET]

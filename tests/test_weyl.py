@@ -1,7 +1,9 @@
 """Weyl group enumeration and the permutation models."""
 
+import copy
 import math
 import random
+import time
 from itertools import accumulate, permutations
 
 import pytest
@@ -165,6 +167,26 @@ def test_model_functions_reject_wrong_type():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         enumerate_weyl(build("A", 4), budget=5)
+
+
+def test_e8_is_refused_at_once_under_the_default_budget():
+    # |W(E8)| = 696,729,600 passes DEFAULT_BUDGET, which E7's 2,903,040 does not
+    rs = build("E", 8)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceeds budget 100000000"):
+        enumerate_weyl(rs)
+    assert time.perf_counter() - start < 1
+
+
+def test_elements_of_equal_root_systems_multiply():
+    rs = build("B", 3)
+    W = enumerate_weyl(rs)
+    s = simple_reflection(copy.deepcopy(rs), 1)
+    assert s in W
+    assert W[1] * s == W[1] * simple_reflection(rs, 1)
+    assert s * W[1] == simple_reflection(rs, 1) * W[1]
+    with pytest.raises(UserInputError, match="different root systems"):
+        W[1] * simple_reflection(build("C", 3), 1)
 
 
 # -- the orbit tables of enumerate_weyl ----------------------------------------
