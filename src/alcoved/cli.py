@@ -12,7 +12,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
@@ -25,35 +24,12 @@ DEFAULT_SELFCHECK_SEED = 20240521
 _DRAWS = 200
 _MAX_DRAWN_VOLUME = 10**4
 
-# the flags each check's report must hold
-_HYPERSIMPLEX_FLAGS = (
-    "coset_identity_holds",
-    "element_identity_holds",
-    "cdes_constant_on_cosets",
-    "generating_function_holds",
-)
-_TWIST_FLAGS = ("holds", "inverse_symmetry_holds")
-_QWEYL_FLAGS = ("identity_holds", "scalar_holds")
-
-
-def _jsonable(value):
-    """The JSON form of a value json cannot encode: an int or "p/q" for a
-    Fraction, "(x,...)" for a CosetClass and ``str(value)`` for anything
-    else."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, statistics.CosetClass):
-        return "(" + ",".join(str(_jsonable(x)) for x in value.frac) + ")"
-    return str(value)
-
 
 def _str_keys(value):
     """``value`` with each dict, and each dict among its values, rebuilt
-    with keys ``str(_jsonable(key))``; lists and tuples are not walked."""
+    with keys ``str(key)``; lists and tuples are not walked."""
     if isinstance(value, dict):
-        return {str(_jsonable(k)): _str_keys(v) for k, v in value.items()}
+        return {str(k): _str_keys(v) for k, v in value.items()}
     return value
 
 
@@ -92,14 +68,14 @@ def _emit(report: dict, as_json: bool) -> None:
 
     Keys are made str first, so that ``sort_keys`` orders them as strings
     ("10" before "2"); no report nests an int-keyed dict in a list.  json
-    encodes ints, strs, bools, None, lists and tuples itself and hands the
-    other leaves (Fraction, CosetClass, ...) to ``_jsonable``.  A ``_Table``
+    encodes ints, strs, bools, None, lists and tuples itself and writes
+    ``str`` of the other leaves (a CosetClass, a WeylElement).  A ``_Table``
     value is written by ``_table_text``, not by json's per-element encoder.
     """
     report = _str_keys(report)
     if as_json:
         slots = {k: _SLOT + k for k, v in report.items() if isinstance(v, _Table)}
-        text = json.dumps({**report, **slots}, indent=2, sort_keys=True, default=_jsonable)
+        text = json.dumps({**report, **slots}, indent=2, sort_keys=True, default=str)
         for key, slot in slots.items():  # a slot's string gives way to its table's text
             text = text.replace(json.dumps(slot), _table_text(report[key], True), 1)
         print(text)
@@ -107,10 +83,8 @@ def _emit(report: dict, as_json: bool) -> None:
     for key, value in report.items():
         if isinstance(value, _Table):
             value = _table_text(value, False)
-        elif not isinstance(value, (dict, list, tuple)):
-            value = _jsonable(value)
-        if isinstance(value, (dict, list, tuple)):
-            value = json.dumps(value, sort_keys=True, default=_jsonable)
+        elif isinstance(value, (dict, list, tuple)):
+            value = json.dumps(value, sort_keys=True, default=str)
         print(f"{key}: {value}")
 
 
@@ -128,14 +102,24 @@ def _load_polytope(args):
             data = json.load(fh)
     except OSError as exc:
         raise UserInputError(f"cannot read {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UserInputError(f"{args.spec} is not valid JSON: {exc}") from exc
     return polytope.spec_to_polytope(data)
 
 
-def _require(report: dict, keys) -> None:
-    """Raise DefectError when any named flag in the report is false."""
-    failed = [k for k in keys if not report.get(k)]
+def _false_flags(report: dict) -> list:
+    return [k for k, v in report.items() if v is False]
+
+
+def _holds(report: dict) -> bool:
+    return not _false_flags(report)
+
+
+def _require(report: dict) -> None:
+    """Raise DefectError naming each false flag of the report, in report
+    order.  Every bool at the top level of a check's report is a flag, a
+    theorem that must hold; nested reports are required one by one."""
+    failed = _false_flags(report)
     if failed:
         raise DefectError("identity check failed: " + ", ".join(failed))
 
@@ -157,7 +141,7 @@ def _cmd_enumerate(args) -> dict:
         "formula_holds": len(elements) == expected,
         "length_histogram": _length_histogram(elements),
     }
-    _require(report, ["formula_holds"])
+    _require(report)
     return report
 
 
@@ -175,16 +159,15 @@ def _cmd_stats(args) -> dict:
         "double_coset": statistics.double_coset_check(W),
         "cmaj_twist": statistics.cmaj_twist_check(W),
     }
-    _require(report["hypersimplex"], _HYPERSIMPLEX_FLAGS)
-    _require(report["double_coset"], ["holds"])
-    _require(report["cmaj_twist"], _TWIST_FLAGS)
+    for check in ("hypersimplex", "double_coset", "cmaj_twist"):
+        _require(report[check])
     return report
 
 
 def _cmd_qweyl(args) -> dict:
     rs = _build(args)
     report = statistics.qweyl_check(weyl.enumerate_weyl(rs, budget=args.budget))
-    _require(report, _QWEYL_FLAGS)
+    _require(report)
     return report
 
 
@@ -204,7 +187,7 @@ def _cmd_vol_identity(args) -> dict:
     P = _load_polytope(args)
     W = weyl.enumerate_weyl(P.rs, budget=args.budget)
     report = polytope.volume_identity_check(P, W, args.budget)
-    _require(report, ["identity_holds"])
+    _require(report)
     return report
 
 
@@ -223,7 +206,7 @@ def _cmd_thick_check(args) -> dict:
     boxes = product((1, 2), repeat=rs.rank)
     reports = polytope.thick_identity_check(rs, boxes, args.budget)
     for report in reports.values():
-        _require(report, ["identity_holds"])
+        _require(report)
     return {
         "type": rs.type_label,
         "rank": rs.rank,
@@ -302,24 +285,19 @@ def _cmd_selfcheck(args) -> dict:
     W = weyl.enumerate_weyl(rs, budget=args.budget)
     results = {}
     results["weyl_order_formula"] = len(W) == rootsys.weyl_order(rs)
-    # the first read of W.C builds the C tables, and raises DefectError
-    # unless the cdes = 1 elements permute the affine simple roots by
-    # marks, are closed and take each delta class once
-    W.C
+    # group_C raises DefectError unless the cdes = 1 elements permute the
+    # affine simple roots by marks, are closed and take each delta class once
+    statistics.group_C(W)
     results["group_C_descriptions"] = True
-    results["double_coset"] = statistics.double_coset_check(W)["holds"]
-    twist = statistics.cmaj_twist_check(W)
-    results["cmaj_twist"] = all(twist[k] for k in _TWIST_FLAGS)
-    qw = statistics.qweyl_check(W)
-    results["q_weyl"] = all(qw[k] for k in _QWEYL_FLAGS)
+    results["double_coset"] = _holds(statistics.double_coset_check(W))
+    results["cmaj_twist"] = _holds(statistics.cmaj_twist_check(W))
+    results["q_weyl"] = _holds(statistics.qweyl_check(W))
     hs = statistics.hypersimplex_statistic_check(W, args.budget)
-    results["hypersimplex_statistics"] = all(hs[k] for k in _HYPERSIMPLEX_FLAGS)
+    results["hypersimplex_statistics"] = _holds(hs)
     vol_ok = True
     for _ in range(3):
         P = _random_polytope(rs, rng, args.budget)
-        vol_ok = vol_ok and polytope.volume_identity_check(
-            P, W, args.budget
-        )["identity_holds"]
+        vol_ok = vol_ok and _holds(polytope.volume_identity_check(P, W, args.budget))
     results["volume_lattice_identity"] = vol_ok
     if groebner.supported(rs):
         # triangulate raises DefectError unless the simplices number Vol(P)
@@ -333,9 +311,7 @@ def _cmd_selfcheck(args) -> dict:
         "seed": args.seed,
         "checks": results,
     }
-    failed = [k for k, v in results.items() if v is False]
-    if failed:
-        raise DefectError("selfcheck failed: " + ", ".join(failed))
+    _require(results)
     return report
 
 

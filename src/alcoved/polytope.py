@@ -410,14 +410,28 @@ def thick_identity_check(
     return reports
 
 
+def _fields(obj, keys: tuple, what: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``; an object that
+    holds any other key is malformed."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} is not a JSON object")
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown {what} key {', '.join(map(repr, unknown))}")
+    return [obj[k] for k in keys]
+
+
 def spec_to_polytope(spec: dict) -> AlcovedPolytope:
-    """Parse a PolytopeSpec JSON object {type, rank, constraints}."""
+    """Parse a PolytopeSpec JSON object {type, rank, constraints}, each
+    constraint {root, min, max}; any other key is a UserInputError."""
     try:
-        rs = build(spec["type"], _integer(spec["rank"], "rank"))
-        constraints = [
-            (tuple(_integer(x, "root coordinate") for x in c["root"]), c["min"], c["max"])
-            for c in spec["constraints"]
-        ]
+        type_label, rank, cons = _fields(spec, ("type", "rank", "constraints"), "spec")
+        rs = build(type_label, _integer(rank, "rank"))
+        constraints = []
+        for c in cons:
+            root, lo, hi = _fields(c, ("root", "min", "max"), "constraint")
+            root = tuple(_integer(x, "root coordinate") for x in root)
+            constraints.append((root, lo, hi))
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed polytope spec: {exc}") from exc
     return make_polytope(rs, constraints)

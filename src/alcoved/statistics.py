@@ -6,6 +6,12 @@ by the whole-group checks.  Polynomials in q are dense integer
 coefficient tuples (degrees stay below ``h_star * rank``); elements of
 the group algebra over the coweight-mod-coroot quotient map coset
 classes to such polynomials.
+
+Each check returns a report of plain data, and every bool at its top
+level is a flag: a theorem that must hold, which the CLI requires by
+that rule alone.  ``cmaj_cross_table`` is an exploration, not a check:
+only its total mass is a theorem (it raises DefectError otherwise), so
+its ``symmetric_under_transpose`` is data and never required.
 """
 
 from dataclasses import dataclass
@@ -89,6 +95,9 @@ class CosetClass:
     """Fractional parts of the simple-coroot coordinates of a coweight."""
 
     frac: tuple
+
+    def __str__(self) -> str:
+        return "(" + ",".join(map(str, self.frac)) + ")"
 
 
 def _classes(W: WeylGroup) -> list:

@@ -108,6 +108,32 @@ def test_non_integer_spec_bound_is_a_user_error(tmp_path, capsys):
     assert "must be an integer" in capsys.readouterr().err
 
 
+def test_unknown_spec_key_is_a_user_error(tmp_path, capsys):
+    box = {"root": [1], "min": 0, "max": 2}
+    spec = {"type": "A", "rank": 1, "constraints": [box]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.run(["volume", "--spec", str(path)]) == 0
+    capsys.readouterr()
+    # a stray key would otherwise leave the polytope uncut
+    for bad, key in (({**spec, "constraint": []}, "'constraint'"),
+                     ({**spec, "constraints": [{**box, "maxx": 1}]}, "'maxx'")):
+        path.write_text(json.dumps(bad))
+        assert cli.run(["volume", "--spec", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and key in captured.err
+
+
+def test_spec_that_is_not_utf8_is_a_user_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.run(["volume", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+
+
 def test_groebner_and_triangulate_from_spec(tmp_path, capsys):
     spec = {
         "type": "A",
@@ -196,6 +222,40 @@ def test_wrong_eulerian_polynomial_fails_the_q_weyl_identity(monkeypatch, capsys
     assert cli.run(["qweyl", "--type", "B", "--rank", "3"]) == 2
     err = capsys.readouterr().err
     assert "identity check failed: identity_holds, scalar_holds" in err
+
+
+def test_every_false_flag_of_a_report_fails_its_command(monkeypatch, capsys):
+    # a flag that no list in the CLI names is required all the same
+    def with_extra_flag(check):
+        return lambda *args, **kwargs: {**check(*args, **kwargs), "extra_holds": False}
+
+    for name in ("qweyl_check", "double_coset_check"):
+        monkeypatch.setattr(statistics, name, with_extra_flag(getattr(statistics, name)))
+    typed = ["--type", "A", "--rank", "2"]
+    for cmd, failed in (("qweyl", "extra_holds"), ("stats", "extra_holds"),
+                        ("selfcheck", "double_coset, q_weyl")):
+        assert cli.run([cmd, *typed]) == 2, cmd
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"defect: identity check failed: {failed}\n"
+
+
+def test_cross_table_symmetry_is_not_required(monkeypatch, capsys):
+    # the cross table is an exploration: its one bool is data, not a theorem
+    table = statistics.cmaj_cross_table
+    monkeypatch.setattr(statistics, "cmaj_cross_table",
+                        lambda W: {**table(W), "symmetric_under_transpose": False})
+    assert cli.run(["cross-table", "--type", "A", "--rank", "2"]) == 0
+    assert "symmetric_under_transpose: False" in capsys.readouterr().out
+
+
+def test_selfcheck_validates_c_through_group_C(monkeypatch, capsys):
+    calls = []
+    group_C = statistics.group_C
+    monkeypatch.setattr(statistics, "group_C", lambda W: calls.append(W) or group_C(W))
+    assert cli.run(["selfcheck", "--type", "C", "--rank", "2"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_python_m_alcoved_runs_the_cli(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from alcoved import cli, weyl
 from alcoved.errors import DefectError, UserInputError
 from alcoved.rootsys import build
 from alcoved.statistics import (
+    CosetClass,
     cmaj_cross_table,
     cmaj_twist_check,
     coset_representatives,
@@ -62,6 +64,10 @@ def test_q_integer_value():
 def test_cdes_of_identity_is_one():
     for t, r in (("A", 3), ("C", 2), ("D", 4), ("G", 2)):
         assert enumerate_weyl(build(t, r)).cdes[0] == 1
+
+
+def test_coset_class_prints_its_fractions():
+    assert str(CosetClass((Fraction(1, 2), Fraction(0)))) == "(1/2,0)"
 
 
 def test_group_C_order_is_index_of_connection():
