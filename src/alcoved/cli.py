@@ -94,12 +94,23 @@ def _build(args) -> rootsys.RootSystemData:
     return rootsys.build(args.type, args.rank)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key: plain
+    ``json.load`` keeps its last value silently."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise UserInputError(f"the spec repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_polytope(args):
     if args.spec is None:
         raise UserInputError("this subcommand needs --spec file.json")
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UserInputError(f"cannot read {args.spec}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -84,39 +84,28 @@ def _trusted_point(rs: RootSystemData, y: tuple, pairings: tuple) -> CentralPoin
 def neighbors(point: CentralPoint) -> list:
     """The r+1 central points of the alcoves sharing a facet with this one.
 
-    Candidates are the reflections in the two bounding hyperplanes of
-    every positive root; those differing from the current m-vector in
-    exactly one coordinate are facet neighbors.  Reflecting in
-    ``(lambda, a) = k`` moves the pairing with ``b`` by
-    ``-((y, a) - k*h) * (a^vee, b)``, all in integers.
+    The facets around ``y / h`` are the hyperplanes ``(lambda, a) = k``
+    with ``(y, a) - k*h = e = +-1``: the affine Weyl group carries rho/h to
+    every central point, and only the walls of A_o lie 1/h from rho/h (in
+    A1, h = 2 and both levels count).  Reflecting in one maps y to
+    ``y - e * a^vee``; neighbors come in root order, lower facet first.
     """
     rs = point.rs
     h = rs.h_star
     p = point.pairings
     base = [v // h for v in p]
-    simple = rs.simple_index
+    facets = [(idx, e) for idx, v in enumerate(p) for e in (1, -1) if (v - e) % h == 0]
+    rows = rs.coroot_array[[idx for idx, _ in facets]] @ rs.root_array.T
     found = []
-    seen = set()
-    for idx, row in enumerate(rs.coroot_pairings):
-        for k in (base[idx], base[idx] + 1):
-            excess = p[idx] - k * h
-            q = [v - excess * c for v, c in zip(p, row)]
-            if not all(v % h for v in q):  # not a central point
-                raise DefectError(
-                    f"a reflection of alcove {point.y} lands on a wall: "
-                    "coroot_pairings disagree with the pairings"
-                )
-            diffs = [i for i, (v, b) in enumerate(zip(q, base)) if v // h != b]
-            if diffs == [idx] and abs(q[idx] // h - base[idx]) == 1:
-                y = tuple(q[i] for i in simple)
-                if y not in seen:
-                    seen.add(y)
-                    found.append(_trusted_point(rs, y, tuple(q)))
+    for (idx, e), row in zip(facets, rows.tolist()):
+        q = [v - e * c for v, c in zip(p, row)]
+        if not all(v % h for v in q):  # coroot_array disagrees with the pairings
+            raise DefectError(f"alcove {point.y}: facet {idx} reflects it onto a wall")
+        if [b - v // h for v, b in zip(q, base)] != [e * (i == idx) for i in range(len(q))]:
+            raise DefectError(f"alcove {point.y}: facet {idx} reflects it across another wall")
+        found.append(_trusted_point(rs, tuple(q[i] for i in rs.simple_index), tuple(q)))
     if len(found) != rs.rank + 1:
-        raise DefectError(
-            f"alcove {point.y} has {len(found)} facet neighbors, "
-            f"expected {rs.rank + 1}"
-        )
+        raise DefectError(f"alcove {point.y} has {len(found)} facets, expected {rs.rank + 1}")
     return found
 
 
@@ -145,8 +134,8 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
     entries are below ``(0, 0)`` in lexicographic order, the theta wall
     when ``theta . rows`` less ``d`` is above it there.  ``s_i`` subtracts
     ``cartan[a][i]`` times row i from row a, and the affine reflection
-    subtracts ``theta_covector[a]`` times ``theta . rows`` less
-    ``(0, .., 0, 1, d, d)``.
+    subtracts ``theta^vee[a]``, the last row of ``coroot_array``, times
+    ``theta . rows`` less ``(0, .., 0, 1, d, d)``.
     """
     rank = rs.rank
     p = [Fraction(x) for x in point]
@@ -163,6 +152,7 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
         for a, (t, c, x) in enumerate(zip(shift, centre, scaled))
     ]
     wall = [0] * rank + [1, d, d]
+    theta_vee = rs.coroot_array[-1].tolist()
     for _ in range(REDUCTION_STEP_GUARD):
         i = next((i for i, row in enumerate(rows) if (row[-1], row[-2]) < (0, 0)), None)
         if i is not None:
@@ -175,7 +165,7 @@ def reduce_to_fundamental(rs: RootSystemData, point) -> tuple:
                     tuple(row[rank] for row in rows),
                 )
                 return sigma, tuple(Fraction(row[-1], d) for row in rows)
-            col = rs.theta_covector
+            col = theta_vee
         rows = [[x - c * z for x, z in zip(row, pivot)] for row, c in zip(rows, col)]
     raise BudgetExceededError(
         f"reduction to A_o did not finish in {REDUCTION_STEP_GUARD} steps"

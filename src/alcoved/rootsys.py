@@ -5,7 +5,8 @@ Coordinate conventions used throughout the package:
 * roots are integer vectors of coefficients in the simple-root basis;
 * coweights are vectors in the fundamental-coweight basis (the dual
   basis to the simple roots), so that the pairing of a coweight ``y``
-  with a root ``c`` is the plain dot product ``sum(y[i] * c[i])``.
+  with a root ``c`` is the plain dot product ``sum(y[i] * c[i])``;
+* coroots are coweights too: row a of ``coroot_array`` is ``a^vee``.
 
 No ambient Euclidean realization is ever needed here; types A and C get
 concrete coordinate models in :mod:`alcoved.weyl` for cross-checking
@@ -31,9 +32,9 @@ _RANK_RANGE = {
     "G": (2, 2),
 }
 
-#: most entries of the |Phi+| x |Phi+| coroot_pairings table that build()
-#: allocates: A_140 fits, A_141 does not
-PAIRING_TABLE_LIMIT = 10**8
+#: most positive roots that build() accepts: A_140 and B/C/D_100 fit,
+#: A_141 and B/C/D_101 do not
+POSITIVE_ROOT_LIMIT = 10**4
 
 
 def _positive_root_count(type_label: str, rank: int) -> int:
@@ -59,13 +60,13 @@ class RootSystemData:
     and ``index_of_connection`` is ``|det(cartan)|``.
     ``cartan_adjugate`` is the integer matrix ``f * cartan^-1``, with
     ``f = index_of_connection``.
-    ``coroot_pairings[a][b]`` is the integer pairing ``(a^vee, b)`` of
-    the a-th and b-th positive roots, and ``theta_covector`` the integer
-    omega-coordinates of ``theta^vee``.
 
     The array tables are read-only: ``root_array`` holds the positive
     roots as int64 rows, ``root_arrays`` the same rows by dtype (int16,
     int32 and int64), and ``simple_index[j]`` is the row of alpha_j.
+    Row a of the int64 ``coroot_array`` holds the omega-coordinates of
+    the coroot of the a-th positive root, so ``(a^vee, b)`` is the dot
+    product of its row with the row of b; its last row is ``theta^vee``.
     ``column_support[j]`` lists the rows with alpha_j in their support,
     ``column_final[j]`` those whose last simple root is alpha_j.
     """
@@ -78,9 +79,8 @@ class RootSystemData:
     marks: tuple
     h_star: int
     index_of_connection: int
-    theta_covector: tuple
     cartan_adjugate: tuple = field(compare=False)  # these are determined by the rest
-    coroot_pairings: tuple = field(compare=False)
+    coroot_array: np.ndarray = field(compare=False)
     root_array: np.ndarray = field(compare=False)
     root_arrays: dict = field(compare=False)
     simple_index: tuple = field(compare=False)
@@ -208,11 +208,10 @@ def build(type_label: str, rank: int) -> RootSystemData:
     if rank < lo or (hi is not None and rank > hi):
         raise UserInputError(f"invalid rank {rank} for type {type_label}")
     expected = _positive_root_count(type_label, rank)
-    if expected**2 > PAIRING_TABLE_LIMIT:
+    if expected > POSITIVE_ROOT_LIMIT:
         raise UserInputError(
-            f"{type_label}{rank}: the coroot pairing table would have "
-            f"{expected}x{expected} = {expected**2} entries, more than the "
-            f"limit of {PAIRING_TABLE_LIMIT}"
+            f"{type_label}{rank} has {expected} positive roots, more than "
+            f"the limit of {POSITIVE_ROOT_LIMIT}"
         )
 
     cartan = _cartan_matrix(type_label, rank)
@@ -237,23 +236,19 @@ def build(type_label: str, rank: int) -> RootSystemData:
         raise DefectError("index of connection disagrees with the minuscule count")
 
     root_array = np.array(positive_roots, dtype=np.int64)
-    pairings = np.array(coroots, dtype=np.int64) @ np.array(cartan).T @ root_array.T
-    if (np.diagonal(pairings) != 2).any():
+    coroot_array = np.array(coroots, dtype=np.int64) @ np.array(cartan, dtype=np.int64).T
+    if ((coroot_array * root_array).sum(axis=1) != 2).any():
         raise DefectError("a positive root does not pair to 2 with its coroot")
-    coroot_pairings = tuple(map(tuple, pairings.tolist()))
     dtypes = (np.int16, np.int32, np.int64)
     root_arrays = {t: root_array.astype(t, copy=False) for t in dtypes}
     column_support = tuple(map(np.flatnonzero, root_array.T))
     last = rank - 1 - np.argmax(root_array[:, ::-1] > 0, axis=1)
     column_final = tuple(np.flatnonzero(last == j) for j in range(rank))
-    for table in (root_array, *root_arrays.values(), *column_support, *column_final):
+    for table in (coroot_array, *root_arrays.values(), *column_support, *column_final):
         table.flags.writeable = False
     simple_index = tuple(
         positive_roots.index(tuple(int(i == j) for j in range(rank))) for i in range(rank)
     )
-    theta_covector = tuple(coroot_pairings[-1][i] for i in simple_index)
-    if pairing(theta_covector, theta) != 2:
-        raise DefectError("(theta_vee, theta) != 2")
     return RootSystemData(
         type_label=type_label,
         rank=rank,
@@ -263,9 +258,8 @@ def build(type_label: str, rank: int) -> RootSystemData:
         marks=marks,
         h_star=h_star,
         index_of_connection=f,
-        theta_covector=theta_covector,
         cartan_adjugate=adjugate,
-        coroot_pairings=coroot_pairings,
+        coroot_array=coroot_array,
         root_array=root_array,
         root_arrays=root_arrays,
         simple_index=simple_index,

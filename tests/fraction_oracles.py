@@ -9,16 +9,18 @@ an independent computation; the positive roots by root strings and the
 coroots from the ``Fraction``-symmetrized Cartan form, against the
 library's one reflection closure; the Eulerian numbers counted over S_n;
 the descent bits and cdes of one element, read off its orbit vector
-``z``, against the whole-group tables of ``WeylGroup``; and the paper's
-midpoint rewrite rule in types A and C, against the weight-minimal rule
-of ``groebner.Rewriter``.
+``z``, against the whole-group tables of ``WeylGroup``; the facet
+neighbors of a central point by a search over both bounding hyperplanes
+of every positive root, against the residue rule of
+``geometry.neighbors``; and the paper's midpoint rewrite rule in types A
+and C, against the weight-minimal rule of ``groebner.Rewriter``.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import ceil, factorial, floor, gcd, lcm
 
-from alcoved.geometry import AffineMap
+from alcoved.geometry import AffineMap, CentralPoint
 from alcoved.rootsys import pairing
 
 
@@ -158,6 +160,33 @@ def coroot_covector(cartan, root) -> tuple:
     ]
     norm = sum(c * ip for c, ip in zip(root, inner))
     return tuple(2 * ip / norm for ip in inner)
+
+
+def neighbors_by_search(point) -> list:
+    """The facet neighbors of a central point, found by trying the
+    reflections in both bounding hyperplanes of every positive root and
+    keeping those whose alcove differs from this one in that root's
+    coordinate alone, by one.  Reflecting in ``(lambda, a) = k`` moves
+    the pairing with ``b`` by ``-((y, a) - k*h) * (a^vee, b)``, read off
+    ``coroot_array @ root_array.T``; each kept point is built afresh, so
+    its pairings are recomputed from ``y``."""
+    rs = point.rs
+    h = rs.h_star
+    p = point.pairings
+    base = [v // h for v in p]
+    found, seen = [], set()
+    for idx, row in enumerate((rs.coroot_array @ rs.root_array.T).tolist()):
+        for k in (base[idx], base[idx] + 1):
+            excess = p[idx] - k * h
+            q = [v - excess * c for v, c in zip(p, row)]
+            diffs = [i for i, (v, b) in enumerate(zip(q, base)) if v // h != b]
+            if diffs == [idx] and abs(q[idx] // h - base[idx]) == 1:
+                y = tuple(q[i] for i in rs.simple_index)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(CentralPoint(rs, y))
+                    assert found[-1].pairings == tuple(q)
+    return found
 
 
 def brute_force_eulerian(n: int) -> tuple:

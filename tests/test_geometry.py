@@ -18,6 +18,7 @@ from alcoved.geometry import (
     reduce_to_fundamental,
 )
 from alcoved.errors import BudgetExceededError, DefectError, UserInputError
+from alcoved.polytope import central_points, parallelepiped, volume
 from alcoved.rootsys import build, pairing, rho
 from alcoved.weyl import enumerate_weyl
 
@@ -212,7 +213,7 @@ def _walk(rs, rng, steps):
 
 def test_neighbors_agree_with_fraction_oracle():
     # a seeded walk of 20 steps, continued until every positive root has
-    # been a wall of a compared alcove, so that every row of the table
+    # been a wall of a compared alcove, so that every row of coroot_array
     # has made a neighbor; later points that add no wall are not compared
     rng = random.Random(41)
     for t, r in TYPES:
@@ -240,29 +241,45 @@ def test_neighbors_agree_with_fraction_oracle():
 
 
 def test_neighbors_check_every_candidate():
-    # a corrupt table entry that puts one candidate's pairing on a wall
+    # a corrupt coroot row, (1, 0) for theta^vee = (1, 1), puts the
+    # reflection in the theta facet of rho/h on a wall
     rs = build("A", 2)
-    theta = rs.root_index(rs.theta)
-    table = [list(row) for row in rs.coroot_pairings]
-    table[theta][theta] = 1
-    bad = dataclasses.replace(rs, coroot_pairings=tuple(map(tuple, table)))
-    with pytest.raises(DefectError):
+    table = rs.coroot_array.copy()
+    table[rs.root_index(rs.theta)] = (1, 0)
+    bad = dataclasses.replace(rs, coroot_array=table)
+    with pytest.raises(DefectError, match="reflects it onto a wall"):
         neighbors(CentralPoint(bad, (1, 1)))
     # a point that is not central is refused before any walk
     with pytest.raises(UserInputError):
         CentralPoint(rs, (1, 2))
 
 
-def test_neighbors_report_a_candidate_on_a_simple_wall_as_a_defect():
-    # the corrupt entry puts a candidate on the wall of a simple root: a
-    # broken root-system table, not bad input
+def test_neighbors_report_a_reflection_across_another_wall_as_a_defect():
+    # a corrupt coroot row, (2, 2) for alpha_1^vee = (2, -1), moves the
+    # reflection in the alpha_1 facet of rho/h across the walls of alpha_2
+    # and theta too: a broken root-system table, not bad input
     rs = build("A", 2)
-    first = rs.simple_index[0]
-    table = [list(row) for row in rs.coroot_pairings]
-    table[first][first] = 1
-    bad = dataclasses.replace(rs, coroot_pairings=tuple(map(tuple, table)))
-    with pytest.raises(DefectError, match=r"alcove \(1, 1\)"):
+    table = rs.coroot_array.copy()
+    table[rs.simple_index[0]] = (2, 2)
+    bad = dataclasses.replace(rs, coroot_array=table)
+    with pytest.raises(DefectError, match=r"alcove \(1, 1\): .* across another wall"):
         neighbors(_fundamental(bad))
+
+
+def test_neighbors_agree_with_the_search_on_unit_boxes():
+    # every central point of the unit box, against the search over both
+    # bounding hyperplanes of every positive root, as sets of points
+    for t, r in TYPES:
+        rs = build(t, r)
+        box = parallelepiped(rs)
+        points = list(central_points(box))
+        assert len(points) == volume(box)
+        for point in points:
+            found = neighbors(point)
+            assert len(found) == r + 1
+            assert {q.y for q in found} == {q.y for q in oracle.neighbors_by_search(point)}
+            for q in found:
+                assert q.pairings == tuple(pairing(q.y, a) for a in rs.positive_roots)
 
 
 def test_reduce_agrees_with_fraction_oracle_on_random_points():

@@ -1,6 +1,7 @@
 """Root system construction, pairings and the order formula."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,27 +117,30 @@ def test_pairing_is_the_plain_dot_product():
 
 def test_coroot_covector_of_simple_roots():
     # the coroot of alpha_j pairs with alpha_i to cartan[i][j]: its row of
-    # coroot_pairings, read at the simple roots, is column j of the Cartan matrix
+    # coroot_array @ root_array.T, read at the simple roots, is column j of
+    # the Cartan matrix
     rs = build("B", 3)
+    table = rs.coroot_array @ rs.root_array.T
     for j, alpha in enumerate(rs.simple_roots):
         col = tuple(rs.cartan[i][j] for i in range(rs.rank))
         assert oracle.coroot_covector(rs.cartan, alpha) == col
-        row = rs.coroot_pairings[rs.simple_index[j]]
+        row = table[rs.simple_index[j]].tolist()
         assert tuple(row[i] for i in rs.simple_index) == col
 
 
-def test_coroot_pairings_match_the_symmetrized_form():
-    # (a^vee, b) = 2 (a, b) / (a, a) in Fractions, against the integer table
+def test_coroot_array_matches_the_symmetrized_form():
+    # (a^vee, b) = 2 (a, b) / (a, a) in Fractions, against the integer rows
     for t, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2),
                  ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4),
                  ("D", 5), ("E", 6), ("E", 7), ("F", 4), ("G", 2)):
         rs = build(t, r)
         roots = rs.positive_roots
         covectors = [oracle.coroot_covector(rs.cartan, a) for a in roots]
-        expected = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
-        assert rs.coroot_pairings == expected
-        assert rs.theta_covector == oracle.coroot_covector(rs.cartan, rs.theta)
-        assert pairing(rs.theta_covector, rs.theta) == 2
+        expected = [[pairing(cov, b) for b in roots] for cov in covectors]
+        assert (rs.coroot_array @ rs.root_array.T).tolist() == expected
+        assert rs.coroot_array.tolist() == [list(cov) for cov in covectors]
+        assert pairing(rs.coroot_array[-1].tolist(), rs.theta) == 2
+        assert rs.coroot_array.dtype == np.int64 and not rs.coroot_array.flags.writeable
 
 
 _ORACLE_SYSTEMS = (
@@ -151,15 +155,16 @@ def test_build_matches_the_root_string_and_symmetrized_oracles(t, r):
     roots = oracle.positive_roots(rs.cartan)
     simple = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     covectors = [oracle.coroot_covector(rs.cartan, a) for a in roots]
-    pairings = tuple(tuple(pairing(cov, b) for b in roots) for cov in covectors)
+    pairings = [[pairing(cov, b) for b in roots] for cov in covectors]
     f = abs(oracle.det(rs.cartan))
     last = [max(j for j, c in enumerate(root) if c) for root in roots]
     assert rs.positive_roots == tuple(roots)
-    assert rs.coroot_pairings == pairings
-    assert rs.theta_covector == covectors[-1]
+    assert (rs.coroot_array @ rs.root_array.T).tolist() == pairings
+    assert rs.coroot_array[-1].tolist() == list(covectors[-1])
     inverse = oracle.mat_inv(rs.cartan)
     assert rs.cartan_adjugate == tuple(tuple(f * x for x in row) for row in inverse)
     assert rs.root_array.tolist() == [list(root) for root in roots]
+    assert not rs.root_array.flags.writeable and not rs.coroot_array.flags.writeable
     assert list(rs.root_arrays) == [np.int16, np.int32, np.int64]
     for dtype, array in rs.root_arrays.items():
         assert array.dtype == dtype and array.tolist() == rs.root_array.tolist()
@@ -197,18 +202,36 @@ def test_a_coroot_that_does_not_pair_to_two_raises(monkeypatch):
 
 
 def test_pairing_table_limit_is_checked_before_the_closure(monkeypatch):
+    # the limit counts positive roots, which are known before the closure;
+    # it refuses the ranks that the old limit of 10^8 pairings refused
     def unreachable(cartan, rank):
-        raise AssertionError("the closure ran past the table limit")
+        raise AssertionError("the closure ran past the positive root limit")
 
     monkeypatch.setattr(rootsys, "_roots_and_coroots", unreachable)
-    with pytest.raises(UserInputError, match="10011x10011 = 100220121 .* 100000000"):
+    with pytest.raises(UserInputError, match="A141 has 10011 positive roots, .* 10000"):
         build("A", 141)
+    for t, admitted in (("A", 140), ("B", 100), ("C", 100), ("D", 100)):
+        assert rootsys._positive_root_count(t, admitted) <= rootsys.POSITIVE_ROOT_LIMIT
+        with pytest.raises(UserInputError, match="positive roots, more than"):
+            build(t, admitted + 1)
     monkeypatch.undo()
-    # at the limit a table builds, one root more is refused
-    monkeypatch.setattr(rootsys, "PAIRING_TABLE_LIMIT", 36)
-    assert len(build.__wrapped__("A", 3).coroot_pairings) == 6  # past the cache
-    with pytest.raises(UserInputError, match="100 entries"):
+    # at the limit a root system builds, one root more is refused
+    monkeypatch.setattr(rootsys, "POSITIVE_ROOT_LIMIT", 6)
+    assert len(build.__wrapped__("A", 3).coroot_array) == 6  # past the cache
+    with pytest.raises(UserInputError, match="A4 has 10 positive roots"):
         build.__wrapped__("A", 4)
+
+
+def test_build_allocates_no_table_of_all_pairings():
+    # A60 has 1,830 positive roots: a table of all their pairings would
+    # hold 3.3M entries, while coroot_array holds 109,800
+    tracemalloc.start()
+    try:
+        build.__wrapped__("A", 60)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_rho_pairs_to_one_with_simple_coroots():
