@@ -11,7 +11,6 @@ polytope into alcoves.
 
 from . import cli, geometry, groebner, polytope, rootsys, statistics, weyl
 from .errors import AlcovedError, BudgetExceededError, DefectError, UserInputError
-from .geometry import Alcove, CentralPoint, alcove_of, neighbors
 from .groebner import groebner_basis, is_standard, normal_form, triangulate
 from .polytope import (
     AlcovedPolytope,
@@ -33,14 +32,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlcovedError",
     "AlcovedPolytope",
-    "Alcove",
     "BudgetExceededError",
-    "CentralPoint",
     "DefectError",
     "RootSystemData",
     "UserInputError",
     "adjacent_star",
-    "alcove_of",
     "build",
     "cli",
     "enumerate_weyl",
@@ -52,7 +48,6 @@ __all__ = [
     "is_standard",
     "lattice_point_count",
     "make_polytope",
-    "neighbors",
     "normal_form",
     "polytope",
     "qweyl_check",

@@ -1,15 +1,15 @@
-"""Alcoves, central points and reduction into the fundamental alcove.
+"""Alcove walks and reduction into the fundamental alcove.
 
-An alcove is represented primarily by its central point: the unique
-point of the shrunken coweight lattice inside it.  Central points are
-stored as integer omega-vectors ``y`` with the implicit denominator
-``h_star`` and keep their pairings with the positive roots.  The walk
-to neighbouring alcoves and the reduction into the fundamental alcove
-run in integers too; ``Fraction`` appears only in a reduction's input
-and image.  The central point of the fundamental alcove A_o is
-``CentralPoint(rs, rho(rs))``, and that of ``w(A_o)`` is
-``CentralPoint(rs, w.inverse().z)``, since ``w(rho)`` is the ``z`` of
-``w^-1``.
+An alcove is represented by its central point ``y / h_star``: the
+unique point of the shrunken coweight lattice inside it.  A central
+point is the tuple of its pairings ``(y, a)`` with the positive roots,
+in the order of ``rs.positive_roots``: their floors by h_star are the
+alcove's m-vector, the entries ``≡ ±1 (mod h_star)`` name its facets,
+and the simple ones are ``y`` itself.  That of the fundamental alcove
+A_o pairs ``rho`` with the roots, and that of ``w(A_o)`` pairs
+``w.inverse().z``, since ``w(rho)`` is the ``z`` of ``w^-1``.  The walk
+to neighbouring alcoves and the reduction into A_o run in integers;
+``Fraction`` appears only in a reduction's input and image.
 """
 
 import math
@@ -23,89 +23,45 @@ REDUCTION_STEP_GUARD = 10**6
 
 
 @dataclass(frozen=True)
-class Alcove:
-    """Integer vector ``m`` indexed like ``rs.positive_roots``."""
-
-    rs: RootSystemData
-    m: tuple
-
-
-@dataclass(frozen=True)
-class CentralPoint:
-    """The point ``y / h_star`` in omega-coordinates.
-
-    Valid central points have ``pairing(y, a) % h_star != 0`` for every
-    positive root ``a``; construction rejects anything else and keeps
-    those pairings, in the order of ``rs.positive_roots``, as
-    ``pairings``.
-    """
-
-    rs: RootSystemData
-    y: tuple
-
-    def __post_init__(self):
-        h = self.rs.h_star
-        pairings = tuple(pairing(self.y, root) for root in self.rs.positive_roots)
-        for root, value in zip(self.rs.positive_roots, pairings):
-            if value % h == 0:
-                raise UserInputError(
-                    f"{self.y}/{h} lies on the hyperplane of root {root}"
-                )
-        object.__setattr__(self, "pairings", pairings)
-
-
-@dataclass(frozen=True)
 class AffineMap:
     """lambda -> linear . lambda + translation, on omega-coordinates."""
 
     linear: tuple
     translation: tuple
 
-    def apply(self, point) -> tuple:
-        return tuple(
-            sum(a * x for a, x in zip(row, point)) + t
-            for row, t in zip(self.linear, self.translation)
-        )
 
+def neighbors(rs: RootSystemData, p) -> list:
+    """The r+1 central points of the alcoves sharing a facet with ``y / h``.
 
-def alcove_of(point: CentralPoint) -> Alcove:
-    """The m-vector of the alcove containing the central point."""
-    h = point.rs.h_star
-    return Alcove(point.rs, tuple(v // h for v in point.pairings))
-
-
-def _trusted_point(rs: RootSystemData, y: tuple, pairings: tuple) -> CentralPoint:
-    """A CentralPoint from pairings the caller has computed and checked."""
-    point = object.__new__(CentralPoint)
-    point.__dict__.update(rs=rs, y=y, pairings=pairings)
-    return point
-
-
-def neighbors(point: CentralPoint) -> list:
-    """The r+1 central points of the alcoves sharing a facet with this one.
-
+    ``p`` holds the pairings ``(y, a)`` in the order of
+    ``rs.positive_roots``, and so does each neighbour returned; an entry
+    divisible by h puts ``y / h`` on a wall, which is a UserInputError.
     The facets around ``y / h`` are the hyperplanes ``(lambda, a) = k``
     with ``(y, a) - k*h = e = +-1``: the affine Weyl group carries rho/h to
     every central point, and only the walls of A_o lie 1/h from rho/h (in
     A1, h = 2 and both levels count).  Reflecting in one maps y to
     ``y - e * a^vee``; neighbors come in root order, lower facet first.
     """
-    rs = point.rs
     h = rs.h_star
-    p = point.pairings
+    if len(p) != len(rs.positive_roots):
+        raise UserInputError(f"need {len(rs.positive_roots)} pairings, got {len(p)}")
+    y = tuple(p[i] for i in rs.simple_index)
+    for root, v in zip(rs.positive_roots, p):
+        if v % h == 0:
+            raise UserInputError(f"{y}/{h} lies on the hyperplane of root {root}")
     base = [v // h for v in p]
     facets = [(idx, e) for idx, v in enumerate(p) for e in (1, -1) if (v - e) % h == 0]
     rows = rs.coroot_array[[idx for idx, _ in facets]] @ rs.root_array.T
     found = []
     for (idx, e), row in zip(facets, rows.tolist()):
-        q = [v - e * c for v, c in zip(p, row)]
+        q = tuple(v - e * c for v, c in zip(p, row))
         if not all(v % h for v in q):  # coroot_array disagrees with the pairings
-            raise DefectError(f"alcove {point.y}: facet {idx} reflects it onto a wall")
+            raise DefectError(f"alcove {y}: facet {idx} reflects it onto a wall")
         if [b - v // h for v, b in zip(q, base)] != [e * (i == idx) for i in range(len(q))]:
-            raise DefectError(f"alcove {point.y}: facet {idx} reflects it across another wall")
-        found.append(_trusted_point(rs, tuple(q[i] for i in rs.simple_index), tuple(q)))
+            raise DefectError(f"alcove {y}: facet {idx} reflects it across another wall")
+        found.append(q)
     if len(found) != rs.rank + 1:
-        raise DefectError(f"alcove {point.y} has {len(found)} facets, expected {rs.rank + 1}")
+        raise DefectError(f"alcove {y} has {len(found)} facets, expected {rs.rank + 1}")
     return found
 
 

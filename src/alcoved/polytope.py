@@ -233,36 +233,33 @@ def volume(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     return sum(len(ys) for ys in _scan(P, P.rs.h_star, budget, walls=True)[1])
 
 
-def central_points(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET):
-    """Central points of the alcoves of P (as geometry.CentralPoint)."""
-    offset, chunks = _scan(P, P.rs.h_star, budget, walls=True)
-    for ys in chunks:
-        for y in ys.tolist():
-            yield geometry.CentralPoint(P.rs, tuple(v + o for v, o in zip(y, offset)))
-
-
 def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     """Independent volume oracle: BFS over the facet-adjacency graph.
 
-    Seeds at the first central point found by enumeration and walks the
-    neighbor graph restricted to P.  For a convex (alcoved) polytope the
-    count equals ``volume(P)``.
+    Seeds at the first central point of the volume scan and walks the
+    neighbor graph restricted to P, one tuple of root pairings per alcove
+    (``geometry.neighbors``); the seed adds the scan's offset in Python
+    ints, so the walk is exact at any offset.  For a convex (alcoved)
+    polytope the count equals ``volume(P)``.
     """
-    seed = next(central_points(P, budget), None)
-    if seed is None:
+    rs, h = P.rs, P.rs.h_star
+    offset, chunks = _scan(P, h, budget, walls=True)
+    ys = next((ys for ys in chunks if len(ys)), None)
+    if ys is None:
         return 0
-    seen = {seed.y}
-    queue = [seed]
+    y = [v + o for v, o in zip(ys[0].tolist(), offset)]
+    seed = tuple(pairing(y, root) for root in rs.positive_roots)
+    seen, queue = {seed}, [seed]
     while queue:
-        z = queue.pop()
-        for nb in geometry.neighbors(z):
-            if nb.y in seen:
-                continue
-            if P.contains_alcove(geometry.alcove_of(nb).m):
+        for q in geometry.neighbors(rs, queue.pop()):
+            if q not in seen and P.contains_alcove([v // h for v in q]):
                 if len(seen) >= budget:
-                    raise BudgetExceededError("BFS exceeded the point budget")
-                seen.add(nb.y)
-                queue.append(nb)
+                    raise BudgetExceededError(
+                        f"the alcove walk reached {len(seen) + 1} alcoves "
+                        f"and exceeds budget {budget}"
+                    )
+                seen.add(q)
+                queue.append(q)
     return len(seen)
 
 

@@ -160,19 +160,25 @@ def _roots_and_coroots(cartan: tuple, rank: int) -> tuple:
 
     ``s_i`` raises ``beta`` where ``(beta, alpha_i^vee) < 0``, and every
     positive root but a simple one is reached so from a lower one.  The
-    coroot goes along: ``s_i(beta)^vee = beta^vee - (alpha_i, beta^vee) alpha_i^vee``.
+    coroot goes along: ``s_i(beta)^vee = beta^vee - (alpha_i, beta^vee) alpha_i^vee``,
+    and so do the pairings with the simple coroots, ``(s_i(beta), alpha_j^vee)
+    = (beta, alpha_j^vee) - (beta, alpha_i^vee) cartan[i][j]``; a root's
+    pairings are dropped once it is expanded.
     """
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     coroot = dict(zip(simple, simple))
+    pairings = dict(zip(simple, cartan))
     queue = list(simple)
     for beta in queue:  # the queue grows as the loop walks it
-        dual = coroot[beta]
-        for i in range(rank):
-            down = sum(b * row[i] for b, row in zip(beta, cartan))
+        dual, pair = coroot[beta], pairings.pop(beta)
+        for i, down in enumerate(pair):
+            if down >= 0:
+                continue
             up = beta[:i] + (beta[i] - down,) + beta[i + 1:]
-            if down < 0 and up not in coroot:
+            if up not in coroot:
                 lift = sum(a * c for a, c in zip(cartan[i], dual))
                 coroot[up] = dual[:i] + (dual[i] - lift,) + dual[i + 1:]
+                pairings[up] = tuple(a - down * c for a, c in zip(pair, cartan[i]))
                 queue.append(up)
     roots = sorted(coroot, key=lambda v: (sum(v), v))
     return roots, [coroot[root] for root in roots]

@@ -301,8 +301,12 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGrou
     Raises BudgetExceededError before the search when the order of W
     exceeds ``budget``.
     """
-    if weyl_order(rs) > budget:
-        raise BudgetExceededError(f"Weyl group of {rs} exceeds budget {budget}")
+    order = weyl_order(rs)
+    if order > budget:
+        raise BudgetExceededError(
+            f"the Weyl group of {rs.type_label}{rs.rank} has {order} elements "
+            f"and exceeds budget {budget}"
+        )
     cartan = rs.cartan
     start = tuple(rho(rs))
     zs, index = [start], {start: 0}

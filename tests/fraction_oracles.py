@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import ceil, factorial, floor, gcd, lcm
 
-from alcoved.geometry import AffineMap, CentralPoint
+from alcoved.geometry import AffineMap
 from alcoved.rootsys import pairing
 
 
@@ -162,19 +162,18 @@ def coroot_covector(cartan, root) -> tuple:
     return tuple(2 * ip / norm for ip in inner)
 
 
-def neighbors_by_search(point) -> list:
-    """The facet neighbors of a central point, found by trying the
-    reflections in both bounding hyperplanes of every positive root and
-    keeping those whose alcove differs from this one in that root's
-    coordinate alone, by one.  Reflecting in ``(lambda, a) = k`` moves
-    the pairing with ``b`` by ``-((y, a) - k*h) * (a^vee, b)``, read off
-    ``coroot_array @ root_array.T``; each kept point is built afresh, so
-    its pairings are recomputed from ``y``."""
-    rs = point.rs
+def neighbors_by_search(rs, p) -> list:
+    """The facet neighbors of the central point with pairings ``p``, found
+    by trying the reflections in both bounding hyperplanes of every
+    positive root and keeping those whose alcove differs from this one in
+    that root's coordinate alone, by one.  Reflecting in
+    ``(lambda, a) = k`` moves the pairing with ``b`` by
+    ``-((y, a) - k*h) * (a^vee, b)``, read off
+    ``coroot_array @ root_array.T``; each kept point's pairings are
+    recomputed from its ``y`` and checked to lie on no wall."""
     h = rs.h_star
-    p = point.pairings
     base = [v // h for v in p]
-    found, seen = [], set()
+    found = []
     for idx, row in enumerate((rs.coroot_array @ rs.root_array.T).tolist()):
         for k in (base[idx], base[idx] + 1):
             excess = p[idx] - k * h
@@ -182,10 +181,10 @@ def neighbors_by_search(point) -> list:
             diffs = [i for i, (v, b) in enumerate(zip(q, base)) if v // h != b]
             if diffs == [idx] and abs(q[idx] // h - base[idx]) == 1:
                 y = tuple(q[i] for i in rs.simple_index)
-                if y not in seen:
-                    seen.add(y)
-                    found.append(CentralPoint(rs, y))
-                    assert found[-1].pairings == tuple(q)
+                pairings = tuple(pairing(y, root) for root in rs.positive_roots)
+                assert pairings == tuple(q) and all(v % h for v in pairings)
+                if pairings not in found:
+                    found.append(pairings)
     return found
 
 

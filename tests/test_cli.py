@@ -439,7 +439,7 @@ def test_e8_weyl_group_exits_3_before_enumerating(command, capsys):
     assert cli.run([command, "--type", "E", "--rank", "8"]) == 3
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "Weyl group of RootSystemData(E8) exceeds budget 100000000" in err
+    assert "the Weyl group of E8 has 696729600 elements and exceeds budget 100000000" in err
 
 
 def test_every_budget_defaults_to_the_cli_budget():

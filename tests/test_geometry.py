@@ -1,42 +1,56 @@
-"""Alcoves, central points and reduction to the fundamental alcove."""
+"""Alcoves, central points and reduction to the fundamental alcove.
+
+A central point ``y / h_star`` is the tuple of its pairings ``(y, a)``
+with the positive roots, as ``geometry.neighbors`` takes and returns it.
+"""
 
 import dataclasses
 import functools
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 
 import fraction_oracles as oracle
-from alcoved import geometry
-from alcoved.geometry import (
-    AffineMap,
-    CentralPoint,
-    alcove_of,
-    neighbors,
-    reduce_to_fundamental,
-)
-from alcoved.errors import BudgetExceededError, DefectError, UserInputError
-from alcoved.polytope import central_points, parallelepiped, volume
+from alcoved import geometry, polytope
+from alcoved.geometry import AffineMap, neighbors, reduce_to_fundamental
+from alcoved.errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
+from alcoved.polytope import parallelepiped, volume
 from alcoved.rootsys import build, pairing, rho
 from alcoved.weyl import enumerate_weyl
 
 
+def _central(rs, y):
+    """The pairings of ``y`` with the positive roots, in their order."""
+    return tuple(pairing(y, root) for root in rs.positive_roots)
+
+
+def _y(rs, p):
+    """``y``, the simple pairings of a central point."""
+    return tuple(p[i] for i in rs.simple_index)
+
+
+def _m(rs, p):
+    """The m-vector of the alcove around a central point."""
+    return tuple(v // rs.h_star for v in p)
+
+
 def _fundamental(rs):
     """rho / h_star, the central point of the fundamental alcove."""
-    return CentralPoint(rs, rho(rs))
+    return _central(rs, rho(rs))
 
 
-def _omega(point):
+def _omega(rs, p):
     """Exact rational omega-coordinates of a central point."""
-    return tuple(Fraction(v, point.rs.h_star) for v in point.y)
+    return tuple(Fraction(v, rs.h_star) for v in _y(rs, p))
 
 
 def test_fundamental_central_point_lies_in_the_open_alcove():
     for t, r in (("A", 3), ("C", 2), ("D", 4), ("G", 2)):
         rs = build(t, r)
-        p = _omega(_fundamental(rs))
+        p = _omega(rs, _fundamental(rs))
         for root in rs.positive_roots:
             assert 0 < pairing(p, root) < 1
         # central points live in (1/h) times the coweight lattice
@@ -46,32 +60,30 @@ def test_fundamental_central_point_lies_in_the_open_alcove():
 
 def test_fundamental_alcove_has_zero_floor_vector():
     rs = build("C", 2)
-    alc = alcove_of(_fundamental(rs))
-    assert all(m == 0 for m in alc.m)
+    assert all(m == 0 for m in _m(rs, _fundamental(rs)))
 
 
 def test_alcove_floors_bound_the_central_point():
     rs = build("A", 3)
     point = _fundamental(rs)
-    for q in neighbors(point):
-        alc = alcove_of(q)
-        y = _omega(q)
-        for root, m in zip(rs.positive_roots, alc.m):
+    for q in neighbors(rs, point):
+        y = _omega(rs, q)
+        for root, m in zip(rs.positive_roots, _m(rs, q)):
             assert m < pairing(y, root) < m + 1
 
 
 def test_neighbors_count_and_distinctness():
     for t, r in (("A", 2), ("C", 3), ("D", 4)):
         rs = build(t, r)
-        ns = neighbors(_fundamental(rs))
+        ns = neighbors(rs, _fundamental(rs))
         assert len(ns) == r + 1
-        assert len({alcove_of(q).m for q in ns}) == r + 1
+        assert len({_m(rs, q) for q in ns}) == r + 1
 
 
 def test_weyl_alcoves_are_distinct():
     rs = build("C", 2)
     W = enumerate_weyl(rs)
-    alcoves = {alcove_of(CentralPoint(rs, w.inverse().z)).m for w in W}
+    alcoves = {_m(rs, _central(rs, w.inverse().z)) for w in W}
     assert len(alcoves) == len(W)
 
 
@@ -79,12 +91,12 @@ def test_reduce_to_fundamental_roundtrip():
     rs = build("A", 2)
     W = enumerate_weyl(rs)
     base = _fundamental(rs)
-    target = _omega(base)
+    target = _omega(rs, base)
     for w in W:
-        coords = _omega(CentralPoint(rs, w.inverse().z))  # w(A_o)
+        coords = _omega(rs, _central(rs, w.inverse().z))  # w(A_o)
         sigma, image = reduce_to_fundamental(rs, coords)
         assert image == target
-        assert sigma.apply(coords) == image
+        assert oracle.apply(sigma, coords) == image
 
 
 def test_reduce_to_fundamental_reaches_far_alcoves():
@@ -92,18 +104,18 @@ def test_reduce_to_fundamental_reaches_far_alcoves():
     point = _fundamental(rs)
     # walk a deterministic zig-zag path away from the origin
     for step in range(12):
-        point = neighbors(point)[step % (rs.rank + 1)]
-    coords = _omega(point)
+        point = neighbors(rs, point)[step % (rs.rank + 1)]
+    coords = _omega(rs, point)
     sigma, image = reduce_to_fundamental(rs, coords)
-    assert image == _omega(_fundamental(rs))
-    assert sigma.apply(coords) == image
+    assert image == _omega(rs, _fundamental(rs))
+    assert oracle.apply(sigma, coords) == image
 
 
 def test_affine_map_compose_and_inverse():
     rs = build("A", 3)
     p = _fundamental(rs)
-    q = neighbors(neighbors(p)[0])[2]
-    sigma, _ = reduce_to_fundamental(rs, _omega(q))
+    q = neighbors(rs, neighbors(rs, p)[0])[2]
+    sigma, _ = reduce_to_fundamental(rs, _omega(rs, q))
     rt = oracle.compose(sigma, oracle.inverse(sigma))
     ident = oracle.identity_map(rs.rank)
     assert rt.linear == ident.linear
@@ -130,28 +142,28 @@ def _oracle_m(rs, y):
     return tuple(pairing(y, root) // rs.h_star for root in rs.positive_roots)
 
 
-def _oracle_reflect(point, root, k):
-    rs = point.rs
+def _oracle_reflect(rs, y, root, k):
     covector = _fraction_covector(rs, root)
-    excess = pairing(point.y, root) - k * rs.h_star
-    y = tuple(v - excess * c for v, c in zip(point.y, covector))
+    excess = pairing(y, root) - k * rs.h_star
+    y = tuple(v - excess * c for v, c in zip(y, covector))
     assert all(v.denominator == 1 for v in y)
-    return CentralPoint(rs, tuple(int(v) for v in y))
+    return tuple(int(v) for v in y)
 
 
-def _oracle_neighbors(point):
-    rs = point.rs
-    base = _oracle_m(rs, point.y)
-    found, seen = [], set()
+def _oracle_neighbors(rs, y):
+    """The neighbors of ``y / h`` as pairing tuples, each on no wall."""
+    base = _oracle_m(rs, y)
+    found = []
     for idx, root in enumerate(rs.positive_roots):
         for k in (base[idx], base[idx] + 1):
-            candidate = _oracle_reflect(point, root, k)
-            m = _oracle_m(rs, candidate.y)
+            candidate = _oracle_reflect(rs, y, root, k)
+            m = _oracle_m(rs, candidate)
             diffs = [i for i in range(len(m)) if m[i] != base[i]]
             if diffs == [idx] and abs(m[idx] - base[idx]) == 1:
-                if candidate.y not in seen:
-                    seen.add(candidate.y)
-                    found.append(candidate)
+                p = _central(rs, candidate)
+                assert all(v % rs.h_star for v in p)
+                if p not in found:
+                    found.append(p)
     assert len(found) == rs.rank + 1
     return found
 
@@ -207,7 +219,7 @@ def _assert_same_reduction(rs, point):
 def _walk(rs, rng, steps):
     point = _fundamental(rs)
     for _ in range(steps):
-        point = rng.choice(neighbors(point))
+        point = rng.choice(neighbors(rs, point))
     return point
 
 
@@ -223,18 +235,18 @@ def test_neighbors_agree_with_fraction_oracle():
         for step in range(2000):
             if step >= 20 and len(walls) == len(rs.positive_roots):
                 break
-            found = neighbors(point)
-            base = _oracle_m(rs, point.y)
+            found = neighbors(rs, point)
+            base = _oracle_m(rs, _y(rs, point))
             crossed = set()
             for q in found:
-                m = _oracle_m(rs, q.y)
+                m = _oracle_m(rs, _y(rs, q))
                 crossed.update(i for i in range(len(m)) if m[i] != base[i])
             if step < 20 or not crossed <= walls:
                 walls |= crossed
-                assert found == _oracle_neighbors(point)
+                assert found == _oracle_neighbors(rs, _y(rs, point))
                 for q in found:
-                    assert q.pairings == tuple(pairing(q.y, a) for a in rs.positive_roots)
-                    assert alcove_of(q).m == _oracle_m(rs, q.y)
+                    assert q == _central(rs, _y(rs, q))
+                    assert _m(rs, q) == _oracle_m(rs, _y(rs, q))
             point = rng.choice(found)
         else:
             raise AssertionError(f"{rs}: the walk met only {len(walls)} root directions")
@@ -248,10 +260,27 @@ def test_neighbors_check_every_candidate():
     table[rs.root_index(rs.theta)] = (1, 0)
     bad = dataclasses.replace(rs, coroot_array=table)
     with pytest.raises(DefectError, match="reflects it onto a wall"):
-        neighbors(CentralPoint(bad, (1, 1)))
+        neighbors(bad, _fundamental(bad))
     # a point that is not central is refused before any walk
     with pytest.raises(UserInputError):
-        CentralPoint(rs, (1, 2))
+        neighbors(rs, _central(rs, (1, 2)))
+
+
+def test_neighbors_refuse_a_pairing_tuple_on_a_wall():
+    # y = rho + (h - 1) e_i pairs to h with alpha_i and to 1 with the other
+    # simple roots, which come first in root order: y / h is on alpha_i's wall
+    for t, r in TYPES:
+        rs = build(t, r)
+        h = rs.h_star
+        for i, root in enumerate(rs.simple_roots):
+            y = tuple(1 + (h - 1) * (j == i) for j in range(r))
+            wall = re.escape(f"{y}/{h} lies on the hyperplane of root {root}")
+            with pytest.raises(UserInputError, match=wall):
+                neighbors(rs, _central(rs, y))
+    # and a tuple that leaves out a root is no central point either
+    rs = build("A", 2)
+    with pytest.raises(UserInputError, match="need 3 pairings, got 2"):
+        neighbors(rs, (1, 1))
 
 
 def test_neighbors_report_a_reflection_across_another_wall_as_a_defect():
@@ -263,23 +292,28 @@ def test_neighbors_report_a_reflection_across_another_wall_as_a_defect():
     table[rs.simple_index[0]] = (2, 2)
     bad = dataclasses.replace(rs, coroot_array=table)
     with pytest.raises(DefectError, match=r"alcove \(1, 1\): .* across another wall"):
-        neighbors(_fundamental(bad))
+        neighbors(bad, _fundamental(bad))
 
 
 def test_neighbors_agree_with_the_search_on_unit_boxes():
-    # every central point of the unit box, against the search over both
-    # bounding hyperplanes of every positive root, as sets of points
+    # every central point of the unit box, read off the rows of the volume
+    # scan, against the search over both bounding hyperplanes of every
+    # positive root, as sets of pairing tuples
     for t, r in TYPES:
         rs = build(t, r)
         box = parallelepiped(rs)
-        points = list(central_points(box))
+        offset, chunks = polytope._scan(box, rs.h_star, DEFAULT_BUDGET, walls=True)
+        points = [
+            _central(rs, [v + o for v, o in zip(y, offset)])
+            for ys in chunks for y in ys.tolist()
+        ]
         assert len(points) == volume(box)
         for point in points:
-            found = neighbors(point)
+            found = neighbors(rs, point)
             assert len(found) == r + 1
-            assert {q.y for q in found} == {q.y for q in oracle.neighbors_by_search(point)}
+            assert set(found) == set(oracle.neighbors_by_search(rs, point))
             for q in found:
-                assert q.pairings == tuple(pairing(q.y, a) for a in rs.positive_roots)
+                assert q == _central(rs, _y(rs, q))
 
 
 def test_reduce_agrees_with_fraction_oracle_on_random_points():
@@ -344,7 +378,7 @@ def test_reduce_agrees_with_fraction_oracle_on_walls():
             points.append(
                 tuple(sum(w * v[j] for w, v in zip(weights, vertices)) / total for j in range(r))
             )
-        far = _omega(_walk(rs, rng, 12 if r <= 3 else 6))
+        far = _omega(rs, _walk(rs, rng, 12 if r <= 3 else 6))
         back = oracle.inverse(_oracle_reduce(rs, far)[0])
         for p in list(points):
             points.append(oracle.apply(back, p))

@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from fraction_oracles import brute_force_eulerian
 from alcoved import groebner, polytope
-from alcoved.errors import BudgetExceededError, UserInputError
+from alcoved.errors import DEFAULT_BUDGET, BudgetExceededError, UserInputError
 from alcoved.polytope import (
     AlcovedPolytope,
     adjacent_star,
@@ -367,8 +367,7 @@ def test_huge_bounds_raise_instead_of_overflowing():
     P = make_polytope(rs, [((1, 0), base, base + 1), ((0, 1), base, base + 1)])
     assert volume(P) == 2
     assert lattice_point_count(P) == 4
-    first = next(polytope.central_points(P))
-    assert first.y == (9 * 10**18 + 1, 9 * 10**18 + 1)
+    assert _central_rows(P)[0] == (9 * 10**18 + 1, 9 * 10**18 + 1)
     # far non-simple bounds of a directly built polytope are clipped
     wide = AlcovedPolytope(rs, ((0, 1), (0, 1), (-(10**30), 10**30)))
     assert (volume(wide), lattice_point_count(wide)) == (2, 4)
@@ -381,12 +380,23 @@ def test_huge_bounds_raise_instead_of_overflowing():
     with pytest.raises(UserInputError):
         lattice_point_count(P)
     with pytest.raises(UserInputError):
-        next(polytope.central_points(P))
+        _central_rows(P)
+    with pytest.raises(UserInputError):
+        alcove_count_bfs(P)
     with pytest.raises(UserInputError):
         groebner.polytope_vertices(P)
 
 
-# -- the numpy masks that volume, central_points and lattice_point_count
+def test_alcove_walk_is_exact_far_from_the_origin():
+    # the walk seeds at the first scan row plus the offset, in Python ints:
+    # its theta pairings, near 1.8e19, are past the int64 range
+    base = 3 * 10**18
+    rs = build("A", 2)
+    P = make_polytope(rs, [((1, 0), base, base + 1), ((0, 1), base, base + 1)])
+    assert alcove_count_bfs(P) == volume(P) == 2
+
+
+# -- the numpy masks that volume, the central-point scan and lattice_point_count
 # -- used before they shared one translated scan, kept as oracles
 
 def _untranslated_scan(P, scale):
@@ -426,9 +436,16 @@ def _lattice_mask_oracle(P):
     )
 
 
+def _central_rows(P):
+    """The rows of the volume scan plus its offset: the central points
+    ``y`` of P's alcoves, in lexicographic order."""
+    offset, chunks = polytope._scan(P, P.rs.h_star, DEFAULT_BUDGET, walls=True)
+    return [tuple(v + o for v, o in zip(y, offset)) for ys in chunks for y in ys.tolist()]
+
+
 def _assert_scans_agree(P):
     points = _central_mask_oracle(P) if not P.is_empty else []
-    assert [c.y for c in polytope.central_points(P)] == points
+    assert _central_rows(P) == points
     assert volume(P) == len(points)
     expected = _lattice_mask_oracle(P) if not P.is_empty else 0
     assert lattice_point_count(P) == expected

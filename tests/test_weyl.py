@@ -165,7 +165,9 @@ def test_model_functions_reject_wrong_type():
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceededError):
+    # the message names the system and |W|, not the RootSystemData repr
+    message = "^the Weyl group of A4 has 120 elements and exceeds budget 5$"
+    with pytest.raises(BudgetExceededError, match=message):
         enumerate_weyl(build("A", 4), budget=5)
 
 
