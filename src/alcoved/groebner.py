@@ -78,8 +78,10 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
     fundamental-alcove vertices ``c_i = omega_i / a_i``, which is
     diagonal in omega coordinates.  In D4 the vertex lattice is half
     the coroot lattice; it contains the span of the ``c_i`` with
-    index 2, so the basis is the halved coroots instead.
+    index 2, so the basis is the halved coroots instead.  Every other
+    type raises UserInputError, so every groebner path refuses it here.
     """
+    _require_supported(rs)
     r = rs.rank
     if rs.type_label == "D":
         # (cartan / 2)^-1 is 2 adjugate / f; q is its least denominator
@@ -159,7 +161,6 @@ def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
     wherever the scan does.  Raises BudgetExceededError when the box has
     more than ``budget`` points.
     """
-    _require_supported(P.rs)
     rs = P.rs
     denom, _, q, M = _vertex_lattice(rs)
     offset, chunks = polytope_mod._scan(P, denom, budget)
@@ -183,7 +184,6 @@ class Rewriter:
     """
 
     def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_BUDGET):
-        _require_supported(P.rs)
         self.P = P
         self.rs = P.rs
         self.budget = budget  # bounds the vertex scan, pair table and check's volume scan

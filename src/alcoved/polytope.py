@@ -46,9 +46,6 @@ class AlcovedPolytope:
     def is_empty(self) -> bool:
         return any(k > K for k, K in self.bounds)
 
-    def bound(self, root) -> tuple:
-        return self.bounds[self.rs.root_index(root)]
-
     def simple_bounds(self) -> tuple:
         return tuple(self.bounds[i] for i in self.rs.simple_index)
 

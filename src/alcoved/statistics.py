@@ -110,18 +110,11 @@ def _classes(W: WeylGroup) -> list:
 # ---------------------------------------------------------------------------
 # The group C and the coset representatives, as elements.
 
-@dataclass
-class CGroup:
-    """The subgroup of elements with circular descent number one."""
-
-    rs: RootSystemData
-    elements: tuple
-
-
-def group_C(W: WeylGroup) -> CGroup:
-    """The elements of ``W.C``; reading the table validates C against its
-    root-permutation descriptions."""
-    return CGroup(rs=W.rs, elements=tuple(W[k] for k in W.C.tolist()))
+def group_C(W: WeylGroup) -> tuple:
+    """The elements of C, the subgroup of elements with circular descent
+    number one, in the order of ``W.C``; reading the table validates C
+    against its root-permutation descriptions."""
+    return tuple(W[k] for k in W.C.tolist())
 
 
 def coset_representatives(W: WeylGroup) -> list:

@@ -128,10 +128,8 @@ class WeylGroup(Sequence):
     descent bits ``(d_0, d_1, ..., d_r)``: ``d_i`` for i >= 1 records an
     inversion at the i-th simple root, ``z_i < 0``, and ``d_0`` the
     descent at ``-theta``, ``w(theta) > 0``, that is ``(z, theta) > 0``.
-    ``rmul[k, i]`` is the index of ``w_k s_{i+1}``; ``parent[k]`` and
-    ``letter[k]`` give ``w_k = w_parent s_{letter+1}``, the breadth-first
-    tree (both are -1 at the identity); ``inverse[k]`` is the index of
-    ``w_k^-1``.
+    ``rmul[k, i]`` is the index of ``w_k s_{i+1}``, and ``inverse[k]``
+    the index of ``w_k^-1``.
 
     The circular-descent tables are built together, and C validated, the
     first time one of them is read.  ``cdes[k]`` is the circular descent
@@ -151,17 +149,18 @@ class WeylGroup(Sequence):
         self.rs = rs
         self.z = np.array(zs, dtype=np.int64)
         self.length = np.array(length, dtype=np.intp)
-        self.parent = np.array(parent, dtype=np.intp)
-        self.letter = np.array(letter, dtype=np.intp)
         self.rmul = np.array(rmul, dtype=np.intp)
-        # w_k^-1 is the word of w_k read backwards: walk every element up
-        # the tree at once, right-multiplying by one letter per step
+        # w_k^-1 is the word of w_k read backwards.  The search's tree gives
+        # w_k = w_parent[k] s_{letter[k]+1} (both -1 at the identity): walk
+        # every element up it at once, right-multiplying by one letter per
+        # step.  Nothing else reads the tree, so it is not stored
+        parent, letter = np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp)
         self.inverse = np.zeros(len(zs), dtype=np.intp)
         node = np.arange(len(zs))
         for _ in range(length[-1]):
             live = node > 0
-            self.inverse[live] = self.rmul[self.inverse[live], self.letter[node[live]]]
-            node[live] = self.parent[node[live]]
+            self.inverse[live] = self.rmul[self.inverse[live], letter[node[live]]]
+            node[live] = parent[node[live]]
         self.descents = np.column_stack(
             [self.z @ np.array(rs.theta, dtype=np.int64) > 0, self.z < 0]
         ).astype(np.int64)
@@ -375,19 +374,6 @@ def permutation_descents(window) -> tuple:
     return tuple(d)
 
 
-def major_index(window) -> int:
-    """Sum of the classical descent positions."""
-    return sum(
-        i for i in range(1, len(window)) if window[i - 1] > window[i]
-    )
-
-
-def long_cycle(rs: RootSystemData) -> WeylElement:
-    """The n-cycle 1 -> 2 -> ... -> n -> 1 of type A_{n-1}."""
-    n = rs.rank + 1
-    return from_permutation(rs, tuple(range(2, n + 1)) + (1,))
-
-
 # ---------------------------------------------------------------------------
 # Type C model: signed permutations acting on e_i -> sign(w_i) e_{|w_i|}.
 
@@ -441,9 +427,3 @@ def signed_permutation_descents(window) -> tuple:
     for i in range(1, n):
         d[i] = 1 if key(window[i - 1]) > key(window[i]) else 0
     return tuple(d)
-
-
-def negative_rotation(rs: RootSystemData) -> WeylElement:
-    """The signed permutation (-n, -(n-1), ..., -1) of type C_n."""
-    n = rs.rank
-    return from_signed_permutation(rs, tuple(-(n + 1 - i) for i in range(1, n + 1)))

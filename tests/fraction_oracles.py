@@ -9,7 +9,8 @@ an independent computation; the positive roots by root strings and the
 coroots from the ``Fraction``-symmetrized Cartan form, against the
 library's one reflection closure; the Eulerian numbers counted over S_n;
 the descent bits and cdes of one element, read off its orbit vector
-``z``, against the whole-group tables of ``WeylGroup``; the facet
+``z``, and the classical major index of a permutation, against the
+whole-group tables of ``WeylGroup``; the facet
 neighbors of a central point by a search over both bounding hyperplanes
 of every positive root, against the residue rule of
 ``geometry.neighbors``; and the paper's midpoint rewrite rule in types A
@@ -211,6 +212,11 @@ def cdes(rs, z) -> int:
     """The circular descent number: the descent bits weighted by 1 and
     the marks."""
     return sum(a * d for a, d in zip((1,) + rs.marks, descent_bits(rs, z)))
+
+
+def major_index(window) -> int:
+    """Sum of the classical descent positions of a permutation window."""
+    return sum(i for i in range(1, len(window)) if window[i - 1] > window[i])
 
 
 def _kernel_line(rows, n) -> tuple:

@@ -9,6 +9,7 @@ import random
 from contextlib import contextmanager
 from itertools import permutations, product
 
+import fraction_oracles as oracle
 from alcoved import groebner, polytope, statistics, weyl
 from alcoved.polytope import (
     adjacent_star,
@@ -29,8 +30,7 @@ from alcoved.statistics import (
 )
 from alcoved.weyl import (
     enumerate_weyl,
-    long_cycle,
-    major_index,
+    from_permutation,
     permutation_descents,
     signed_permutation_descents,
     to_permutation,
@@ -203,7 +203,8 @@ def test_criterion_9_model_cross_checks():
         for n in range(2, 6):
             rs = build("A", n - 1)
             W = enumerate_weyl(rs)
-            times_c = W.right_action(W.z.tolist().index(list(long_cycle(rs).z)))
+            cycle = from_permutation(rs, (*range(2, n + 1), 1))  # 1 -> 2 -> ... -> n -> 1
+            times_c = W.right_action(W.z.tolist().index(list(cycle.z)))
             powers = [0]  # powers[m] is the index of c^m
             for _ in range(n - 1):
                 powers.append(times_c[powers[-1]])
@@ -212,7 +213,7 @@ def test_criterion_9_model_cross_checks():
                 bits = permutation_descents(window)
                 assert tuple(W.descents[k].tolist()) == bits
                 assert W.cdes[k] == sum(bits)
-                assert W.cmaj[k] == powers[(-major_index(window)) % n]
+                assert W.cmaj[k] == powers[(-oracle.major_index(window)) % n]
         for n in (2, 3):
             rs = build("C", n)
             W = enumerate_weyl(rs)

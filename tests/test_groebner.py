@@ -66,6 +66,9 @@ def test_unsupported_type_rejected():
         rs = build(t, r)
         with pytest.raises(UserInputError):
             triangulate(parallelepiped(rs))
+        # the public conversion refuses too, even where a point would convert
+        with pytest.raises(UserInputError, match="only available in types A, C and D4"):
+            omega_to_vertex(rs, (0,) * r)
 
 
 def test_parallelepiped_A2():

@@ -69,7 +69,7 @@ def test_hypersimplex_index_bounds():
 def test_derived_bounds_are_completed():
     rs = build("A", 2)
     P = make_polytope(rs, [(root, 0, 1) for root in rs.simple_roots])
-    lo, hi = P.bound(rs.theta)
+    lo, hi = P.bounds[rs.root_index(rs.theta)]
     assert (lo, hi) == (0, 2)
 
 
@@ -177,7 +177,7 @@ def _coset_samples():
                 lo = rng.randint(-2, 1)
                 cons.append((s, lo, lo + rng.randint(1, 2 if r < 4 else 1)))
             for root in rng.sample(rs.positive_roots, min(2, len(rs.positive_roots))):
-                k, K = make_polytope(rs, cons).bound(root)
+                k, K = make_polytope(rs, cons).bounds[rs.root_index(root)]
                 a = rng.randint(k, K - 1)
                 cons.append((root, a, a + rng.randint(1, 2)))
             yield make_polytope(rs, cons)
@@ -571,7 +571,7 @@ def _small_polytopes(draw, t, r):
     if r < 4:
         roots.append(draw(st.sampled_from(rs.positive_roots)))
     for root in roots:
-        k, K = make_polytope(rs, cons).bound(root)
+        k, K = make_polytope(rs, cons).bounds[rs.root_index(root)]
         a = draw(st.integers(k, K - 1))
         cons.append((root, a, a + draw(st.integers(1, 3))))
     return make_polytope(rs, cons)
