@@ -28,21 +28,22 @@ take monomials as sequences of vertices of P and look their pairs up in
 the index rows.
 
 The vertex-lattice tables (the basis, its inverse and the root
-pairings) are each a denominator and an int64 matrix, so converting
-between vertex and omega coordinates is integer arithmetic.  The
-coherent weights (``Rewriter.weights``) that pick the rewrites and that
-``normal_form`` checks drop, and the self-check of the triangulation,
-are int64 numpy code on scaled integers: pairings times
-``denom`` (barycenters times ``denom * (rank + 1)``), taken from the
-vertex at the polytope's lower simple bounds, so far-away bounds stay
-exact; where a value could pass 2^62 they raise UserInputError instead.
+pairings) are each a denominator and an int64 matrix.  The vertex scan
+``polytope_vertices`` returns P's vertices as int64 rows less the vertex
+of P's lower simple corner, and the coherent weights
+(``Rewriter.weights``) that pick the rewrites and that ``normal_form``
+checks drop, the cliques and the self-check of the triangulation all
+run on those rows, on scaled integers: pairings times ``denom``
+(barycenters times ``denom * (rank + 1)``).  Only the vertex tuples
+and the printed coordinates add the corner back, in Python ints, so
+far-away bounds stay exact; where a value could pass 2^62 they raise
+UserInputError instead.
 """
 
 import math
 import random
 from bisect import bisect_left
-from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -70,8 +71,8 @@ def _require_supported(rs: RootSystemData) -> None:
 
 @lru_cache(maxsize=None)
 def _vertex_lattice(rs: RootSystemData) -> tuple:
-    """``(d, B, q, M)``, B and M int64: the columns of ``B / d`` are a
-    basis of the arrangement-vertex lattice in omega coordinates, and
+    """``(d, B, q, M, index)``, B and M int64: the columns of ``B / d`` are
+    a basis of the arrangement-vertex lattice in omega coordinates, and
     ``M / q`` is its inverse, q the least common denominator.
 
     In types A and C the vertices form the lattice spanned by the
@@ -80,6 +81,12 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
     the coroot lattice; it contains the span of the ``c_i`` with
     index 2, so the basis is the halved coroots instead.  Every other
     type raises UserInputError, so every groebner path refuses it here.
+
+    ``index`` is the normalized volume of one alcove with respect to the
+    vertex lattice.  The fundamental alcove has the vertices 0 and
+    ``c_i``, whose vertex coordinates are ``M e_i / (q a_i)``, so its
+    index is ``|det M| / (q^r a_1 ... a_r)``: 1 in types A and C, and 2
+    in D4, where the vertex lattice is twice as fine as the span of the c_i.
     """
     _require_supported(rs)
     r = rs.rank
@@ -94,35 +101,8 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
         B, M = np.diag([d // a for a in rs.marks]), np.diag(rs.marks)
     B, M = (np.array(x, dtype=np.int64).reshape(r, r) for x in (B, M))
     B.flags.writeable = M.flags.writeable = False  # cached: shared by every caller
-    return d, B, q, M
-
-
-@lru_cache(maxsize=None)
-def _alcove_index(rs: RootSystemData) -> int:
-    """Normalized volume of one alcove with respect to the vertex lattice.
-
-    The fundamental alcove has the vertices 0 and ``c_i = omega_i / a_i``,
-    whose vertex coordinates are ``M e_i / (q a_i)``, so its index is
-    ``|det M| / (q^r a_1 ... a_r)``.  That is 1 in types A and C.  In D4
-    the vertex lattice is twice as fine as the span of the c_i, so each
-    alcove has normalized volume 2.
-    """
-    _, _, q, M = _vertex_lattice(rs)
-    return abs(int(_exact_dets(M[None])[0])) // (q**rs.rank * math.prod(rs.marks))
-
-
-def omega_to_vertex(rs: RootSystemData, point) -> tuple:
-    _, _, q, M = _vertex_lattice(rs)
-    scaled = [Fraction(y) for y in point]
-    e = math.lcm(*(y.denominator for y in scaled))
-    scaled = [y.numerator * (e // y.denominator) for y in scaled]  # e * point
-    coords = [
-        divmod(sum(m * y for m, y in zip(row, scaled, strict=True)), q * e)
-        for row in M.tolist()
-    ]
-    if any(rest for _, rest in coords):
-        raise UserInputError(f"{tuple(point)} is not an arrangement vertex")
-    return tuple(n for n, _ in coords)
+    index = abs(int(_exact_dets(M[None])[0])) // (q**r * math.prod(rs.marks))
+    return d, B, q, M, index
 
 
 def _exact_dets(M: np.ndarray) -> np.ndarray:
@@ -148,29 +128,29 @@ def _exact_dets(M: np.ndarray) -> np.ndarray:
     return sign * M[:, -1, -1]
 
 
-def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
-    """All arrangement vertices inside the polytope.
+def polytope_vertices(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """All arrangement vertices inside the polytope, less the vertex of
+    its lower simple corner, as int64 rows in lexicographic order.
 
     The vertex lattice lies inside the diagonal lattice ``{y : d*y_i
     integral}`` for the basis denominator d, so the box scan at scale d
-    lists the candidates ``d*omega``.  With ``M / q`` the inverse basis,
-    a candidate is a vertex when ``M (d*omega)`` is divisible by ``q*d``.
-    The scan's offset is ``d`` times an integral coweight, itself a
-    vertex, which is added back.  ``M`` is nonnegative with rows at most
+    lists the candidates ``d*omega``, less d times the corner.  With
+    ``M / q`` the inverse basis, a candidate is a vertex when ``M y`` is
+    divisible by ``q*d``; the corner is an integral coweight, itself a
+    vertex, so the scan's rows pass that test exactly where the
+    candidates do, and ``M / (q*d)`` takes them to the vertices less the
+    corner's vertex coordinates.  ``M`` is nonnegative with rows at most
     twice theta in types A, C and D4, so ``M y`` stays within int64
     wherever the scan does.  Raises BudgetExceededError when the box has
     more than ``budget`` points.
     """
-    rs = P.rs
-    denom, _, q, M = _vertex_lattice(rs)
-    offset, chunks = polytope_mod._scan(P, denom, budget)
-    base = omega_to_vertex(rs, [o // denom for o in offset])
-    out = []
-    for ys in chunks:
+    denom, _, q, M, _ = _vertex_lattice(P.rs)
+    blocks = [np.empty((0, P.rs.rank), dtype=np.int64)]
+    for ys in polytope_mod._scan(P, denom, budget)[1]:
         coords = ys @ M.T
-        coords = coords[(coords % (q * denom) == 0).all(axis=1)] // (q * denom)
-        out.extend(tuple(c + b for c, b in zip(n, base)) for n in coords.tolist())
-    return sorted(out)
+        blocks.append(coords[(coords % (q * denom) == 0).all(axis=1)] // (q * denom))
+    X = np.concatenate(blocks)
+    return X[np.lexsort(X.T[::-1])]
 
 
 class Rewriter:
@@ -180,38 +160,40 @@ class Rewriter:
     row ``(a, b, u, v)`` of ``rules``, an (m, 4) int64 array sorted by
     lead, rewrites the pair ``(vertices[a], vertices[b])``, ``a < b``, to
     ``(vertices[u], vertices[v])``, ``u <= v``.  ``weights[k]`` is the
-    coherent weight of ``vertices[k]`` times ``denom``, in int64.
+    coherent weight of ``vertices[k]`` times ``denom``, in int64.  The
+    computation reads the vertices as the int64 rows ``_X`` of
+    ``polytope_vertices``, taken from the vertex ``_origin`` of P's lower
+    simple corner, with the bounds moved to match.
     """
 
     def __init__(self, P: AlcovedPolytope, budget: int = DEFAULT_BUDGET):
         self.P = P
         self.rs = P.rs
         self.budget = budget  # bounds the vertex scan, pair table and check's volume scan
-        self.vertices = polytope_vertices(P, budget)
-        # Weights and check use pairings times denom, v @ G, taken from the
-        # vertex of P's lower simple bounds, with the bounds moved to match.
-        self._denom, B, _, _ = _vertex_lattice(self.rs)
-        self._G = B.T @ self.rs.root_array.T
+        self._denom, B, q, M, self._alcove_volume = _vertex_lattice(self.rs)
         low = [k for k, _ in P.simple_bounds()]
-        self._origin = omega_to_vertex(self.rs, low)
+        corner = [divmod(sum(m * k for m, k in zip(row, low)), q) for row in M.tolist()]
+        if any(rest for _, rest in corner):
+            raise DefectError(f"the coweight {tuple(low)} is not an arrangement vertex")
+        self._origin = tuple(n for n, _ in corner)
         self._bounds = [
             (k - pairing(low, root), K - pairing(low, root))
             for root, (k, K) in zip(self.rs.positive_roots, P.bounds)
         ]
-        self._X, self._reach = self._translated(self.vertices)
+        # Weights and check use pairings times denom, X @ G, bounded by reach.
+        self._G = B.T @ self.rs.root_array.T
+        self._X = polytope_vertices(P, budget)
+        top = int(np.abs(self._X).max(initial=0))
+        self._reach = top * int(np.abs(self._G).sum(axis=0).max())
+        if self._reach * (self.rs.rank + 1) >= _INT64_HEADROOM:
+            raise UserInputError(f"vertices {top} from {self._origin} overflow int64")
         self.weights = self._scaled_weights(self._X, self._reach)
         self.rules = self._rule_rows()
 
-    def _translated(self, vertices) -> tuple:
-        """``(X, reach)``: the vertices minus the origin as int64 rows,
-        and a bound on the scaled pairings ``X @ G``.  Raises
-        UserInputError where rank + 1 of those could sum past 2^62."""
-        rows = [[x - o for x, o in zip(v, self._origin)] for v in vertices]
-        top = max((abs(x) for row in rows for x in row), default=0)
-        reach = top * int(np.abs(self._G).sum(axis=0).max())
-        if reach * (self.rs.rank + 1) >= _INT64_HEADROOM:
-            raise UserInputError(f"vertices {top} from {self._origin} overflow int64")
-        return np.array(rows, dtype=np.int64).reshape(-1, self.rs.rank), reach
+    @cached_property
+    def vertices(self) -> list:
+        """P's vertices as tuples, in lexicographic order."""
+        return list(map(tuple, self.coordinates(np.arange(len(self._X))[:, None])))
 
     def _rule_rows(self) -> np.ndarray:
         """One rewrite per non-minimal decomposition class, as ``rules``:
@@ -219,7 +201,7 @@ class Rewriter:
         pair rewrites to the pair of smallest coherent weight.  Raises
         BudgetExceededError before building the table when the vertices
         have more than ``budget`` pairs."""
-        n = len(self.vertices)
+        n = len(self._X)
         pairs = n * (n + 1) // 2
         if pairs > self.budget:
             raise BudgetExceededError(f"{pairs} vertex pairs exceed budget {self.budget}")
@@ -240,7 +222,7 @@ class Rewriter:
     def _scaled_weights(self, X: np.ndarray, reach: int) -> np.ndarray:
         """``denom`` times the coherent weight, the sum of |distance| to
         every arrangement hyperplane meeting P, per vertex, exact in int64,
-        from the ``_translated`` rows ``X`` of the vertices and their ``reach``.
+        from the rows ``X`` of the vertices and their ``reach``.
 
         Per root, let ``u = denom * ((v, a) - k)``, ``W = K - k`` and
         ``g = u // denom`` clipped to ``[-1, W]``: the levels ``k .. k+g``
@@ -274,16 +256,20 @@ class Rewriter:
 
     def _reducible(self, index) -> np.ndarray:
         """The rows of ``rules`` whose lead is a pair of distinct vertices
-        among the indices, in lead order: the lead ``(a, b)`` has the key
-        ``a * n + b``, and the rows are sorted by it."""
-        n = len(self.vertices)
+        among the indices, in lead order."""
+        n = len(self._X)
         support = sorted(set(index))
         pairs = np.array([a * n + b for a, b in combinations(support, 2)], dtype=np.int64)
-        leads = self.rules[:, 0] * n + self.rules[:, 1]
-        at = np.searchsorted(leads, pairs)
-        hit = at < len(leads)
-        hit[hit] = leads[at[hit]] == pairs[hit]
+        at = np.searchsorted(self._leads, pairs)
+        hit = at < len(self._leads)
+        hit[hit] = self._leads[at[hit]] == pairs[hit]
         return self.rules[at[hit]]
+
+    @cached_property
+    def _leads(self) -> np.ndarray:
+        """The key ``a * n + b`` of each lead ``(a, b)`` of ``rules``, for n
+        vertices: the rows are sorted by it."""
+        return self.rules[:, 0] * len(self._X) + self.rules[:, 1]
 
     def is_standard(self, monomial) -> bool:
         return not len(self._reducible(self._index(monomial)))
@@ -332,11 +318,11 @@ class Rewriter:
     def coordinates(self, index: np.ndarray) -> list:
         """Row k lists the coordinates of the vertices ``index[k]`` in turn;
         an object array keeps coordinates past int64 exact."""
-        V = np.array(self.vertices, dtype=object).reshape(len(self.vertices), self.rs.rank)
+        V = self._X.astype(object) + np.array(self._origin, dtype=object)
         return V[index].reshape(len(index), index.shape[1] * self.rs.rank).tolist()
 
     def _cliques(self) -> np.ndarray:
-        size, n = self.rs.rank + 1, len(self.vertices)
+        size, n = self.rs.rank + 1, len(self._X)
         standard = np.triu(np.ones((n, n), dtype=bool), 1)
         standard[self.rules[:, 0], self.rules[:, 1]] = False
         bits = np.packbits(standard, axis=1, bitorder="little")
@@ -361,7 +347,6 @@ class Rewriter:
         indices into ``vertices``, at once: corner pairings times ``denom``,
         barycenters times ``s``.  Reports the first failing simplex and its
         first failing check."""
-        V = self.vertices
         vol = polytope_mod.volume(self.P, self.budget)
         if len(simplices) != vol:
             raise DefectError(f"triangulation produced {len(simplices)} simplices "
@@ -381,14 +366,15 @@ class Rewriter:
             [2, 3, 4],
         )
         fault = faults[np.arange(len(faults)), (faults != 0).argmax(axis=1)]
-        fault[abs(_exact_dets(X[:, 1:] - X[:, :1])) != _alcove_index(self.rs)] = 1
+        fault[abs(_exact_dets(X[:, 1:] - X[:, :1])) != self._alcove_volume] = 1
         order = np.lexsort(floor.T)  # stable; np.unique(axis=0) would import numpy.ma
         repeated = np.zeros(len(fault), dtype=bool)
         repeated[order[1:]] = (floor[order[1:]] == floor[order[:-1]]).all(axis=1)
         fault[repeated & (fault == 0)] = 5
         if fault.any():
             i = int(fault.nonzero()[0][0])
-            raise DefectError(_FAULTS[fault[i]].format(tuple(V[j] for j in simplices[i])))
+            simplex = tuple(self.vertices[j] for j in simplices[i])
+            raise DefectError(_FAULTS[fault[i]].format(simplex))
 
 
 # The triangulation check's messages, indexed by its fault codes.

@@ -330,7 +330,7 @@ def hypersimplex(rs: RootSystemData, k: int) -> AlcovedPolytope:
 
 def thick_hypersimplex(rs: RootSystemData, b, k: int, K: int) -> AlcovedPolytope:
     """Simple-root bounds 0..b_i with theta sliced to k..K."""
-    b = tuple(int(x) for x in b)
+    b = tuple(_integer(x, f"b_{i}") for i, x in enumerate(b, 1))
     if len(b) != rs.rank or any(x < 0 for x in b):
         raise UserInputError("need one nonnegative bound per simple root")
     constraints = [(s, 0, bi) for s, bi in zip(rs.simple_roots, b)]
@@ -380,7 +380,8 @@ def thick_identity_check(
     """
     layer_volumes = hypersimplex_volumes(rs, budget)
     reports = {}
-    for b in map(tuple, boxes):
+    for b in boxes:
+        b = tuple(_integer(x, f"b_{i}") for i, x in enumerate(b, 1))
         if len(b) != rs.rank or any(x < 1 for x in b):
             raise UserInputError(
                 "thick-hypersimplex identity needs one b_i >= 1 per simple root"

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from alcoved.groebner import (
     groebner_basis,
     is_standard,
     normal_form,
-    omega_to_vertex,
     polytope_vertices,
     triangulate,
 )
@@ -50,25 +50,14 @@ def _rule_map(rewriter) -> dict:
     return {(a, b): (u, v) for a, b, u, v in rewriter.rules.tolist()}
 
 
-def test_vertex_coordinate_roundtrip():
-    for t, r in (("A", 3), ("C", 3), ("D", 4)):
-        rs = build(t, r)
-        rng = random.Random(5)
-        for _ in range(20):
-            v = tuple(rng.randint(-4, 4) for _ in range(r))
-            assert omega_to_vertex(rs, _fraction_vertex_to_omega(rs, v)) == v
-    with pytest.raises(UserInputError):
-        omega_to_vertex(build("A", 2), (Fraction(1, 3), Fraction(0)))
-
-
 def test_unsupported_type_rejected():
     for t, r in (("G", 2), ("B", 3), ("F", 4), ("D", 5)):
         rs = build(t, r)
         with pytest.raises(UserInputError):
             triangulate(parallelepiped(rs))
-        # the public conversion refuses too, even where a point would convert
+        # the vertex scan refuses too, before it scans
         with pytest.raises(UserInputError, match="only available in types A, C and D4"):
-            omega_to_vertex(rs, (0,) * r)
+            polytope_vertices(parallelepiped(rs))
 
 
 def test_parallelepiped_A2():
@@ -174,19 +163,19 @@ def test_vertex_lattice_points_are_arrangement_vertices():
     systems = [("A", r) for r in range(1, 9)] + [("C", r) for r in range(2, 7)]
     for t, r in systems + [("D", 4)]:
         rs = build(t, r)
-        d, B, _, _ = groebner._vertex_lattice(rs)
+        d, B, _, _, _ = groebner._vertex_lattice(rs)
         rng = random.Random(20240 + r)
-        fundamental = {omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)}
+        fundamental = {_fraction_omega_to_vertex(rs, p) for p in _fundamental_vertices(rs)}
         for _ in range(20):
             vertex = tuple(rng.randint(-3, 3) for _ in range(r))
             omega = tuple(Fraction(int(x), d) for x in B @ vertex)
             _, image = geometry.reduce_to_fundamental(rs, omega)
-            assert omega_to_vertex(rs, image) in fundamental, (rs, vertex)
+            assert _fraction_omega_to_vertex(rs, image) in fundamental, (rs, vertex)
 
 
 def test_normal_forms_are_standard_and_confluent():
     P = adjacent_star(build("A", 2))
-    vertices = polytope_vertices(P)
+    vertices = groebner._rewriter(P).vertices
     rng = random.Random(3)
     for _ in range(50):
         monomial = tuple(
@@ -233,7 +222,7 @@ def test_rewrite_step_strictly_decreases_weight():
 def test_points_outside_P_are_not_monomials():
     # (50, 50) is an arrangement vertex far outside the A2 adjacent star
     P = adjacent_star(build("A", 2))
-    v = polytope_vertices(P)[0]
+    v = groebner._rewriter(P).vertices[0]
     for monomial in [((50, 50), v), ((50, 50), (50, 50), v), (v, (1, 2, 3)), (v, (0,))]:
         with pytest.raises(UserInputError, match="is not a vertex of"):
             is_standard(P, monomial)
@@ -323,7 +312,7 @@ _TABLE_SYSTEMS = [("A", r) for r in range(1, 6)] + [("C", 2), ("C", 3), ("C", 4)
 def test_vertex_lattice_tables_agree_with_fraction_oracle():
     for t, r in _TABLE_SYSTEMS:
         rs = build(t, r)
-        d, B, q, M = groebner._vertex_lattice(rs)
+        d, B, q, M, index = groebner._vertex_lattice(rs)
         basis = _fraction_basis(rs)
         inverse = oracle.mat_inv(basis)
         assert B.dtype == M.dtype == np.int64
@@ -339,25 +328,23 @@ def test_vertex_lattice_tables_agree_with_fraction_oracle():
         old_denom, old_G = _fraction_pairing_matrix(rs)
         assert rewriter._denom == old_denom and rewriter._G.dtype == np.int64
         assert np.array_equal(rewriter._G, old_G)
-        assert groebner._alcove_index(rs) == _fraction_alcove_index(rs)
+        assert index == _fraction_alcove_index(rs)
+        # the vertex of the lower simple corner, exact at any offset: the
+        # polytope is that one point
         rng = random.Random(31 + r)
-        for top in (4, 10**15):
-            for _ in range(25):
-                v = tuple(rng.randint(-top, top) for _ in range(r))
-                omega = _fraction_vertex_to_omega(rs, v)
-                assert omega_to_vertex(rs, omega) == v
-                # a point off the lattice, or not even a coweight
-                for den in (2, 3, 4, 6):
-                    point = tuple(Fraction(rng.randint(-top, top), den) for x in v)
-                    try:
-                        expected = _fraction_omega_to_vertex(rs, point)
-                    except UserInputError:
-                        with pytest.raises(UserInputError):
-                            omega_to_vertex(rs, point)
-                    else:
-                        assert omega_to_vertex(rs, point) == expected
-        with pytest.raises(ValueError):
-            omega_to_vertex(rs, (0,) * (r + 1))
+        for top in (4, 10**15, 10**30):
+            for _ in range(10):
+                low = [rng.randint(-top, top) for _ in range(r)]
+                point = groebner.Rewriter(make_polytope(rs, zip(rs.simple_roots, low, low)))
+                assert point._origin == _fraction_omega_to_vertex(rs, low)
+                assert point._X.tolist() == [[0] * r] and point.vertices == [point._origin]
+
+
+def test_corner_off_the_vertex_lattice_is_a_defect(monkeypatch):
+    d, B, q, M, index = groebner._vertex_lattice(build("A", 2))
+    monkeypatch.setattr(groebner, "_vertex_lattice", lambda rs: (d, B, 2 * q, M, index))
+    with pytest.raises(DefectError, match=r"coweight \(1, 0\) is not an arrangement vertex"):
+        groebner.Rewriter(make_polytope(build("A", 2), [((1, 0), 1, 2), ((0, 1), 0, 1)]))
 
 
 def _fraction_grid_vertices(P):
@@ -386,18 +373,28 @@ def _fraction_grid_vertices(P):
     return sorted(out)
 
 
+def _absolute_vertices(P):
+    """The int64 rows of ``polytope_vertices(P)``, checked to be in
+    lexicographic order, plus the vertex of P's lower simple corner."""
+    X = polytope_vertices(P)
+    assert X.dtype == np.int64 and X.shape[1:] == (P.rs.rank,)
+    assert X.tolist() == sorted(X.tolist())
+    corner = _fraction_omega_to_vertex(P.rs, [k for k, _ in P.simple_bounds()])
+    return [tuple(x + c for x, c in zip(row, corner)) for row in X.tolist()]
+
+
 def test_vertices_agree_with_fraction_grid():
     for t, r in (("A", 2), ("A", 3), ("C", 2), ("C", 3), ("D", 4)):
         rs = build(t, r)
-        for lo, hi in ((-2, 0), (5, 7), (10**12, 10**12 + 1)):
+        for lo, hi in ((0, 2), (5, 7), (10**12, 10**12 + 1)):
             P = make_polytope(rs, [(s, lo, hi) for s in rs.simple_roots])
-            assert polytope_vertices(P) == _fraction_grid_vertices(P)
+            assert _absolute_vertices(P) == _fraction_grid_vertices(P)
         # a theta slice, so that a non-simple bound cuts the box
         cons = [(s, -2, 0) for s in rs.simple_roots] + [(rs.theta, -5, -4)]
         P = make_polytope(rs, cons)
-        assert polytope_vertices(P) == _fraction_grid_vertices(P)
+        assert _absolute_vertices(P) == _fraction_grid_vertices(P)
     P = d4_two_alcove_slab()
-    assert polytope_vertices(P) == _fraction_grid_vertices(P)
+    assert _absolute_vertices(P) == _fraction_grid_vertices(P)
 
 
 class _FractionRewriter(groebner.Rewriter):
@@ -501,15 +498,23 @@ def _translate(P, coweight):
     ))
 
 
+def _probe(rewriter, vertices):
+    """A rewriter of the same class and polytope whose vertices are the
+    given ones, in P or not, in their order: its vertex scan returns
+    their rows less the rewriter's ``_origin``."""
+    rows = [[x - o for x, o in zip(v, rewriter._origin)] for v in vertices]
+    rows = np.array(rows, dtype=np.int64).reshape(len(rows), rewriter.rs.rank)
+    with mock.patch.object(groebner, "polytope_vertices", lambda P, budget: rows):
+        return type(rewriter)(rewriter.P, rewriter.budget)
+
+
 def _check_vertex_sets(rewriter, simplices) -> None:
     """The rewriter's triangulation check on simplices given as vertex
     tuples, some maybe outside P: index rows into the vertex list of a
-    copy of the rewriter that holds just their vertices."""
+    probe rewriter that holds just their vertices."""
     index = {}
     rows = [[index.setdefault(v, len(index)) for v in s] for s in simplices]
-    probe = copy.copy(rewriter)
-    probe.vertices = list(index)
-    probe._X, probe._reach = probe._translated(probe.vertices)
+    probe = _probe(rewriter, list(index))
     size = rewriter.rs.rank + 1
     probe._validate_triangulation(np.array(rows, dtype=np.intp).reshape(len(rows), size))
 
@@ -555,7 +560,7 @@ def test_weights_and_rules_agree_with_fraction_oracle():
 
 def _scaled_weight(rewriter, vertex) -> int:
     """``denom`` times the coherent weight of any vertex, in P or not."""
-    return int(rewriter._scaled_weights(*rewriter._translated([vertex]))[0])
+    return int(_probe(rewriter, [vertex]).weights[0])
 
 
 _CHECK_KINDS = {
@@ -589,7 +594,7 @@ def test_triangulation_check_agrees_with_fraction_oracle():
         width = max(K - k for k, K in P.simple_bounds())
 
         def moved(simplex, steps):  # by steps times the first fundamental coweight
-            shift = omega_to_vertex(rs, (steps,) + (0,) * (rs.rank - 1))
+            shift = _fraction_omega_to_vertex(rs, (steps,) + (0,) * (rs.rank - 1))
             return tuple(tuple(x + t for x, t in zip(v, shift)) for v in simplex)
 
         corrupted = [
@@ -617,7 +622,7 @@ def test_far_translation_is_exact():
     for t in ("A", "C"):
         rs = build(t, 2)
         near, far = _box(t, 2, 0, 2), _box(t, 2, 10**12, 10**12 + 2)
-        offset = omega_to_vertex(rs, (10**12, 10**12))
+        offset = _fraction_omega_to_vertex(rs, (10**12, 10**12))
         moved = [
             tuple(tuple(x + o for x, o in zip(v, offset)) for v in simplex)
             for simplex in _simplices(near)
@@ -694,6 +699,19 @@ def test_bitset_cliques_agree_with_set_oracle():
     assert len(simplices) == 414  # the D4 unit box, whose check fails
     with pytest.raises(DefectError, match="414 simplices"):
         triangulate(bench_specs[-1])
+
+
+def test_triangulate_reads_only_the_int64_rows(monkeypatch):
+    # the vertex tuples and the lead keys are built on first read, and
+    # triangulate reads neither
+    monkeypatch.setattr(groebner, "_REWRITERS", {})
+    P = _box("C", 2, 0, 3)  # a spec of the bench triangulate workload
+    assert len(triangulate(P)) == volume(P)
+    rewriter = groebner._rewriter(P)
+    assert "vertices" not in rewriter.__dict__ and "_leads" not in rewriter.__dict__
+    V = rewriter.vertices
+    assert V == sorted(V) and len(V) == len(rewriter._X)
+    assert normal_form(P, [V[0], V[-1]]) and "_leads" in rewriter.__dict__
 
 
 def test_budget_bounds_vertex_scan_and_check():

@@ -248,6 +248,19 @@ def test_thick_hypersimplex_identity_samples():
         thick_identity_check(rs, [(0, 1)])
 
 
+def test_thick_bounds_are_read_as_integers():
+    # an integral float is that integer; 1.7, a string or a bool is refused,
+    # not truncated into another box
+    A2, C2 = build("A", 2), build("C", 2)
+    assert thick_hypersimplex(A2, (1.0, 1), 0, 2) == thick_hypersimplex(A2, (1, 1), 0, 2)
+    for b in ((1.7, 1), ("2", 1), (True, 1)):
+        with pytest.raises(UserInputError, match=f"b_1 must be an integer, got {b[0]!r}"):
+            thick_hypersimplex(A2, b, 0, 2)
+        with pytest.raises(UserInputError, match="b_1 must be an integer"):
+            thick_identity_check(C2, [(1, 1), b])
+    assert thick_identity_check(C2, [(1.0, 2)]) == thick_identity_check(C2, [(1, 2)])
+
+
 def _thick_identity_oracle(rs, b, k, K, layer_volumes, budget):
     """The per-case identity that thick-check ran before every θ-slice
     was read off one scan per box: one sliced volume scan and h - 1
