@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, DefectError, UserInputError
+from .errors import BudgetExceededError, DefectError, UserInputError, integer
 from .rootsys import RootSystemData, pairing, rho
 
 REDUCTION_STEP_GUARD = 10**6
@@ -35,7 +35,7 @@ def neighbors(rs: RootSystemData, p) -> list:
 
     ``p`` holds the pairings ``(y, a)`` in the order of
     ``rs.positive_roots``, and so does each neighbour returned; an entry
-    divisible by h puts ``y / h`` on a wall, which is a UserInputError.
+    that is no integer, or is divisible by h (a wall), is a UserInputError.
     The facets around ``y / h`` are the hyperplanes ``(lambda, a) = k``
     with ``(y, a) - k*h = e = +-1``: the affine Weyl group carries rho/h to
     every central point, and only the walls of A_o lie 1/h from rho/h (in
@@ -47,6 +47,8 @@ def neighbors(rs: RootSystemData, p) -> list:
         raise UserInputError(f"need {len(rs.positive_roots)} pairings, got {len(p)}")
     y = tuple(p[i] for i in rs.simple_index)
     for root, v in zip(rs.positive_roots, p):
+        if type(v) is not int:  # the walk passes ints; others are read once
+            return neighbors(rs, [integer(v, "each pairing") for v in p])
         if v % h == 0:
             raise UserInputError(f"{y}/{h} lies on the hyperplane of root {root}")
     base = [v // h for v in p]

@@ -49,7 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from . import polytope as polytope_mod
-from .errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
+from .errors import DEFAULT_BUDGET, DefectError, UserInputError, charge
 from .polytope import _INT64_HEADROOM, AlcovedPolytope
 from .rootsys import RootSystemData, pairing
 
@@ -201,10 +201,8 @@ class Rewriter:
         pair rewrites to the pair of smallest coherent weight.  Raises
         BudgetExceededError before building the table when the vertices
         have more than ``budget`` pairs."""
-        n = len(self._X)
-        pairs = n * (n + 1) // 2
-        if pairs > self.budget:
-            raise BudgetExceededError(f"{pairs} vertex pairs exceed budget {self.budget}")
+        n, phase = len(self._X), f"{self.P.rs.type_label}{self.P.rs.rank} rewrite rules"
+        charge(phase, n * (n + 1) // 2, "vertex pairs", self.budget)
         w = self.weights
         i, j = np.triu_indices(n)  # the pairs (u, v), u <= v, in order
         sums = self._X[i] + self._X[j]

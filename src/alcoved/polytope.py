@@ -25,12 +25,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import geometry
-from .errors import DEFAULT_BUDGET, BudgetExceededError, UserInputError
+from .errors import DEFAULT_BUDGET, UserInputError, charge, integer
 from .rootsys import RootSystemData, build, pairing
 from .weyl import WeylGroup
 
@@ -54,15 +53,6 @@ class AlcovedPolytope:
         return all(k <= mi <= K - 1 for mi, (k, K) in zip(m, self.bounds))
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; bools, strings and non-integral numbers raise."""
-    if isinstance(value, Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise UserInputError(f"{what} must be an integer, got {value!r}")
-
-
 def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
     """Build a polytope from ``(root, min, max)`` constraints.
 
@@ -76,8 +66,8 @@ def make_polytope(rs: RootSystemData, constraints) -> AlcovedPolytope:
     for root, lo, hi in constraints:
         root = tuple(root)
         idx = rs.root_index(root)
-        lo = _integer(lo, f"bound min for root {root}")
-        hi = _integer(hi, f"bound max for root {root}")
+        lo = integer(lo, f"bound min for root {root}")
+        hi = integer(hi, f"bound max for root {root}")
         if lo > hi:
             raise UserInputError(f"bound min {lo} > max {hi} for root {root}")
         if idx in user:
@@ -133,11 +123,8 @@ def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
         raise UserInputError(
             f"a box of widths {widths} is too large to scan exactly in int64"
         )
-    total = math.prod(w + 1 for w in widths)
-    if total > budget:
-        raise BudgetExceededError(
-            f"box of {total} candidate points exceeds budget {budget}"
-        )
+    phase = f"{rs.type_label}{rs.rank} box scan at scale {scale}"
+    charge(phase, math.prod(w + 1 for w in widths), "points", budget)
     lo, hi = _shifted_bounds(P, offset, scale, reach + 1)
     wall = scale if walls else 0
     return offset, _layers(rs, widths, reach, lo, hi, wall, _CHUNK_CELLS // len(lo))
@@ -247,14 +234,11 @@ def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     y = [v + o for v, o in zip(ys[0].tolist(), offset)]
     seed = tuple(pairing(y, root) for root in rs.positive_roots)
     seen, queue = {seed}, [seed]
+    phase = f"{rs.type_label}{rs.rank} alcove walk"
     while queue:
         for q in geometry.neighbors(rs, queue.pop()):
             if q not in seen and P.contains_alcove([v // h for v in q]):
-                if len(seen) >= budget:
-                    raise BudgetExceededError(
-                        f"the alcove walk reached {len(seen) + 1} alcoves "
-                        f"and exceeds budget {budget}"
-                    )
+                charge(phase, len(seen) + 1, "alcoves", budget)
                 seen.add(q)
                 queue.append(q)
     return len(seen)
@@ -319,10 +303,9 @@ def adjacent_star(rs: RootSystemData) -> AlcovedPolytope:
 
 def hypersimplex(rs: RootSystemData, k: int) -> AlcovedPolytope:
     """The k-th slice of the fundamental parallelepiped along theta."""
+    k = integer(k, "hypersimplex index")
     if not 1 <= k <= rs.h_star - 1:
-        raise UserInputError(
-            f"hypersimplex index {k} out of range 1..{rs.h_star - 1}"
-        )
+        raise UserInputError(f"hypersimplex index {k} out of range 1..{rs.h_star - 1}")
     constraints = [(s, 0, 1) for s in rs.simple_roots]
     constraints.append((rs.theta, k - 1, k))
     return make_polytope(rs, constraints)
@@ -330,7 +313,8 @@ def hypersimplex(rs: RootSystemData, k: int) -> AlcovedPolytope:
 
 def thick_hypersimplex(rs: RootSystemData, b, k: int, K: int) -> AlcovedPolytope:
     """Simple-root bounds 0..b_i with theta sliced to k..K."""
-    b = tuple(_integer(x, f"b_{i}") for i, x in enumerate(b, 1))
+    b = tuple(integer(x, f"b_{i}") for i, x in enumerate(b, 1))
+    k, K = integer(k, "k"), integer(K, "K")
     if len(b) != rs.rank or any(x < 0 for x in b):
         raise UserInputError("need one nonnegative bound per simple root")
     constraints = [(s, 0, bi) for s, bi in zip(rs.simple_roots, b)]
@@ -381,7 +365,7 @@ def thick_identity_check(
     layer_volumes = hypersimplex_volumes(rs, budget)
     reports = {}
     for b in boxes:
-        b = tuple(_integer(x, f"b_{i}") for i, x in enumerate(b, 1))
+        b = tuple(integer(x, f"b_{i}") for i, x in enumerate(b, 1))
         if len(b) != rs.rank or any(x < 1 for x in b):
             raise UserInputError(
                 "thick-hypersimplex identity needs one b_i >= 1 per simple root"
@@ -421,11 +405,11 @@ def spec_to_polytope(spec: dict) -> AlcovedPolytope:
     constraint {root, min, max}; any other key is a UserInputError."""
     try:
         type_label, rank, cons = _fields(spec, ("type", "rank", "constraints"), "spec")
-        rs = build(type_label, _integer(rank, "rank"))
+        rs = build(type_label, rank)
         constraints = []
         for c in cons:
             root, lo, hi = _fields(c, ("root", "min", "max"), "constraint")
-            root = tuple(_integer(x, "root coordinate") for x in root)
+            root = tuple(integer(x, "root coordinate") for x in root)
             constraints.append((root, lo, hi))
     except (KeyError, TypeError, ValueError) as exc:
         raise UserInputError(f"malformed polytope spec: {exc}") from exc

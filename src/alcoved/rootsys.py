@@ -19,7 +19,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DefectError, UserInputError
+from .errors import DefectError, UserInputError, integer
 
 #: valid rank ranges per type letter
 _RANK_RANGE = {
@@ -204,10 +204,10 @@ def _cartan_adjugate(cartan: tuple) -> tuple:
     return previous, tuple(tuple(row[n:]) for row in rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1 are not one key
 def build(type_label: str, rank: int) -> RootSystemData:
     """Construct the root-system tables for the given type and rank."""
-    type_label = str(type_label).upper()
+    type_label, rank = str(type_label).upper(), integer(rank, "rank")
     if type_label not in _RANK_RANGE:
         raise UserInputError(f"unknown root-system type {type_label!r}")
     lo, hi = _RANK_RANGE[type_label]

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
+from .errors import DEFAULT_BUDGET, DefectError, UserInputError, charge, integer
 from .rootsys import RootSystemData, rho, weyl_order
 
 #: the circular-descent tables of a WeylGroup, built together on first read
@@ -283,6 +283,7 @@ def identity_element(rs: RootSystemData) -> WeylElement:
 
 def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
     """The reflection s_i, acting by a_j -> a_j - cartan[j][i] * a_i."""
+    i = integer(i, "simple-reflection index")
     if not 1 <= i <= rs.rank:
         raise UserInputError(f"simple-reflection index {i} out of range 1..{rs.rank}")
     return WeylElement(rs, _reflect_coweight(rs.cartan, i - 1, rho(rs)), 1)
@@ -300,12 +301,7 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGrou
     Raises BudgetExceededError before the search when the order of W
     exceeds ``budget``.
     """
-    order = weyl_order(rs)
-    if order > budget:
-        raise BudgetExceededError(
-            f"the Weyl group of {rs.type_label}{rs.rank} has {order} elements "
-            f"and exceeds budget {budget}"
-        )
+    charge(f"{rs.type_label}{rs.rank} Weyl group", weyl_order(rs), "elements", budget)
     cartan = rs.cartan
     start = tuple(rho(rs))
     zs, index = [start], {start: 0}

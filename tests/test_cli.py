@@ -300,6 +300,37 @@ def test_selfcheck_reports_skip_for_unsupported_type(capsys):
     assert report["seed"] == cli.DEFAULT_SELFCHECK_SEED
 
 
+@pytest.mark.parametrize("t", ("A", "C"))
+def test_selfcheck_triangulates_the_first_hypersimplex_past_60_elements(t, capsys):
+    # |W| = 120 in A4 and 384 in C4: too many alcoves in the adjacent star,
+    # so the triangulation check runs on Delta_1
+    assert rootsys.weyl_order(rootsys.build(t, 4)) > 60
+    code, report = run_json(capsys, ["selfcheck", "--type", t, "--rank", "4"])
+    assert code == 0
+    assert report["checks"]["groebner_triangulation"] is True
+
+
+def _flat_box(tmp_path, t):
+    """The rank-3 (rank 4 in D) box with alpha_1 in 0..0 and the other
+    simple roots in 0..1: a polytope of volume 0."""
+    rs = rootsys.build(t, 4 if t == "D" else 3)
+    bounds = [(s, 0, int(i > 0)) for i, s in enumerate(rs.simple_roots)]
+    return _write_spec(tmp_path, rs, bounds)
+
+
+@pytest.mark.parametrize("t", ("A", "C"))
+def test_triangulating_a_flat_box_gives_no_simplices(t, tmp_path, capsys):
+    assert cli.run(["triangulate", "--spec", _flat_box(tmp_path, t)]) == 0
+    out = capsys.readouterr().out
+    assert "volume: 0\n" in out and "simplices: []\n" in out
+
+
+@pytest.mark.xfail(strict=True, reason="the flat D4 box exits 2 with 6 simplices (ROADMAP item 3)")
+def test_triangulating_the_flat_d4_box_gives_no_simplices(tmp_path, capsys):
+    code, report = run_json(capsys, ["triangulate", "--spec", _flat_box(tmp_path, "D")])
+    assert (code, report["volume"], report["simplices"]) == (0, 0, [])
+
+
 def test_seed_is_echoed(capsys):
     code, report = run_json(
         capsys, ["selfcheck", "--type", "A", "--rank", "2", "--seed", "7"]
@@ -371,10 +402,10 @@ def test_stats_and_selfcheck_budget_bounds_the_hypersimplex_scan(capsys):
     # the hypersimplex volumes scan the box (1, .., 1) at scale h:
     # 13^6 points in E6 (W has 51,840 elements) and 7^3 = 343 in B3
     assert cli.run(["stats", "--type", "E", "--rank", "6", "--budget", "100000"]) == 3
-    assert "exceeds budget 100000" in capsys.readouterr().err
+    assert "E6 box scan at scale 12: 4826809 points exceed budget 100000" in capsys.readouterr().err
     argv = ["selfcheck", "--type", "B", "--rank", "3", "--budget"]
     assert cli.run(argv + ["342"]) == 3
-    assert "box of 343 candidate points" in capsys.readouterr().err
+    assert "B3 box scan at scale 6: 343 points exceed budget 342" in capsys.readouterr().err
     assert cli.run(argv + ["343"]) == 0
     capsys.readouterr()
 
@@ -439,7 +470,23 @@ def test_e8_weyl_group_exits_3_before_enumerating(command, capsys):
     assert cli.run([command, "--type", "E", "--rank", "8"]) == 3
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "the Weyl group of E8 has 696729600 elements and exceeds budget 100000000" in err
+    assert "E8 Weyl group: 696729600 elements exceed budget 100000000" in err
+
+
+def test_every_budget_error_names_its_phase_size_and_budget(tmp_path, capsys):
+    # one format, from errors.charge: "<phase>: <size> <unit> exceed budget <budget>"
+    spec = _write_spec(tmp_path, rootsys.build("A", 1), [((1,), 0, 20000)])
+    cases = (
+        (["stats", "--type", "E", "--rank", "6", "--budget", "100000"],
+         "E6 box scan at scale 12: 4826809 points exceed budget 100000"),
+        (["enumerate", "--type", "E", "--rank", "8"],
+         "E8 Weyl group: 696729600 elements exceed budget 100000000"),
+        (["triangulate", "--spec", spec],
+         "A1 rewrite rules: 200030001 vertex pairs exceed budget 100000000"),
+    )
+    for argv, message in cases:
+        assert cli.run(argv) == 3
+        assert capsys.readouterr() == ("", f"budget exceeded: {message}\n")
 
 
 def test_every_budget_defaults_to_the_cli_budget():
@@ -504,7 +551,8 @@ def test_vertex_pairs_past_the_budget_exit_3_at_once(tmp_path, capsys):
         start = time.perf_counter()
         assert cli.run([cmd, "--spec", path]) == 3
         assert time.perf_counter() - start < 5
-        assert "200030001 vertex pairs exceed budget 100000000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "A1 rewrite rules: 200030001 vertex pairs exceed budget 100000000" in err
     # the bench triangulate specs stay within the default budget
     for t, r, hi in (("A", 2, 4), ("A", 2, 6), ("C", 2, 3), ("C", 2, 4),
                      ("A", 3, 2), ("A", 4, 1), ("C", 3, 1)):

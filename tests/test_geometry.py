@@ -283,6 +283,17 @@ def test_neighbors_refuse_a_pairing_tuple_on_a_wall():
         neighbors(rs, (1, 1))
 
 
+def test_neighbors_refuse_a_pairing_that_is_not_an_integer():
+    # (1.5, 1, 2) is malformed input (exit 1), not a facet count gone wrong
+    # (exit 2); an integral float is read as its int
+    rs = build("A", 2)
+    for bad in ((1.5, 1, 2), ("1", 1, 2), (True, 1, 2)):
+        with pytest.raises(UserInputError, match="each pairing must be an integer"):
+            neighbors(rs, bad)
+    p = _fundamental(rs)
+    assert neighbors(rs, tuple(map(float, p))) == neighbors(rs, p)
+
+
 def test_neighbors_report_a_reflection_across_another_wall_as_a_defect():
     # a corrupt coroot row, (2, 2) for alpha_1^vee = (2, -1), moves the
     # reflection in the alpha_1 facet of rho/h across the walls of alpha_2

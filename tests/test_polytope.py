@@ -261,6 +261,37 @@ def test_thick_bounds_are_read_as_integers():
     assert thick_identity_check(C2, [(1.0, 2)]) == thick_identity_check(C2, [(1, 2)])
 
 
+def test_hypersimplex_indices_are_read_as_integers():
+    # an integral float is that index; a string, a bool or 1.5 is refused,
+    # not compared with the range in a bare TypeError
+    A2 = build("A", 2)
+    assert hypersimplex(A2, 2.0) == hypersimplex(A2, 2)
+    assert thick_hypersimplex(A2, (1, 1), 0.0, 2.0) == thick_hypersimplex(A2, (1, 1), 0, 2)
+    for bad in ("2", 1.5, True):
+        with pytest.raises(UserInputError, match="hypersimplex index must be an integer"):
+            hypersimplex(A2, bad)
+        with pytest.raises(UserInputError, match="^k must be an integer"):
+            thick_hypersimplex(A2, (1, 1), bad, 2)
+        with pytest.raises(UserInputError, match="^K must be an integer"):
+            thick_hypersimplex(A2, (1, 1), 0, bad)
+
+
+def test_alcove_walk_charges_each_alcove_it_reaches(monkeypatch):
+    # the seed scan's box holds more points than P has alcoves, so the walk
+    # is reached under a budget below the volume only past a scan that the
+    # default budget lets through
+    scan = polytope._scan
+
+    def unbounded(P, scale, budget, walls=False):
+        return scan(P, scale, DEFAULT_BUDGET, walls)
+
+    monkeypatch.setattr(polytope, "_scan", unbounded)
+    P = parallelepiped(build("A", 2))  # |W| / f = 2 alcoves
+    assert alcove_count_bfs(P, 2) == 2
+    with pytest.raises(BudgetExceededError, match=r"^A2 alcove walk: 2 alcoves exceed budget 1$"):
+        alcove_count_bfs(P, 1)
+
+
 def _thick_identity_oracle(rs, b, k, K, layer_volumes, budget):
     """The per-case identity that thick-check ran before every θ-slice
     was read off one scan per box: one sliced volume scan and h - 1

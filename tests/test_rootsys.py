@@ -222,6 +222,16 @@ def test_pairing_table_limit_is_checked_before_the_closure(monkeypatch):
         build.__wrapped__("A", 4)
 
 
+def test_rank_is_read_as_an_integer():
+    # an integral float is that rank; a string, 2.5 or a bool is refused,
+    # also once the rank it equals is cached
+    assert build("A", 3.0) == build("A", 3)
+    build("A", 1)
+    for rank in ("3", 2.5, True):
+        with pytest.raises(UserInputError, match=f"^rank must be an integer, got {rank!r}$"):
+            build("A", rank)
+
+
 def test_build_allocates_no_table_of_all_pairings():
     # A60 has 1,830 positive roots: a table of all their pairings would
     # hold 3.3M entries, while coroot_array holds 109,800

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fraction_oracles as oracle
-from alcoved import cli, weyl
+from alcoved import cli, statistics, weyl
 from alcoved.errors import DefectError, UserInputError
 from alcoved.rootsys import build
 from alcoved.statistics import (
@@ -109,6 +109,26 @@ def test_double_coset_and_twist_checks():
         twist = cmaj_twist_check(W)
         assert twist["holds"]
         assert twist["inverse_symmetry_holds"]
+
+
+@pytest.mark.parametrize("table, check", (("cdes", double_coset_check), ("cmaj", cmaj_twist_check)))
+def test_a_corrupt_table_fails_its_check_with_a_witness(table, check, monkeypatch, capsys):
+    # one entry of cdes, or of cmaj (moved to the next element of C), is off
+    W = enumerate_weyl(build("A", 3))
+    values = getattr(W, table).copy()
+    C = W.C.tolist()
+    values[5] = values[5] + 1 if table == "cdes" else C[(C.index(values[5]) + 1) % len(C)]
+    setattr(W, table, values)
+    report = check(W)
+    assert report["holds"] is False
+    assert len(report["witness"]) == 3
+    for w in report["witness"]:
+        assert w in W and repr(w) == f"WeylElement(A3, z={w.z})"
+    # the hypersimplex check reads cdes too and would fail first
+    monkeypatch.setattr(statistics, "hypersimplex_statistic_check", lambda W, budget: {})
+    monkeypatch.setattr(weyl, "enumerate_weyl", lambda rs, budget: W)
+    assert cli.run(["stats", "--type", "A", "--rank", "3"]) == 2
+    assert capsys.readouterr() == ("", "defect: identity check failed: holds\n")
 
 
 def test_qweyl_identity_small_types():

@@ -164,16 +164,25 @@ def test_model_functions_reject_wrong_type():
 
 def test_budget_exceeded():
     # the message names the system and |W|, not the RootSystemData repr
-    message = "^the Weyl group of A4 has 120 elements and exceeds budget 5$"
+    message = "^A4 Weyl group: 120 elements exceed budget 5$"
     with pytest.raises(BudgetExceededError, match=message):
         enumerate_weyl(build("A", 4), budget=5)
+
+
+def test_simple_reflection_index_is_read_as_an_integer():
+    rs = build("A", 2)
+    assert simple_reflection(rs, 1.0).z == simple_reflection(rs, 1).z
+    for i in ("1", 1.5, True):
+        with pytest.raises(UserInputError, match="simple-reflection index must be an integer"):
+            simple_reflection(rs, i)
 
 
 def test_e8_is_refused_at_once_under_the_default_budget():
     # |W(E8)| = 696,729,600 passes DEFAULT_BUDGET, which E7's 2,903,040 does not
     rs = build("E", 8)
+    message = "^E8 Weyl group: 696729600 elements exceed budget 100000000$"
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="exceeds budget 100000000"):
+    with pytest.raises(BudgetExceededError, match=message):
         enumerate_weyl(rs)
     assert time.perf_counter() - start < 1
 
