@@ -8,9 +8,11 @@ of the integer box spanned by the dilated simple bounds, translated to
 start at 0 so that any integer bounds are exact.  The scan adds one
 simple-root coordinate at a time and drops a prefix as soon as a partial
 pairing has passed its upper bound or can no longer reach its lower one;
-a volume scan drops the points on a wall as each pairing becomes final.
+a volume scan drops the points on a wall as each pairing becomes final,
+and a scan that only counts never builds its last coordinate's points.
 The families sliced along theta (the hypersimplices of the parallelepiped
-and the thick hypersimplices of a box) are read off one scan per box.
+and the thick hypersimplices of a list of boxes) are read off one scan
+per side: a box list is scanned once, over its bounding box.
 A scan runs in int16, int32 or int64, whichever is the narrowest to hold
 twice the largest pairing over its translated box, and yields int64
 points.  Only a box whose widths could take a pairing to 2^62 is
@@ -95,7 +97,7 @@ _INT64_HEADROOM = 2**62
 _CHUNK_CELLS = 1 << 26  # cells per candidate block: 128 MB in int16, 0.5 GB in int64
 
 
-def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
+def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False, count_only=False):
     """The integer points y with ``k*scale <= (y, a) <= K*scale`` for
     every bound ``(k, K)`` of P, after a translation; with ``walls``,
     only those with no pairing divisible by ``scale``.
@@ -103,13 +105,15 @@ def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
     Returns ``(offset, chunks)``: ``offset`` is ``scale`` times the
     coweight of P's lower simple bounds, and ``chunks`` yields int64
     arrays of ``y - offset``, one row per point, in lexicographic order
-    of y.  The scan runs over the box ``[0, (K_i - k_i)*scale]`` with
-    every root bound shifted by ``(offset, a)``, so the kernel only holds
-    box pairings, in the narrowest integer type that their ``reach``
-    allows; the offset is a multiple of ``scale``, so the shifted
-    pairings keep their residues.  Raises UserInputError when one could
-    reach 2^62 (a wrapped int64 would give a wrong count silently) and
-    BudgetExceededError when the box has more than ``budget`` points.
+    of y; with ``count_only`` it yields each block's number of rows, and
+    no row of the last coordinate is built.  The scan runs over the box
+    ``[0, (K_i - k_i)*scale]`` with every root bound shifted by
+    ``(offset, a)``, so the kernel only holds box pairings, in the
+    narrowest integer type that their ``reach`` allows; the offset is a
+    multiple of ``scale``, so the shifted pairings keep their residues.
+    Raises UserInputError when one could reach 2^62 (a wrapped int64
+    would give a wrong count silently) and BudgetExceededError when the
+    box has more than ``budget`` points.
     A candidate block has as many rows as fit ``_CHUNK_CELLS`` pairings.
     """
     rs = P.rs
@@ -127,7 +131,8 @@ def _scan(P: AlcovedPolytope, scale: int, budget: int, walls=False) -> tuple:
     charge(phase, math.prod(w + 1 for w in widths), "points", budget)
     lo, hi = _shifted_bounds(P, offset, scale, reach + 1)
     wall = scale if walls else 0
-    return offset, _layers(rs, widths, reach, lo, hi, wall, _CHUNK_CELLS // len(lo))
+    chunk_rows = _CHUNK_CELLS // len(lo)
+    return offset, _layers(rs, widths, reach, lo, hi, wall, chunk_rows, count_only)
 
 
 def _shifted_bounds(P: AlcovedPolytope, offset, scale: int, top: int) -> tuple:
@@ -151,10 +156,11 @@ def _scan_dtype(reach: int):
     return np.int32 if reach < 2**30 else np.int64
 
 
-def _layers(rs, widths, reach: int, lo, hi, wall: int, chunk_rows: int):
+def _layers(rs, widths, reach: int, lo, hi, wall: int, chunk_rows: int, count_only):
     """The points of the box ``[0, widths]`` with pairings in ``[lo, hi]``
     and, for ``wall > 0``, none divisible by it, as int64 row blocks in
-    lexicographic order.
+    lexicographic order; with ``count_only``, as the sizes of those
+    blocks, counted from the last coordinate's survivors, not built.
 
     Every pairing, bound and candidate is held in ``_scan_dtype(reach)``:
     the bounds must lie in ``[-1, reach + 1]`` and the box pairings lie
@@ -195,6 +201,9 @@ def _layers(rs, widths, reach: int, lo, hi, wall: int, chunk_rows: int):
                 alive &= residues.all(axis=2)
                 del residues
             del cand  # one candidate block at a time
+            if last and count_only:
+                yield int(np.count_nonzero(alive))
+                continue
             row, value = np.nonzero(alive)
             columns = simple if last else slice(None)
             grown = rows[row][:, columns]
@@ -214,7 +223,7 @@ def volume(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     no wall: ``k*h < (y, a) < K*h`` with ``(y, a)`` not divisible by h
     puts the alcove's ``m_a`` in ``[k, K - 1]``.
     """
-    return sum(len(ys) for ys in _scan(P, P.rs.h_star, budget, walls=True)[1])
+    return sum(_scan(P, P.rs.h_star, budget, walls=True, count_only=True)[1])
 
 
 def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
@@ -246,7 +255,7 @@ def alcove_count_bfs(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
 
 def lattice_point_count(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> int:
     """The number of integral coweights in P."""
-    return sum(len(ys) for ys in _scan(P, 1, budget)[1])
+    return sum(_scan(P, 1, budget, count_only=True)[1])
 
 
 def volume_identity_check(
@@ -276,9 +285,11 @@ def volume_identity_check(
     step = max(1, _CHUNK_CELLS // len(reps))  # patterns x reps cells per product
     for ys in chunks:
         pairings = ys @ rs.root_array.T
-        patterns, counts = np.unique(
-            np.hstack([pairings == lo, pairings == hi]), axis=0, return_counts=True
-        )
+        bits = np.hstack([pairings == lo, pairings == hi])
+        packed = np.packbits(bits, axis=1)  # one void key of whole bytes per row
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        patterns = bits[first]
         for s in range(0, len(patterns), step):
             per_coset += counts[s : s + step] @ ~(patterns[s : s + step] @ forbidden)
     per_coset = per_coset.tolist()
@@ -327,24 +338,31 @@ def thick_hypersimplex(rs: RootSystemData, b, k: int, K: int) -> AlcovedPolytope
     return make_polytope(rs, constraints)
 
 
-def _theta_slices(rs: RootSystemData, b, scale: int, walls: bool, budget: int) -> list:
-    """Entry t counts the points of one scan of the box ``0..b_i`` with
-    ``(y, theta) // scale = t``: at scale h with ``walls``, the central
-    points with ``m_theta = t``; at scale 1, the lattice points with
-    ``(lambda, theta) = t``."""
-    P = make_polytope(rs, [(s, 0, bi) for s, bi in zip(rs.simple_roots, b)])
-    marks = np.array(rs.marks, dtype=np.int64)
-    counts = np.zeros(pairing(b, rs.theta) + 1, dtype=np.int64)
-    for ys in _scan(P, scale, budget, walls)[1]:
-        counts += np.bincount((ys @ marks) // scale, minlength=len(counts))
-    return counts.tolist()
+def _theta_slices(rs: RootSystemData, boxes, scale: int, walls: bool, budget: int) -> list:
+    """Entry i lists, for box i of ``boxes``, the counts t of the points y
+    of the box ``0..b_i`` with ``(y, theta) // scale = t``: at scale h
+    with ``walls``, the central points with ``m_theta = t``; at scale 1,
+    the lattice points with ``(lambda, theta) = t``.  All come from one
+    scan of the bounding box of ``boxes``, charged once: its points with
+    ``y_j <= b_j * scale`` are the points of b's own scan, since every
+    root pairing grows with y."""
+    top = [max((b[i] for b in boxes), default=0) for i in range(rs.rank)]
+    P = make_polytope(rs, [(s, 0, t) for s, t in zip(rs.simple_roots, top)])
+    chunks = _scan(P, scale, budget, walls)[1]
+    marks, tops = np.array(rs.marks, dtype=np.int64), np.array(boxes, dtype=np.int64)
+    counts = [np.zeros(pairing(b, rs.theta) + 1, dtype=np.int64) for b in boxes]
+    for ys in chunks:
+        t = (ys @ marks) // scale
+        for counts_b, top_b in zip(counts, tops * scale):
+            counts_b += np.bincount(t[(ys <= top_b).all(axis=1)], minlength=len(counts_b))
+    return [counts_b.tolist() for counts_b in counts]
 
 
 def hypersimplex_volumes(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> list:
     """``volume(hypersimplex(rs, k))`` for k = 1..h - 1 from one scan of
     the parallelepiped: Delta_k holds its alcoves with m_theta = k - 1,
     and none has m_theta = h - 1, the last slice."""
-    return _theta_slices(rs, (1,) * rs.rank, rs.h_star, True, budget)[:-1]
+    return _theta_slices(rs, [(1,) * rs.rank], rs.h_star, True, budget)[0][:-1]
 
 
 def thick_identity_check(
@@ -358,25 +376,27 @@ def thick_identity_check(
     lies in the thick hypersimplex exactly when mu fits the shrunken box
     with theta between k - l + 1 and K - l; summing the lattice counts
     over the layers therefore reproduces the volume.  The sides come
-    from different scans: the volume from the central points of the box
-    ``0..b_i``, the layers from those of the parallelepiped and from the
-    lattice points of the box ``0..b_i - 1``, one scan each per box.
+    from different scans, three in all: the volumes from the central
+    points of the bounding box of the boxes ``0..b_i``, the layers from
+    those of the parallelepiped and from the lattice points of the
+    bounding box of the boxes ``0..b_i - 1``.  The budget bounds each
+    bounding box, so it may refuse boxes that it admits one by one.
     """
+    boxes = [tuple(integer(x, f"b_{i}") for i, x in enumerate(b, 1)) for b in boxes]
+    if any(len(b) != rs.rank or any(x < 1 for x in b) for b in boxes):
+        raise UserInputError(
+            "thick-hypersimplex identity needs one b_i >= 1 per simple root"
+        )
+    thick = _theta_slices(rs, boxes, rs.h_star, True, budget)
+    inner = _theta_slices(rs, [[x - 1 for x in b] for b in boxes], 1, False, budget)
     layer_volumes = hypersimplex_volumes(rs, budget)
     reports = {}
-    for b in boxes:
-        b = tuple(integer(x, f"b_{i}") for i, x in enumerate(b, 1))
-        if len(b) != rs.rank or any(x < 1 for x in b):
-            raise UserInputError(
-                "thick-hypersimplex identity needs one b_i >= 1 per simple root"
-            )
-        thick = _theta_slices(rs, b, rs.h_star, True, budget)
-        inner = _theta_slices(rs, [x - 1 for x in b], 1, False, budget)
-        for k, K in itertools.combinations_with_replacement(range(len(thick)), 2):
+    for b, thick_b, inner_b in zip(boxes, thick, inner):
+        for k, K in itertools.combinations_with_replacement(range(len(thick_b)), 2):
             # slices k..K - 1 of thick and k - l + 1..K - l of inner
-            lhs = sum(thick[k:K])
+            lhs = sum(thick_b[k:K])
             terms = [
-                vol_layer * sum(inner[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
+                vol_layer * sum(inner_b[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
                 for layer, vol_layer in enumerate(layer_volumes, start=1)
             ]
             total = sum(terms)

@@ -185,8 +185,9 @@ def test_thick_check(capsys):
 
 def test_thick_check_scans_each_layer_once(monkeypatch, capsys):
     # the same cases and verdict as one thick_identity_check per case,
-    # from one scan of the parallelepiped per command and, per box b, one
-    # central-point scan of b and one lattice scan of b - 1
+    # from three scans per command: the central points of the bounding
+    # box of the boxes b, the lattice points of that of the boxes b - 1,
+    # and the central points of the parallelepiped
     calls = []
     scan = polytope._scan
 
@@ -200,7 +201,7 @@ def test_thick_check_scans_each_layer_once(monkeypatch, capsys):
         code, report = run_json(capsys, ["thick-check", "--type", t, "--rank", str(r)])
         assert code == 0
         assert report == {"type": t, "rank": r, "cases": cases, "identity_holds": True}
-        assert len(calls) == 1 + 2 * 2**r
+        assert len(calls) == 3
 
 
 def test_thick_check_calls_the_identity_check_once(monkeypatch, capsys):

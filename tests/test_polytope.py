@@ -238,6 +238,42 @@ def test_coset_lattice_sum_across_chunks(monkeypatch):
     assert whole["identity_holds"]
 
 
+def _row_unique_per_coset(P, W):
+    """``per_coset`` as volume_identity_check summed it before its
+    boundary patterns were packed into byte keys: one ``np.unique`` over
+    the bool pattern rows of each block of the scale-1 scan."""
+    rs = P.rs
+    reps = W.coset_indices()
+    inverted = W.z[W.inverse[reps]] @ rs.root_array.T < 0
+    forbidden = np.hstack([inverted, ~inverted]).T
+    per_coset = np.zeros(len(reps), dtype=np.int64)
+    offset, chunks = polytope._scan(P, 1, DEFAULT_BUDGET)
+    lo, hi = np.array(polytope._shifted_bounds(P, offset, 1, 2**62), dtype=np.int64)
+    for ys in chunks:
+        pairings = ys @ rs.root_array.T
+        patterns, counts = np.unique(
+            np.hstack([pairings == lo, pairings == hi]), axis=0, return_counts=True
+        )
+        per_coset += counts @ ~(patterns @ forbidden)
+    return per_coset.tolist()
+
+
+def test_packed_patterns_group_as_unique_rows():
+    # E6 has 36 positive roots, so its patterns are 72 bits wide: nine
+    # bytes per key.  With alpha_1 in 0..3 and theta cut at 6, the points
+    # with lambda_1 = 1 and 2 and the rest equal differ only in bit 71,
+    # whether theta meets its upper bound: a key of the first 64 bits
+    # would merge them
+    rs = build("E", 6)
+    box = [(s, 0, 3 if i == 0 else 1) for i, s in enumerate(rs.simple_roots)]
+    wide = make_polytope(rs, box + [(rs.theta, 3, 6)])
+    for P in [*_coset_samples(), wide]:
+        W = enumerate_weyl(P.rs)
+        report = volume_identity_check(P, W)
+        assert report["per_coset"] == _row_unique_per_coset(P, W)
+        assert report["identity_holds"]
+
+
 def test_thick_hypersimplex_identity_samples():
     rs = build("C", 2)
     reports = thick_identity_check(rs, [(1, 1), (2, 1), (2, 2)])
@@ -313,8 +349,8 @@ def _thick_identity_oracle(rs, b, k, K, layer_volumes, budget):
     }
 
 
-def _thick_cases(rs):
-    for b in product((1, 2), repeat=rs.rank):
+def _thick_cases(rs, boxes):
+    for b in boxes:
         top = sum(a * bi for a, bi in zip(rs.marks, b))
         for k in range(top + 1):
             for K in range(k, top + 1):
@@ -326,9 +362,36 @@ def test_thick_identity_matches_per_case_oracle():
         rs = build(t, r)
         layers = [volume(hypersimplex(rs, i)) for i in range(1, rs.h_star)]
         reports = thick_identity_check(rs, product((1, 2), repeat=r))
-        for b, k, K in _thick_cases(rs):
+        for b, k, K in _thick_cases(rs, product((1, 2), repeat=r)):
             oracle = _thick_identity_oracle(rs, b, k, K, layers, 10**8)
             assert reports[b, k, K] == oracle
+
+
+@pytest.mark.parametrize("t", ["A", "C", "G"])
+def test_thick_identity_reads_boxes_off_their_bounding_box(t):
+    # neither list holds its bounding box, (2, 2) or (2, 3): the slices of
+    # each box are the rows of the bounding-box scans that fit it, and the
+    # budget is charged for the bounding box, so one that admits the scan
+    # of every box, as the per-case oracle runs them, refuses the check
+    rs = build(t, 2)
+    h = rs.h_star
+    layers = [volume(hypersimplex(rs, i)) for i in range(1, h)]
+
+    def points(b):
+        return math.prod(x * h + 1 for x in b)
+
+    for boxes in ([(2, 1), (1, 2)], [(1, 3), (2, 1), (1, 1)]):
+        reports = thick_identity_check(rs, boxes)
+        cases = list(_thick_cases(rs, boxes))
+        assert set(reports) == set(cases)
+        budget = max(map(points, boxes))
+        for b, k, K in cases:
+            assert reports[b, k, K] == _thick_identity_oracle(rs, b, k, K, layers, budget)
+        bounding = points([max(col) for col in zip(*boxes)])
+        assert bounding > budget
+        message = f"^{t}2 box scan at scale {h}: {bounding} points exceed budget {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            thick_identity_check(rs, boxes, budget)
 
 
 def test_hypersimplex_volumes_match_per_slice_scans():
@@ -573,6 +636,23 @@ def test_scan_in_small_chunks_keeps_rows_and_order(monkeypatch):
             joined = np.concatenate(parts)
             assert joined.dtype == np.int64
             assert np.array_equal(joined, whole[0])
+
+
+@pytest.mark.parametrize("variant", ["int16", "int32", "int64", "small_chunks"])
+def test_counts_equal_the_listing_scan(monkeypatch, variant):
+    # volume and lattice_point_count count the survivors of the last
+    # coordinate without building them: block by block, as many as the
+    # listing scan yields, in every scan type and in 7-row blocks
+    for P in [*_chunk_samples(), *_mask_cases()]:
+        if variant == "small_chunks":
+            monkeypatch.setattr(polytope, "_CHUNK_CELLS", 7 * len(P.rs.positive_roots))
+        elif variant != "int16":
+            monkeypatch.setattr(polytope, "_scan_dtype", lambda reach: getattr(np, variant))
+        for scale, walls, count in ((P.rs.h_star, True, volume), (1, False, lattice_point_count)):
+            listed = [len(ys) for ys in polytope._scan(P, scale, DEFAULT_BUDGET, walls)[1]]
+            _, counted = polytope._scan(P, scale, DEFAULT_BUDGET, walls, count_only=True)
+            assert list(counted) == listed
+            assert count(P) == sum(listed)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
