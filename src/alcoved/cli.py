@@ -137,7 +137,9 @@ def _require(report: dict) -> None:
 
 # -- subcommands ---------------------------------------------------------
 def _cmd_info(args) -> dict:
-    return rootsys.info_dict(_build(args))
+    rs = _build(args)
+    roots = _Table([_SLOT] * rs.rank, rs.positive_roots)
+    return {**rootsys.info_dict(rs), "positive_roots": roots}
 
 
 def _cmd_enumerate(args) -> dict:

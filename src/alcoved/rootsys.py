@@ -163,11 +163,12 @@ def _roots_and_coroots(cartan: tuple, rank: int) -> tuple:
     coroot goes along: ``s_i(beta)^vee = beta^vee - (alpha_i, beta^vee) alpha_i^vee``,
     and so do the pairings with the simple coroots, ``(s_i(beta), alpha_j^vee)
     = (beta, alpha_j^vee) - (beta, alpha_i^vee) cartan[i][j]``; a root's
-    pairings are dropped once it is expanded.
+    pairings are dropped once it is expanded.  Both read row i's nonzero entries.
     """
     simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     coroot = dict(zip(simple, simple))
-    pairings = dict(zip(simple, cartan))
+    pairings = dict(zip(simple, map(list, cartan)))
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
     queue = list(simple)
     for beta in queue:  # the queue grows as the loop walks it
         dual, pair = coroot[beta], pairings.pop(beta)
@@ -176,9 +177,11 @@ def _roots_and_coroots(cartan: tuple, rank: int) -> tuple:
                 continue
             up = beta[:i] + (beta[i] - down,) + beta[i + 1:]
             if up not in coroot:
-                lift = sum(a * c for a, c in zip(cartan[i], dual))
+                lift = sum(c * dual[j] for j, c in rows[i])
                 coroot[up] = dual[:i] + (dual[i] - lift,) + dual[i + 1:]
-                pairings[up] = tuple(a - down * c for a, c in zip(pair, cartan[i]))
+                pairings[up] = raised = pair.copy()
+                for j, c in rows[i]:
+                    raised[j] -= down * c
                 queue.append(up)
     roots = sorted(coroot, key=lambda v: (sum(v), v))
     return roots, [coroot[root] for root in roots]

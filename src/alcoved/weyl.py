@@ -21,7 +21,7 @@ conversion in both directions.
 """
 
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -32,10 +32,27 @@ from .rootsys import RootSystemData, rho, weyl_order
 _C_TABLES = frozenset(("cdes", "C", "delta_class", "class_residues", "cmaj"))
 
 
-def _reflect_coweight(cartan, i: int, v) -> list:
-    """s_i on omega-coordinates: v - v_i * (column i of cartan)."""
-    vi = v[i]
-    return [x - vi * row[i] for x, row in zip(v, cartan)]
+def _reflect_coweight(cartan, letters, v) -> list:
+    """Omega-coordinates of ``s_{a_l} ... s_{a_1}(v)``, ``letters = [a_1, ...]``."""
+    for i in letters:
+        vi = v[i]
+        v = [x - vi * row[i] for x, row in zip(v, cartan)]  # v - v_i * column i
+    return v
+
+
+def _off_diagonal(cartan) -> list:
+    """Row i lists the pairs ``(j, cartan[j][i])`` with j != i and a nonzero entry."""
+    columns = enumerate(zip(*cartan))
+    return [[(j, c) for j, c in enumerate(col) if c and j != i] for i, col in columns]
+
+
+def _act_by_word(columns, word, root) -> tuple:
+    """``s_{a_1} ... s_{a_l}(root)`` in simple-root coordinates, ``word = [a_1, ...]``."""
+    v = list(root)
+    for i in reversed(word):
+        # s_i(a) = a - (a, alpha_i^vee) alpha_i, and (alpha_i, alpha_i^vee) = 2
+        v[i] = -v[i] - sum(c * v[j] for j, c in columns[i])
+    return tuple(v)
 
 
 class WeylElement:
@@ -74,8 +91,7 @@ class WeylElement:
         ``z``; stripping such letters from the right ends at ``rho``.
         """
         cartan = self.rs.cartan
-        z = list(self.z)
-        letters = []
+        z, letters = self.z, []  # each reflection makes a new list
         while True:
             for i, x in enumerate(z):
                 if x < 0:
@@ -83,7 +99,7 @@ class WeylElement:
             else:
                 break
             letters.append(i)
-            z = _reflect_coweight(cartan, i, z)
+            z = _reflect_coweight(cartan, [i], z)
         letters.reverse()
         return letters
 
@@ -91,10 +107,7 @@ class WeylElement:
         if self.rs != other.rs:
             raise UserInputError("elements of different root systems")
         # (uv)^-1(rho) = v^-1(u^-1(rho)), and v^-1 = s_{a_l} ... s_{a_1}
-        cartan = self.rs.cartan
-        z = list(self.z)
-        for i in other._word():
-            z = _reflect_coweight(cartan, i, z)
+        z = _reflect_coweight(self.rs.cartan, other._word(), self.z)
         return WeylElement(self.rs, z)
 
     def inverse(self) -> "WeylElement":
@@ -102,20 +115,11 @@ class WeylElement:
 
     def act_on_root(self, root) -> tuple:
         """Simple-root coordinates of ``w(root)``."""
-        cartan = self.rs.cartan
-        v = list(root)
-        for i in reversed(self._word()):
-            # s_i(a) = a - (a, alpha_i^vee) alpha_i
-            v[i] -= sum(c * row[i] for c, row in zip(v, cartan))
-        return tuple(v)
+        return _act_by_word(_off_diagonal(self.rs.cartan), self._word(), root)
 
     def act_on_coweight(self, coweight) -> tuple:
         """Omega-coordinates of ``w(coweight)``."""
-        cartan = self.rs.cartan
-        v = list(coweight)
-        for i in reversed(self._word()):
-            v = _reflect_coweight(cartan, i, v)
-        return tuple(v)
+        return tuple(_reflect_coweight(self.rs.cartan, reversed(self._word()), coweight))
 
 
 class WeylGroup(Sequence):
@@ -147,20 +151,19 @@ class WeylGroup(Sequence):
 
     def __init__(self, rs: RootSystemData, zs, length, parent, letter, rmul):
         self.rs = rs
-        self.z = np.array(zs, dtype=np.int64)
+        self.z = np.fromiter(chain.from_iterable(zs), np.int64).reshape(-1, rs.rank)
         self.length = np.array(length, dtype=np.intp)
-        self.rmul = np.array(rmul, dtype=np.intp)
+        self.rmul = np.array(rmul, dtype=np.intp).reshape(-1, rs.rank)
         # w_k^-1 is the word of w_k read backwards.  The search's tree gives
-        # w_k = w_parent[k] s_{letter[k]+1} (both -1 at the identity): walk
-        # every element up it at once, right-multiplying by one letter per
-        # step.  Nothing else reads the tree, so it is not stored
+        # w_k = w_parent[k] s_{letter[k]+1}: walk every element up it at once,
+        # one letter per step; at step t those of length > t, a suffix, move.
+        # Nothing else reads the tree, so it is not stored
         parent, letter = np.array(parent, dtype=np.intp), np.array(letter, dtype=np.intp)
         self.inverse = np.zeros(len(zs), dtype=np.intp)
         node = np.arange(len(zs))
-        for _ in range(length[-1]):
-            live = node > 0
-            self.inverse[live] = self.rmul[self.inverse[live], letter[node[live]]]
-            node[live] = parent[node[live]]
+        for s in np.searchsorted(self.length, np.arange(1, length[-1] + 1)).tolist():
+            self.inverse[s:] = self.rmul[self.inverse[s:], letter[node[s:]]]
+            node[s:] = parent[node[s:]]
         self.descents = np.column_stack(
             [self.z @ np.array(rs.theta, dtype=np.int64) > 0, self.z < 0]
         ).astype(np.int64)
@@ -172,6 +175,8 @@ class WeylGroup(Sequence):
         elif name in ("C_left", "C_right"):  # read by stats and selfcheck only
             self.C_left = np.stack([self.left_action(k) for k in self.C.tolist()])
             self.C_right = np.stack([self.right_action(k) for k in self.C.tolist()])
+        elif name == "_cosets":
+            self._cosets = self._coset_transversal()
         else:
             raise AttributeError(name)
         return self.__dict__[name]
@@ -190,8 +195,9 @@ class WeylGroup(Sequence):
         hat = [tuple(-c for c in rs.theta)] + list(rs.simple_roots)
         marks = (1,) + rs.marks
         members = C.tolist()
-        for k in members:
-            images = [self[k].act_on_root(a) for a in hat]
+        words, columns = [self[k]._word() for k in members], _off_diagonal(rs.cartan)
+        for word in words:
+            images = [_act_by_word(columns, word, a) for a in hat]
             if set(images) != set(hat):
                 raise DefectError("an element of C does not permute the affine roots")
             if any(marks[hat.index(b)] != a for a, b in zip(marks, images)):
@@ -209,7 +215,7 @@ class WeylGroup(Sequence):
         delta_class = class_of_key[keys]
         if len(set(delta_class[C].tolist())) != f:
             raise DefectError("delta classes of C are not distinct")
-        products = [self._times(C, k) for k in members]
+        products = [self._times(C, word) for word in words]
         if not set(members).issuperset(np.concatenate(products).tolist()):
             raise DefectError("C is not closed under multiplication")
         of_class = np.full(len(classes), -1, dtype=np.intp)
@@ -238,15 +244,15 @@ class WeylGroup(Sequence):
             and bool((self.z == w.z).all(axis=1).any())
         )
 
-    def _times(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """The indices of ``w_j w_k`` for the indices j in ``rows``."""
-        for i in self[k]._word():
+    def _times(self, rows: np.ndarray, word) -> np.ndarray:
+        """Indices of ``w_j s_{a_1} ... s_{a_l}``, j in ``rows``, ``word = [a_1, ...]``."""
+        for i in word:
             rows = self.rmul[rows, i]
         return rows
 
     def right_action(self, k: int) -> np.ndarray:
         """``perm[j]`` is the index of ``w_j w_k``."""
-        return self._times(np.arange(len(self)), k)
+        return self._times(np.arange(len(self)), self[k]._word())
 
     def left_action(self, k: int) -> np.ndarray:
         """``perm[j]`` is the index of ``w_k w_j = (w_j^-1 w_k^-1)^-1``."""
@@ -255,7 +261,7 @@ class WeylGroup(Sequence):
 
     def coset_indices(self) -> np.ndarray:
         """Indices of one representative per right coset wC: the w with
-        cmaj(w^-1) = id.
+        cmaj(w^-1) = id; built and checked once, and returned read-only.
 
         The elements with cmaj = id form a transversal of the left cosets;
         their inverses, used here, are pairwise inequivalent under alcove
@@ -263,6 +269,9 @@ class WeylGroup(Sequence):
         from the delta classes: u(A_o) and w(A_o) differ by an integral
         coweight exactly when u(rho) = w(rho) mod h_star.
         """
+        return self._cosets
+
+    def _coset_transversal(self) -> np.ndarray:
         rs = self.rs
         chosen = np.flatnonzero(self.cmaj[self.inverse] == 0)  # self[0] is the identity
         expected = weyl_order(rs) // rs.index_of_connection
@@ -274,6 +283,7 @@ class WeylGroup(Sequence):
         centres = self.z[self.inverse[chosen]] % rs.h_star
         if len(set(map(tuple, centres.tolist()))) != len(chosen):
             raise DefectError("two representatives lie in the same coset")
+        chosen.flags.writeable = False
         return chosen
 
 
@@ -286,7 +296,7 @@ def simple_reflection(rs: RootSystemData, i: int) -> WeylElement:
     i = integer(i, "simple-reflection index")
     if not 1 <= i <= rs.rank:
         raise UserInputError(f"simple-reflection index {i} out of range 1..{rs.rank}")
-    return WeylElement(rs, _reflect_coweight(rs.cartan, i - 1, rho(rs)), 1)
+    return WeylElement(rs, _reflect_coweight(rs.cartan, [i - 1], rho(rs)), 1)
 
 
 def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGroup:
@@ -298,19 +308,24 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGrou
 
     Every edge ``{w, w s_i}`` of the Cayley graph is followed from its
     lower end: ``w s_i`` is longer than ``w`` exactly when ``z_i > 0``.
+    A step ``z -> s_i(z)`` negates z_i and changes only the z_j with cartan[j][i] != 0.
     Raises BudgetExceededError before the search when the order of W
     exceeds ``budget``.
     """
     charge(f"{rs.type_label}{rs.rank} Weyl group", weyl_order(rs), "elements", budget)
-    cartan = rs.cartan
+    r, steps = rs.rank, _off_diagonal(rs.cartan)
     start = tuple(rho(rs))
     zs, index = [start], {start: 0}
-    parent, letter, length, rmul = [-1], [-1], [0], [[-1] * rs.rank]
+    parent, letter, length, rmul, unset = [-1], [-1], [0], [-1] * r, [-1] * r
     for k, z in enumerate(zs):  # zs grows while it is read: a FIFO queue
-        for i in range(rs.rank):
+        for i, step in enumerate(steps):
             if z[i] < 0:
                 continue
-            t = tuple(_reflect_coweight(cartan, i, z))
+            t = list(z)
+            t[i] = zi = -z[i]
+            for j, c in step:
+                t[j] += c * zi
+            t = tuple(t)
             j = index.get(t)
             if j is None:
                 j = len(zs)
@@ -319,9 +334,9 @@ def enumerate_weyl(rs: RootSystemData, budget: int = DEFAULT_BUDGET) -> WeylGrou
                 parent.append(k)
                 letter.append(i)
                 length.append(length[k] + 1)
-                rmul.append([-1] * rs.rank)
-            rmul[k][i] = j
-            rmul[j][i] = k
+                rmul += unset
+            rmul[k * r + i] = j
+            rmul[j * r + i] = k
     return WeylGroup(rs, zs, length, parent, letter, rmul)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraction_oracles as oracle
-from alcoved import rootsys
+from alcoved import cli, rootsys
 from alcoved.errors import DefectError, UserInputError
 from alcoved.polytope import adjacent_star
 from alcoved.rootsys import build, pairing, rho, weyl_order
@@ -186,6 +186,16 @@ def test_build_matches_the_root_string_and_symmetrized_oracles(t, r):
         "theta": list(roots[-1]),
         "weyl_order": f * math.factorial(r) * math.prod(roots[-1]),
     }
+
+
+@pytest.mark.parametrize("t, r", _ORACLE_SYSTEMS)
+def test_info_prints_what_emit_prints_for_info_dict(t, r, capsys):
+    # info writes its roots as a table row by row; json writes the same bytes
+    for flags in ([], ["--json"]):
+        assert cli.run(["info", "--type", t, "--rank", str(r), *flags]) == 0
+        printed = capsys.readouterr().out
+        cli._emit(rootsys.info_dict(build(t, r)), bool(flags))
+        assert printed == capsys.readouterr().out
 
 
 def test_a_coroot_that_does_not_pair_to_two_raises(monkeypatch):

@@ -223,6 +223,26 @@ def test_c_tables_are_built_once_per_command(argv, monkeypatch, capsys):
     assert len(builds) == 1
 
 
+def test_selfcheck_checks_the_coset_transversal_once(monkeypatch, capsys):
+    # hypersimplex_statistic_check and three vol-identity draws all read it
+    groups = []
+    transversal = weyl.WeylGroup._coset_transversal
+
+    def counted(W):
+        groups.append(W)
+        return transversal(W)
+
+    monkeypatch.setattr(weyl.WeylGroup, "_coset_transversal", counted)
+    assert cli.run(["selfcheck", "--type", "A", "--rank", "2"]) == 0
+    capsys.readouterr()
+    assert len(groups) == 1
+    W = groups[0]
+    reps = W.coset_indices()
+    assert W.coset_indices() is reps and not reps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        reps[0] = 1
+
+
 def test_c_actions_are_built_once_per_command(monkeypatch, capsys):
     # stats D4 reads the left and right actions of its f = 4 elements of C
     # in three checks; they are walked once each, 2f right_action calls

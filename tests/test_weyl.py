@@ -304,6 +304,23 @@ def test_right_multiplication_table_matches_signed_permutations(n):
             assert ws == from_signed_permutation(rs, window) * from_signed_permutation(rs, s)
 
 
+@pytest.mark.parametrize(
+    "t, r, sample", [(t, r, None) for t, r in TABLE_TYPES] + [("E", 6, 500)]
+)
+def test_right_multiplication_table_matches_products(t, r, sample):
+    # every row of every system, or a seeded sample of the rows of a larger one
+    rs = build(t, r)
+    W = enumerate_weyl(rs)
+    position = {z: k for k, z in enumerate(map(tuple, W.z.tolist()))}
+    rows = range(len(W))
+    if sample is not None:
+        rows = random.Random(20240521).sample(rows, sample)
+    gens = [simple_reflection(rs, i + 1) for i in range(r)]
+    for k in rows:
+        w = W[k]
+        assert W.rmul[k].tolist() == [position[(w * s).z] for s in gens]
+
+
 @pytest.mark.parametrize("t, r", (("A", 3), ("C", 3), ("G", 2)))
 def test_left_and_right_actions_match_products(t, r):
     rs = build(t, r)
