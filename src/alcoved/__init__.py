@@ -11,7 +11,7 @@ polytope into alcoves.
 
 from . import cli, geometry, groebner, polytope, rootsys, statistics, weyl
 from .errors import AlcovedError, BudgetExceededError, DefectError, UserInputError
-from .groebner import groebner_basis, is_standard, normal_form, triangulate
+from .groebner import groebner_basis, triangulate
 from .polytope import (
     AlcovedPolytope,
     adjacent_star,
@@ -45,10 +45,8 @@ __all__ = [
     "groebner_basis",
     "group_C",
     "hypersimplex",
-    "is_standard",
     "lattice_point_count",
     "make_polytope",
-    "normal_form",
     "polytope",
     "qweyl_check",
     "rootsys",

@@ -231,11 +231,12 @@ def _cmd_thick_check(args) -> dict:
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
     r, pair = P.rs.rank, [[_SLOT] * P.rs.rank] * 2
-    binomials = groebner.groebner_basis(P, args.budget)
+    rewriter = groebner.Rewriter(P, args.budget)
+    binomials = rewriter.coordinates(rewriter.rules)
     return {
         "type": P.rs.type_label,
         "rank": r,
-        "vertices": _Table([_SLOT] * r, groebner._rewriter(P, args.budget).vertices),
+        "vertices": _Table([_SLOT] * r, rewriter.vertices),
         "binomials": _Table({"lead": pair, "trail": pair}, binomials),
     }
 

@@ -15,6 +15,7 @@ to neighbouring alcoves and the reduction into A_o run in integers;
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BudgetExceededError, DefectError, UserInputError, integer
 from .rootsys import RootSystemData, pairing, rho
@@ -34,8 +35,9 @@ def neighbors(rs: RootSystemData, p) -> list:
     """The r+1 central points of the alcoves sharing a facet with ``y / h``.
 
     ``p`` holds the pairings ``(y, a)`` in the order of
-    ``rs.positive_roots``, and so does each neighbour returned; an entry
-    that is no integer, or is divisible by h (a wall), is a UserInputError.
+    ``rs.positive_roots``, and so does each neighbour returned; a tuple
+    that is not the pairings of its simple entries ``y``, or has an entry
+    that is no integer or is divisible by h (a wall), is a UserInputError.
     The facets around ``y / h`` are the hyperplanes ``(lambda, a) = k``
     with ``(y, a) - k*h = e = +-1``: the affine Weyl group carries rho/h to
     every central point, and only the walls of A_o lie 1/h from rho/h (in
@@ -45,10 +47,12 @@ def neighbors(rs: RootSystemData, p) -> list:
     h = rs.h_star
     if len(p) != len(rs.positive_roots):
         raise UserInputError(f"need {len(rs.positive_roots)} pairings, got {len(p)}")
+    if any(type(v) is not int for v in p):  # the walk passes ints; others are read once
+        return neighbors(rs, [integer(v, "each pairing") for v in p])
     y = tuple(p[i] for i in rs.simple_index)
+    if list(p) != [sum(map(mul, y, root)) for root in rs.positive_roots]:
+        raise UserInputError(f"{tuple(p)} are not the root pairings of {y}")
     for root, v in zip(rs.positive_roots, p):
-        if type(v) is not int:  # the walk passes ints; others are read once
-            return neighbors(rs, [integer(v, "each pairing") for v in p])
         if v % h == 0:
             raise UserInputError(f"{y}/{h} lies on the hyperplane of root {root}")
     base = [v // h for v in p]

@@ -22,10 +22,11 @@ box, the adjacent star) the triangulation check raises DefectError.
 
 The basis has one form: ``Rewriter.rules``, rows ``(a, b, u, v)`` of
 indices into the sorted vertex list, one per rewrite of a lead pair to
-its trail pair.  ``groebner_basis`` and ``triangulate`` return the
-coordinate rows that the CLI prints; ``normal_form`` and ``is_standard``
-take monomials as sequences of vertices of P and look their pairs up in
-the index rows.
+its trail pair.  ``groebner_basis`` and ``triangulate`` each build one
+``Rewriter`` and return the coordinate rows that the CLI prints; its
+``normal_form`` and ``is_standard`` take monomials as sequences of
+vertices of P and look their pairs up in the index rows.  No rewriter
+outlives the call that built it.
 
 The vertex-lattice tables (the basis, its inverse and the root
 pairings) are each a denominator and an int64 matrix.  The vertex scan
@@ -273,7 +274,9 @@ class Rewriter:
         return not len(self._reducible(self._index(monomial)))
 
     def normal_form(self, monomial, rng: random.Random = None) -> tuple:
-        """Reduce until irreducible; asserts the coherent weight drops.
+        """The unique irreducible multiset reachable from the monomial, a
+        sequence of vertices of P, as a sorted tuple of vertices; asserts
+        that the coherent weight drops at every step.
 
         ``rng`` randomizes which applicable rule fires at each step; the
         normal form is independent of that choice (confluence).  Raises
@@ -385,33 +388,12 @@ _FAULTS = (
     "two simplices occupy the same alcove",
 )
 
-_REWRITERS = {}
-
-
-def _rewriter(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> Rewriter:
-    # keyed by the budget too, so that a smaller budget is checked again
-    rewriter = _REWRITERS.get((P, budget))
-    if rewriter is None:
-        rewriter = _REWRITERS[P, budget] = Rewriter(P, budget)
-    return rewriter
-
-
 def groebner_basis(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
     """The marked quadratic binomials over the polytope's vertex pairs, in
     lead order, each as the list of the coordinates of its lead and trail
     vertices in turn."""
-    rewriter = _rewriter(P, budget)
+    rewriter = Rewriter(P, budget)
     return rewriter.coordinates(rewriter.rules)
-
-
-def normal_form(P: AlcovedPolytope, monomial) -> tuple:
-    """The unique irreducible multiset reachable from the monomial, a
-    sequence of vertices of P, as a sorted tuple of vertices."""
-    return _rewriter(P).normal_form(monomial)
-
-
-def is_standard(P: AlcovedPolytope, monomial) -> bool:
-    return _rewriter(P).is_standard(monomial)
 
 
 def triangulate(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
@@ -421,5 +403,5 @@ def triangulate(P: AlcovedPolytope, budget: int = DEFAULT_BUDGET) -> list:
     Raises BudgetExceededError when the vertex scan or the check's
     volume scan has more than ``budget`` box points, or the vertices
     more than ``budget`` pairs."""
-    rewriter = _rewriter(P, budget)
+    rewriter = Rewriter(P, budget)
     return rewriter.coordinates(rewriter.simplex_rows())

@@ -392,18 +392,23 @@ def thick_identity_check(
     layer_volumes = hypersimplex_volumes(rs, budget)
     reports = {}
     for b, thick_b, inner_b in zip(boxes, thick, inner):
+        # window k..K sums slices k..K - 1 of thick and k - l + 1..K - l of
+        # inner: differences of prefix sums, row K less row k
+        thick_sums = list(itertools.accumulate(thick_b, initial=0))
+        padded = inner_b + [0] * (len(thick_b) - len(inner_b))
+        inner_sums = list(itertools.accumulate(padded, initial=0))
+        rows = [
+            [vol * inner_sums[max(j - i, 0)] for i, vol in enumerate(layer_volumes)]
+            for j in range(len(thick_b))
+        ]
+        row_sums = [sum(row) for row in rows]
         for k, K in itertools.combinations_with_replacement(range(len(thick_b)), 2):
-            # slices k..K - 1 of thick and k - l + 1..K - l of inner
-            lhs = sum(thick_b[k:K])
-            terms = [
-                vol_layer * sum(inner_b[max(k - layer + 1, 0) : max(K - layer + 1, 0)])
-                for layer, vol_layer in enumerate(layer_volumes, start=1)
-            ]
-            total = sum(terms)
+            lhs = thick_sums[K] - thick_sums[k]
+            total = row_sums[K] - row_sums[k]
             reports[b, k, K] = {
                 "volume": lhs,
                 "slice_sum": total,
-                "per_layer": terms,
+                "per_layer": [x - y for x, y in zip(rows[K], rows[k])],
                 "identity_holds": lhs == total,
             }
     return reports

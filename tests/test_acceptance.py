@@ -180,7 +180,7 @@ def test_criterion_8_groebner_triangulation():
     with criterion(8, "triangulation size, confluence, weight decrease"):
         for P in _confluence_cases():
             assert len(groebner.triangulate(P)) == volume(P)
-            rewriter = groebner._rewriter(P)
+            rewriter = groebner.Rewriter(P)
             w, (lead_a, lead_b, trail_u, trail_v) = rewriter.weights, rewriter.rules.T
             assert (w[trail_u] + w[trail_v] < w[lead_a] + w[lead_b]).all()
             vertices = rewriter.vertices

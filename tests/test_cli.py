@@ -734,7 +734,7 @@ def test_far_tables_print_as_json_prints_library_results(t, tmp_path, capsys):
         "groebner": {
             "type": t,
             "rank": 2,
-            "vertices": groebner._rewriter(P).vertices,
+            "vertices": groebner.Rewriter(P).vertices,
             "binomials": [
                 {"lead": [row[0:2], row[2:4]], "trail": [row[4:6], row[6:8]]}
                 for row in groebner.groebner_basis(P)

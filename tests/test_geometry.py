@@ -283,6 +283,17 @@ def test_neighbors_refuse_a_pairing_tuple_on_a_wall():
         neighbors(rs, (1, 1))
 
 
+def test_neighbors_refuse_a_tuple_that_is_not_the_pairings_of_its_y():
+    # on A2 the simple entries of (1, 1, 5) pair to 2 with theta, not 5: the
+    # tuple is no central point, though no entry lies on a wall; and those
+    # of (1, 2, 4) pair to 3 with theta, a wall, whatever the tuple says
+    rs = build("A", 2)
+    for bad in ((1, 1, 5), (1, 2, 4)):
+        assert _central(rs, _y(rs, bad)) != bad
+        with pytest.raises(UserInputError, match=re.escape(f"root pairings of {_y(rs, bad)}")):
+            neighbors(rs, bad)
+
+
 def test_neighbors_refuse_a_pairing_that_is_not_an_integer():
     # (1.5, 1, 2) is malformed input (exit 1), not a facet count gone wrong
     # (exit 2); an integral float is read as its int

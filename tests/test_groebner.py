@@ -13,13 +13,7 @@ import pytest
 import fraction_oracles as oracle
 from alcoved import geometry, groebner, polytope
 from alcoved.errors import DEFAULT_BUDGET, BudgetExceededError, DefectError, UserInputError
-from alcoved.groebner import (
-    groebner_basis,
-    is_standard,
-    normal_form,
-    polytope_vertices,
-    triangulate,
-)
+from alcoved.groebner import groebner_basis, polytope_vertices, triangulate
 from alcoved.polytope import (
     AlcovedPolytope,
     adjacent_star,
@@ -174,18 +168,18 @@ def test_vertex_lattice_points_are_arrangement_vertices():
 
 
 def test_normal_forms_are_standard_and_confluent():
-    P = adjacent_star(build("A", 2))
-    vertices = groebner._rewriter(P).vertices
+    rewriter = groebner.Rewriter(adjacent_star(build("A", 2)))
+    vertices = rewriter.vertices
     rng = random.Random(3)
     for _ in range(50):
         monomial = tuple(
             vertices[rng.randrange(len(vertices))]
             for _ in range(rng.randint(2, 4))
         )
-        nf1 = normal_form(P, monomial)
-        nf2 = groebner._rewriter(P).normal_form(monomial, rng=random.Random(99))
+        nf1 = rewriter.normal_form(monomial)
+        nf2 = rewriter.normal_form(monomial, rng=random.Random(99))
         assert nf1 == nf2
-        assert is_standard(P, nf1)
+        assert rewriter.is_standard(nf1)
         assert sorted(nf1) == list(nf1)
 
 
@@ -196,10 +190,10 @@ def test_standard_pairs_fit_in_one_alcove():
 
     P = adjacent_star(build("C", 2))
     rs = P.rs
-    rewriter = groebner._rewriter(P)
+    rewriter = groebner.Rewriter(P)
     for u in rewriter.vertices:
         for v in rewriter.vertices:
-            if not is_standard(P, tuple(sorted((u, v)))):
+            if not rewriter.is_standard(tuple(sorted((u, v)))):
                 continue
             pu = _fraction_vertex_to_omega(rs, u)
             pv = _fraction_vertex_to_omega(rs, v)
@@ -212,8 +206,7 @@ def test_standard_pairs_fit_in_one_alcove():
 
 
 def test_rewrite_step_strictly_decreases_weight():
-    P = adjacent_star(build("C", 2))
-    rewriter = groebner._rewriter(P)
+    rewriter = groebner.Rewriter(adjacent_star(build("C", 2)))
     w, (a, b, u, v) = rewriter.weights, rewriter.rules.T
     assert w.dtype == np.int64 and len(rewriter.rules)
     assert (w[u] + w[v] < w[a] + w[b]).all()
@@ -221,14 +214,14 @@ def test_rewrite_step_strictly_decreases_weight():
 
 def test_points_outside_P_are_not_monomials():
     # (50, 50) is an arrangement vertex far outside the A2 adjacent star
-    P = adjacent_star(build("A", 2))
-    v = groebner._rewriter(P).vertices[0]
+    rewriter = groebner.Rewriter(adjacent_star(build("A", 2)))
+    v = rewriter.vertices[0]
     for monomial in [((50, 50), v), ((50, 50), (50, 50), v), (v, (1, 2, 3)), (v, (0,))]:
         with pytest.raises(UserInputError, match="is not a vertex of"):
-            is_standard(P, monomial)
+            rewriter.is_standard(monomial)
         with pytest.raises(UserInputError, match="is not a vertex of"):
-            normal_form(P, monomial)
-    assert normal_form(P, [list(v), v]) == (v, v)
+            rewriter.normal_form(monomial)
+    assert rewriter.normal_form([list(v), v]) == (v, v)
 
 
 def test_normal_form_guards_raise_on_corrupted_rules(monkeypatch):
@@ -257,13 +250,13 @@ def test_normal_form_guards_raise_on_corrupted_rules(monkeypatch):
 
 def test_simplices_are_alcove_vertex_sets():
     P = hypersimplex(build("A", 3), 2)
-    rs = P.rs
+    rs, rewriter = P.rs, groebner.Rewriter(P)
     for simplex in _simplices(P):
         assert len(simplex) == rs.rank + 1
         assert len(set(simplex)) == rs.rank + 1
         for u in simplex:
             for v in simplex:
-                assert is_standard(P, tuple(sorted((u, v))))
+                assert rewriter.is_standard(tuple(sorted((u, v))))
 
 
 def _fraction_basis(rs):
@@ -629,7 +622,7 @@ def test_far_translation_is_exact():
         ]
         simplices = _simplices(far)
         assert simplices == moved
-        _check_vertex_sets(groebner._rewriter(far), simplices)
+        _check_vertex_sets(groebner.Rewriter(far), simplices)
     # simple bounds whose scaled width overflows the box scan
     with pytest.raises(UserInputError):
         triangulate(_box("A", 2, 0, 2**61))
@@ -639,12 +632,13 @@ def test_far_translation_is_exact():
     with pytest.raises(UserInputError):
         groebner.Rewriter(AlcovedPolytope(P.rs, bounds))
     # so do the weight of a far vertex and the check of a far simplex
+    rewriter = groebner.Rewriter(P)
     with pytest.raises(UserInputError):
-        _scaled_weight(groebner._rewriter(P), (2**62, 0))
+        _scaled_weight(rewriter, (2**62, 0))
     simplices = _simplices(P)
     far = [tuple((x + 2**62, y) for x, y in simplices[0])] + simplices[1:]
     with pytest.raises(UserInputError):
-        _check_vertex_sets(groebner._rewriter(P), far)
+        _check_vertex_sets(rewriter, far)
 
 
 def test_exact_dets_match_fraction_det():
@@ -704,14 +698,40 @@ def test_bitset_cliques_agree_with_set_oracle():
 def test_triangulate_reads_only_the_int64_rows(monkeypatch):
     # the vertex tuples and the lead keys are built on first read, and
     # triangulate reads neither
-    monkeypatch.setattr(groebner, "_REWRITERS", {})
+    built = []
+
+    class Recorded(groebner.Rewriter):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(groebner, "Rewriter", Recorded)
     P = _box("C", 2, 0, 3)  # a spec of the bench triangulate workload
     assert len(triangulate(P)) == volume(P)
-    rewriter = groebner._rewriter(P)
+    (rewriter,) = built
     assert "vertices" not in rewriter.__dict__ and "_leads" not in rewriter.__dict__
     V = rewriter.vertices
     assert V == sorted(V) and len(V) == len(rewriter._X)
-    assert normal_form(P, [V[0], V[-1]]) and "_leads" in rewriter.__dict__
+    assert rewriter.normal_form([V[0], V[-1]]) and "_leads" in rewriter.__dict__
+
+
+def test_calls_leave_no_module_state_behind():
+    # each call builds its own rewriter: after the root system's tables
+    # are cached, no module-level container of groebner grows
+    def sizes():
+        return {
+            name: value.cache_info().currsize if hasattr(value, "cache_info") else len(value)
+            for name, value in vars(groebner).items()
+            if not name.startswith("__")
+            and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))
+        }
+
+    rs = build("A", 2)
+    triangulate(hypersimplex(rs, 1))
+    before = sizes()
+    for P in (_box("A", 2, 0, 2), adjacent_star(rs)):
+        assert len(triangulate(P)) == volume(P)
+    assert sizes() == before
 
 
 def test_budget_bounds_vertex_scan_and_check():

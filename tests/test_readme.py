@@ -72,8 +72,8 @@ def test_readme_tour_states_its_values():
         "basis[0]",
         "simplices = alcoved.triangulate(P)",
         "simplices[0]",
-        "alcoved.normal_form(P, [(-2, 1), (0, -1)])",
-        "alcoved.is_standard(P, [(-1, 0), (-1, 0)])",
         "R.rules[0].tolist()",
         "R.weights.tolist()",
+        "R.normal_form([(-2, 1), (0, -1)])",
+        "R.is_standard([(-1, 0), (-1, 0)])",
     ]
