@@ -33,16 +33,19 @@ def _str_keys(value):
     return value
 
 
-_SLOT = "\x00"  # json writes it as "\u0000": the place of an int, a row or a table
+_SLOT = "\x00"  # json writes it as "\u0000": the place of a value, a row or a table
 
 
 class _Table(NamedTuple):
     """A list of rows of one shape: ``form`` is a row's JSON structure with
-    ``_SLOT`` for each int, and a row of ``rows`` holds its ints in the order
-    in which ``json.dumps(form, sort_keys=True)`` writes the slots."""
+    ``_SLOT`` for each value, and a row of ``rows`` holds its values in the
+    order in which ``json.dumps(form, sort_keys=True)`` writes the slots:
+    ints, or with ``items`` indices into that list of int sequences (a
+    polytope's vertices), each written as its item's JSON list."""
 
     form: object
-    rows: list
+    rows: object  # a list of rows, or a 2-d array of them
+    items: list = None
 
 
 def _table_text(table: _Table, as_json: bool) -> str:
@@ -50,17 +53,29 @@ def _table_text(table: _Table, as_json: bool) -> str:
     value with ``indent=2`` (``as_json``) or alone without indent.  json
     writes the row form, and a two-slot list for the frame, at the table's
     depth, so separators, key order and indentation are json's own; like
-    json, ``%d`` writes an int as ``int.__repr__`` does, past int64 too."""
-    if not table.rows:
+    json, ``%d`` writes an int as ``int.__repr__`` does, past int64 too.
+    An item table, whose form has all its slots at one depth, writes each
+    item once and then all rows' pieces of form and item text in one join."""
+    if not len(table.rows):
         return "[]"
-    indent = 2 if as_json else None
-    frame = json.dumps([_SLOT, _SLOT], indent=indent)
-    row = json.dumps(table.form, indent=indent, sort_keys=True)
-    if as_json:  # the list is a report value at depth 1, its rows at depth 2
-        frame, row = frame.replace("\n", "\n  "), row.replace("\n", "\n    ")
-    head, sep, tail = frame.split(json.dumps(_SLOT))
-    template = row.replace("%", "%%").replace(json.dumps(_SLOT), "%d")
-    return head + sep.join([template % tuple(r) for r in table.rows]) + tail
+    indent, pad = (2, "  ") if as_json else (None, "")
+
+    def dumps(form, lead: str) -> list:  # json's text, later lines led by lead, split at slots
+        text = json.dumps(form, indent=indent, sort_keys=True).replace("\n", "\n" + lead)
+        return text.split(json.dumps(_SLOT))
+
+    head, sep, tail = dumps([_SLOT, _SLOT], pad)
+    parts = dumps(table.form, 2 * pad)
+    if table.items is None:
+        template = "%d".join(part.replace("%", "%%") for part in parts)
+        return head + sep.join([template % tuple(r) for r in table.rows]) + tail
+    line = (2 * pad + parts[0]).rsplit("\n", 1)[-1]  # json indents an item as its slot's line
+    item = "%d".join(dumps([_SLOT] * len(table.items[0]), line[: len(line) - len(line.lstrip())]))
+    cells = np.empty((len(table.rows), 2 * len(parts) - 2), dtype=object)
+    cells[:, ::2] = np.array([parts[-1] + sep + parts[0], *parts[1:-1]], dtype=object)
+    cells[:, 1::2] = np.array([item % tuple(v) for v in table.items], dtype=object)[table.rows]
+    cells[0, 0] = parts[0]
+    return head + "".join(cells.ravel().tolist()) + parts[-1] + tail
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -186,13 +201,23 @@ def _cmd_qweyl(args) -> dict:
 
 def _cmd_volume(args) -> dict:
     P = _load_polytope(args)
+    volume = polytope.volume(P, budget=args.budget)
+    points = polytope.lattice_point_count(P, budget=args.budget)
+    # P's vertices are arrangement vertices, each in the coweight lattice
+    # over some mark: with no alcove and no lattice point, P is empty
+    # exactly when the scans at the marks above 1 find no point either.
+    # Every mark is below h_star, so no such scan charges more than volume's
+    empty = volume == points == 0 and not any(
+        any(polytope._scan(P, a, args.budget, count_only=True)[1])
+        for a in sorted(set(P.rs.marks) - {1})
+    )
     return {
         "type": P.rs.type_label,
         "rank": P.rs.rank,
-        "is_empty": P.is_empty,
+        "is_empty": empty,
         "bounds": [list(b) for b in P.bounds],
-        "volume": polytope.volume(P, budget=args.budget),
-        "lattice_points": polytope.lattice_point_count(P, budget=args.budget),
+        "volume": volume,
+        "lattice_points": points,
     }
 
 
@@ -230,14 +255,13 @@ def _cmd_thick_check(args) -> dict:
 
 def _cmd_groebner(args) -> dict:
     P = _load_polytope(args)
-    r, pair = P.rs.rank, [[_SLOT] * P.rs.rank] * 2
+    r, pair = P.rs.rank, [_SLOT] * 2
     rewriter = groebner.Rewriter(P, args.budget)
-    binomials = rewriter.coordinates(rewriter.rules)
     return {
         "type": P.rs.type_label,
         "rank": r,
         "vertices": _Table([_SLOT] * r, rewriter.vertices),
-        "binomials": _Table({"lead": pair, "trail": pair}, binomials),
+        "binomials": _Table({"lead": pair, "trail": pair}, rewriter.rules, rewriter.vertices),
     }
 
 

@@ -1,44 +1,32 @@
 """Quadratic binomial rewriting and the alcove triangulation.
 
 Supported in types A, C and D_4 only.  Vertices are integer vectors in
-a basis of the lattice of arrangement vertices (``_vertex_lattice``):
-in types A and C the fundamental-alcove vertices ``c_i = omega_i / a_i``,
-so omega-coordinates are ``n[i] / a_i``; in D4 the halved simple
-coroots, since there the vertex lattice is half the coroot lattice.
+a basis of the lattice of arrangement vertices (``_vertex_lattice``).
 
 The one rewrite rule groups the vertex pairs by their sum: in each
 group the pair of least coherent weight is standard, and every other
 pair rewrites to it.  In types A and C this equals the paper's rule,
 kept in the tests as an oracle, which rewrites a pair to the two
-vertices nearest its midpoint on the arrangement edge through it.  In
-D4 the two rules differ, since there the center of a pair can lie on a
-face of the arrangement of higher dimension than an edge.
+vertices nearest its midpoint on the arrangement edge through it.  The
+nontrivial rewrites form the marked quadratic binomial basis whose
+irreducible monomials are the faces of the alcove triangulation.  In D4
+the two rules differ, and this is known to hold only on polytopes of
+one or two alcoves; on the unit box the triangulation check raises
+DefectError.
 
-The nontrivial rewrites over the vertices of an alcoved polytope form
-the marked quadratic binomial basis whose irreducible monomials are the
-faces of the alcove triangulation.  In D4 this is known to hold only
-on polytopes of one or two alcoves; on the larger ones tried (the unit
-box, the adjacent star) the triangulation check raises DefectError.
+``Rewriter.rules`` and ``simplex_rows`` are rows of indices into the
+sorted vertex list.  The ``groebner`` command prints each vertex once
+and the rules by index; ``groebner_basis`` and ``triangulate`` (which
+the ``triangulate`` command prints) each build one ``Rewriter`` and
+return coordinate rows.  No rewriter outlives the call that built it.
 
-The basis has one form: ``Rewriter.rules``, rows ``(a, b, u, v)`` of
-indices into the sorted vertex list, one per rewrite of a lead pair to
-its trail pair.  ``groebner_basis`` and ``triangulate`` each build one
-``Rewriter`` and return the coordinate rows that the CLI prints; its
-``normal_form`` and ``is_standard`` take monomials as sequences of
-vertices of P and look their pairs up in the index rows.  No rewriter
-outlives the call that built it.
-
-The vertex-lattice tables (the basis, its inverse and the root
-pairings) are each a denominator and an int64 matrix.  The vertex scan
+The vertex-lattice tables are each a denominator and an int64 matrix.
 ``polytope_vertices`` returns P's vertices as int64 rows less the vertex
-of P's lower simple corner, and the coherent weights
-(``Rewriter.weights``) that pick the rewrites and that ``normal_form``
-checks drop, the cliques and the self-check of the triangulation all
-run on those rows, on scaled integers: pairings times ``denom``
-(barycenters times ``denom * (rank + 1)``).  Only the vertex tuples
-and the printed coordinates add the corner back, in Python ints, so
-far-away bounds stay exact; where a value could pass 2^62 they raise
-UserInputError instead.
+of P's lower simple corner, and the weights, the rules, the cliques and
+the triangulation check run on those rows, on scaled integers.  Only
+the vertex tuples and the coordinate rows add the corner back, in
+Python ints, so far-away bounds stay exact; where a value could pass
+2^62 they raise UserInputError instead.
 """
 
 import math
@@ -62,14 +50,6 @@ def supported(rs: RootSystemData) -> bool:
     return rs.type_label in ("A", "C") or (rs.type_label, rs.rank) == ("D", 4)
 
 
-def _require_supported(rs: RootSystemData) -> None:
-    if not supported(rs):
-        raise UserInputError(
-            f"vertex-lattice rewriting is only available in types A, C and D4; "
-            f"got {rs}"
-        )
-
-
 @lru_cache(maxsize=None)
 def _vertex_lattice(rs: RootSystemData) -> tuple:
     """``(d, B, q, M, index)``, B and M int64: the columns of ``B / d`` are
@@ -89,7 +69,9 @@ def _vertex_lattice(rs: RootSystemData) -> tuple:
     index is ``|det M| / (q^r a_1 ... a_r)``: 1 in types A and C, and 2
     in D4, where the vertex lattice is twice as fine as the span of the c_i.
     """
-    _require_supported(rs)
+    if not supported(rs):
+        raise UserInputError(f"vertex-lattice rewriting is only available in types A, C "
+                             f"and D4; got {rs}")
     r = rs.rank
     if rs.type_label == "D":
         # (cartan / 2)^-1 is 2 adjugate / f; q is its least denominator
@@ -201,22 +183,41 @@ class Rewriter:
         vertex pairs are grouped by their sum, and within a group every
         pair rewrites to the pair of smallest coherent weight.  Raises
         BudgetExceededError before building the table when the vertices
-        have more than ``budget`` pairs."""
+        have more than ``budget`` pairs, and UserInputError where the sum's
+        int64 key, mixed radix ``2*max + 1`` per coordinate of the
+        nonnegative rows ``_X``, could reach 2^62.  A sort over the sum
+        columns had no such limit, but the radix product is about 2^r
+        times the vertex scan's box, so only a budget past 2^(62 - r)
+        reaches it."""
         n, phase = len(self._X), f"{self.P.rs.type_label}{self.P.rs.rank} rewrite rules"
         charge(phase, n * (n + 1) // 2, "vertex pairs", self.budget)
+        radix = [2 * int(top) + 1 for top in self._X.max(axis=0, initial=0)]
+        if math.prod(radix) >= _INT64_HEADROOM:
+            raise UserInputError(f"vertex sums of {self.P} overflow an int64 key")
+        keys = self._X @ np.array([math.prod(radix[c + 1 :]) for c in range(len(radix))])
         w = self.weights
         i, j = np.triu_indices(n)  # the pairs (u, v), u <= v, in order
-        sums = self._X[i] + self._X[j]
-        # by sum, then weight, then (stable) pair: a group's first pair is its best
-        order = np.lexsort((w[i] + w[j], *sums.T))
-        sums = sums[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (sums[1:] != sums[:-1]).any(axis=1)
+        key = keys[i] + keys[j]
+        order = np.argsort(key, kind="stable")  # by sum, then pair
+        new = np.diff(key[order], prepend=-1) != 0  # where a sum starts
+        del key
+        group = np.cumsum(new) - 1  # the sum of each sorted pair
+        cost = w[i] + w[j]
+        least = cost[order]  # less its group's least: 0 at the group's best pairs
+        least -= np.minimum.reduceat(least, new.nonzero()[0])[group]
+        at = (least == 0).nonzero()[0]
+        del new, least
+        at = at[np.diff(group[at], prepend=-1) != 0]  # a group's first best is its best
         best = np.empty_like(order)  # per pair, in pair order, so leads stay sorted
-        best[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))]
-        keep = (w[i] + w[j] > w[i[best]] + w[j[best]]) & (i != j)
+        best[order] = order[at][group]
+        del order, group, at
+        keep = (cost > cost[best]) & (i != j)
+        del cost
         best = best[keep]
-        return np.column_stack((i[keep], j[keep], i[best], j[best]))
+        rules = np.empty((len(best), 4), dtype=np.int64)
+        for c, (ends, rows) in enumerate(((i, keep), (j, keep), (i, best), (j, best))):
+            rules[:, c] = ends[rows]  # a column at a time
+        return rules
 
     def _scaled_weights(self, X: np.ndarray, reach: int) -> np.ndarray:
         """``denom`` times the coherent weight, the sum of |distance| to
@@ -312,7 +313,24 @@ class Rewriter:
         by the lowest bits of their AND.  The count is checked against
         the volume and each simplex against unimodularity and membership.
         """
-        rows = self._cliques()
+        size, n = self.rs.rank + 1, len(self._X)
+        standard = np.triu(np.ones((n, n), dtype=bool), 1)
+        standard[self.rules[:, 0], self.rules[:, 1]] = False
+        bits = np.packbits(standard, axis=1, bitorder="little")
+        later = [int.from_bytes(row.tobytes(), "little") for row in bits]
+        # level by level in lexicographic order, each beside its extensions
+        cliques, pool = [()], [(1 << n) - 1]
+        for need in range(size, 0, -1):
+            grown, left = [], []
+            for clique, candidates in zip(cliques, pool):
+                while candidates.bit_count() >= need:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    j = low.bit_length() - 1
+                    grown.append(clique + (j,))
+                    left.append(candidates & later[j])
+            cliques, pool = grown, left
+        rows = np.array(cliques, dtype=np.intp).reshape(-1, size)
         self._validate_triangulation(rows)
         return rows
 
@@ -321,27 +339,6 @@ class Rewriter:
         an object array keeps coordinates past int64 exact."""
         V = self._X.astype(object) + np.array(self._origin, dtype=object)
         return V[index].reshape(len(index), index.shape[1] * self.rs.rank).tolist()
-
-    def _cliques(self) -> np.ndarray:
-        size, n = self.rs.rank + 1, len(self._X)
-        standard = np.triu(np.ones((n, n), dtype=bool), 1)
-        standard[self.rules[:, 0], self.rules[:, 1]] = False
-        bits = np.packbits(standard, axis=1, bitorder="little")
-        later = [int.from_bytes(row.tobytes(), "little") for row in bits]
-        cliques = []
-
-        def extend(clique, candidates):
-            if len(clique) == size:
-                cliques.append(clique)
-                return
-            while candidates.bit_count() >= size - len(clique):
-                low = candidates & -candidates
-                candidates ^= low
-                j = low.bit_length() - 1
-                extend(clique + [j], candidates & later[j])
-
-        extend([], (1 << n) - 1)
-        return np.array(cliques, dtype=np.intp).reshape(-1, size)
 
     def _validate_triangulation(self, simplices: np.ndarray) -> None:
         """The count against the volume scan, then all simplices, rows of

@@ -45,6 +45,10 @@ class AlcovedPolytope:
 
     @property
     def is_empty(self) -> bool:
+        """Whether some root's bounds cross, ``k > K``: the test that lets a
+        scan stop at once.  It is not emptiness: bounds that each hold can
+        still leave no point between them (the ``volume`` command tests
+        that by a scan)."""
         return any(k > K for k, K in self.bounds)
 
     def simple_bounds(self) -> tuple:

@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -91,6 +92,53 @@ def test_volume_and_identity_from_spec(tmp_path, capsys):
     code, report = run_json(capsys, ["vol-identity", "--spec", str(path)])
     assert code == 0
     assert report["identity_holds"] is True
+
+
+def test_volume_reports_empty_only_where_no_point_is(tmp_path, capsys, monkeypatch):
+    scan, scales = polytope._scan, []
+
+    def recorded(P, scale, *args, **kwargs):
+        scales.append(scale)
+        return scan(P, scale, *args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_scan", recorded)
+
+    def volume_report(rs, cons):
+        scales.clear()
+        code, report = run_json(capsys, ["volume", "--spec", _write_spec(tmp_path, rs, cons)])
+        assert code == 0
+        return report["is_empty"], report["volume"], report["lattice_points"]
+
+    # A3: alpha1 + alpha2 = alpha2 + alpha3 = 2 with every simple root in
+    # 0..1 forces lambda = (1, 1, 1), where theta pairs to 3 > 1: each
+    # root's bounds hold, but no point does
+    rs = rootsys.build("A", 3)
+    cons = [(a, 0, 1) for a in rs.simple_roots]
+    cons += [((1, 1, 0), 2, 2), ((0, 1, 1), 2, 2), (rs.theta, 0, 1)]
+    assert volume_report(rs, cons) == (True, 0, 0)
+    assert scales == [4, 1]  # every mark is 1: the lattice count decides
+    # C2: the one point omega_1 / 2 has no alcove and no lattice point, and
+    # the scan at its mark 2 finds it
+    rs = rootsys.build("C", 2)
+    assert volume_report(rs, [((1, 0), 0, 1), ((0, 1), 0, 0), (rs.theta, 1, 1)]) == (False, 0, 0)
+    assert scales == [4, 1, 2]
+    # bounds that cross, and a box of alcoves, which pays for no third scan
+    assert volume_report(rs, [((1, 0), 0, 1), ((0, 1), 0, 1), (rs.theta, 4, 4)]) == (True, 0, 0)
+    assert volume_report(rs, [((1, 0), 0, 1), ((0, 1), 0, 1)]) == (False, 4, 4)
+    assert scales == [4, 1]
+    # E8: as in A3, alpha1 = alpha3 = alpha4 = 1 is forced and then cut off.
+    # lcm(marks) = 60 is twice h = 30, and a scan at 60 would charge 61^5
+    # points, past the budget that the volume scan's 31^5 fits in
+    rs = rootsys.build("E", 8)
+    cons = [(a, 0, int(i in (0, 2, 3, 4, 5))) for i, a in enumerate(rs.simple_roots)]
+    cons += [((1, 0, 1, 0, 0, 0, 0, 0), 2, 2), ((0, 0, 1, 1, 0, 0, 0, 0), 2, 2)]
+    assert volume_report(rs, cons + [((1, 0, 1, 1, 0, 0, 0, 0), 0, 1)]) == (True, 0, 0)
+    assert scales == [30, 1, 2, 3, 4, 5, 6]
+    # E8: the one point omega_5 / 5, found by the scan at its mark only
+    j = rs.marks.index(5)
+    cons = [(a, a[j] // 5, -(-a[j] // 5)) for a in rs.positive_roots]
+    assert volume_report(rs, cons) == (False, 0, 0)
+    assert scales == [30, 1, 2, 3, 4, 5]
 
 
 def test_non_integer_spec_bound_is_a_user_error(tmp_path, capsys):
@@ -566,16 +614,18 @@ def test_vertex_pairs_past_the_budget_exit_3_at_once(tmp_path, capsys):
 
 # -- the emit oracle ---------------------------------------------------------
 def _oracle_rows(table):
-    """A table's rows as nested lists: its form with the ints of each row
-    filled in, dict values in sorted-key order."""
-    def fill(form, ints):
+    """A table's rows as nested lists: its form with the values of each row
+    filled in, dict values in sorted-key order; an item table's values are
+    indices, each filled in as the list of that item's coordinates."""
+    def fill(form, values):
         if isinstance(form, dict):
-            return {k: fill(form[k], ints) for k in sorted(form)}
+            return {k: fill(form[k], values) for k in sorted(form)}
         if isinstance(form, (list, tuple)):
-            return [fill(x, ints) for x in form]
-        return next(ints)
+            return [fill(x, values) for x in form]
+        value = next(values)
+        return value if table.items is None else list(table.items[value])
 
-    return [fill(table.form, iter(row)) for row in table.rows]
+    return [fill(table.form, iter(list(row))) for row in table.rows]
 
 
 def _oracle_jsonable(value):
@@ -705,6 +755,33 @@ def _printed(report, as_json) -> str:
     return out.getvalue()
 
 
+def _assert_prints_as_json(table) -> None:
+    expanded = _oracle_rows(table)
+    report = {"rank": 3, "rows": table, "also": table, "z": [1, 2]}
+    assert _printed(report, True) == json.dumps(
+        {**report, "rows": expanded, "also": expanded}, indent=2, sort_keys=True
+    ) + "\n"
+    text = json.dumps(expanded, sort_keys=True)
+    assert _printed(report, False) == f"rank: 3\nrows: {text}\nalso: {text}\nz: [1, 2]\n"
+
+
+def _slot_depths(form, depth=0) -> set:
+    if isinstance(form, dict):
+        form = list(form.values())
+    if isinstance(form, (list, tuple)):
+        return {d for x in form for d in _slot_depths(x, depth + 1)}
+    return {depth}
+
+
+# item forms: a simplex would write its vertices at depth 3, and the
+# groebner command's binomial writes them at depth 4 (the report, the
+# table, the row, the lead or trail)
+_ITEM_FORMS = (
+    [cli._SLOT] * 3,
+    {"lead": [cli._SLOT] * 2, "trail": [cli._SLOT] * 2},
+)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_table_prints_as_json_prints_its_rows(data):
@@ -712,14 +789,22 @@ def test_table_prints_as_json_prints_its_rows(data):
     n = _leaves(form)
     rows = data.draw(st.lists(st.lists(_INTS, min_size=n, max_size=n), max_size=4))
     for some in (rows[:0], rows[:1], rows):  # empty and one-row tables too
-        table = cli._Table(form, some)
-        expanded = _oracle_rows(table)
-        report = {"rank": 3, "rows": table, "also": table, "z": [1, 2]}
-        assert _printed(report, True) == json.dumps(
-            {**report, "rows": expanded, "also": expanded}, indent=2, sort_keys=True
-        ) + "\n"
-        text = json.dumps(expanded, sort_keys=True)
-        assert _printed(report, False) == f"rank: 3\nrows: {text}\nalso: {text}\nz: [1, 2]\n"
+        _assert_prints_as_json(cli._Table(form, some))
+    # item tables: rows of indices, as an int array, into a list of int
+    # vectors, one of them past int64, under every form with all its
+    # slots at one depth
+    size = data.draw(st.integers(1, 3))
+    items = data.draw(st.lists(st.tuples(*[_INTS] * size), min_size=1, max_size=5))
+    items.append((10**20,) * size)
+    index = st.integers(0, len(items) - 1)
+    for form in (form, *_ITEM_FORMS):
+        n = _leaves(form)
+        if len(_slot_depths(form)) != 1:
+            continue
+        rows = data.draw(st.lists(st.lists(index, min_size=n, max_size=n), max_size=4))
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        for some in (rows[:0], rows[:1], rows):
+            _assert_prints_as_json(cli._Table(form, some, items))
 
 
 @pytest.mark.parametrize("t", ("A", "C"))

@@ -551,6 +551,48 @@ def test_weights_and_rules_agree_with_fraction_oracle():
     assert _scaled_weight(new, (1, 1)) == old.weight((1, 1)) * new._denom
 
 
+# the boxes of the bench triangulate workload, the D4 unit box last
+_BENCH_SPECS = (
+    ("A", 2, 0, 4), ("A", 2, 0, 6), ("C", 2, 0, 3), ("C", 2, 0, 4),
+    ("A", 3, 0, 2), ("A", 4, 0, 1), ("C", 3, 0, 1), ("D", 4, 0, 1),
+)
+
+
+def _grouped_rules(rewriter) -> list:
+    """The rewrite rules from a dict keyed by the tuple of each pair sum:
+    every pair of a sum whose weight passes the sum's least rewrites to
+    the first pair, in pair order, of that least weight."""
+    X, w = rewriter._X.tolist(), rewriter.weights.tolist()
+    groups = {}
+    for a, b in itertools.combinations_with_replacement(range(len(X)), 2):
+        groups.setdefault(tuple(x + y for x, y in zip(X[a], X[b])), []).append((a, b))
+    rules = []
+    for pairs in groups.values():
+        u, v = min(pairs, key=lambda pair: w[pair[0]] + w[pair[1]])
+        rules += [[a, b, u, v] for a, b in pairs if w[a] + w[b] > w[u] + w[v]]
+    return sorted(rules)
+
+
+def test_packed_sum_keys_group_pairs_as_sum_tuples_do():
+    cases = [_box(*spec) for spec in _BENCH_SPECS]
+    cases += [_box(t, 2, far, far + 3) for t in ("A", "C") for far in (10**12, 10**20)]
+    for P in cases:
+        rewriter = groebner.Rewriter(P)
+        assert rewriter.rules.dtype == np.int64
+        assert rewriter.rules.tolist() == _grouped_rules(rewriter)
+
+
+def test_pair_sum_keys_that_could_pass_int64_are_refused():
+    P = _box("A", 2, 0, 1)
+    rewriter = groebner.Rewriter(P)
+    # the radix product (2 * top + 1)^2 is just under 2^62, then past it
+    top = 2**30 - 1
+    probe = _probe(rewriter, [(0, 0), (top, top)])
+    assert probe.rules.shape == (0, 4)  # three pairs with three sums
+    with pytest.raises(UserInputError, match="overflow an int64 key"):
+        _probe(rewriter, [(0, 0), (top + 1, top + 1)])
+
+
 def _scaled_weight(rewriter, vertex) -> int:
     """``denom`` times the coherent weight of any vertex, in P or not."""
     return int(_probe(rewriter, [vertex]).weights[0])
@@ -681,10 +723,7 @@ def _set_cliques(rewriter):
 def test_bitset_cliques_agree_with_set_oracle():
     from test_acceptance import _confluence_cases
 
-    bench_specs = [
-        _box("A", 2, 0, 4), _box("A", 2, 0, 6), _box("C", 2, 0, 3), _box("C", 2, 0, 4),
-        _box("A", 3, 0, 2), _box("A", 4, 0, 1), _box("C", 3, 0, 1), _box("D", 4, 0, 1),
-    ]
+    bench_specs = [_box(*spec) for spec in _BENCH_SPECS]
     for P in _confluence_cases() + bench_specs:
         rewriter = groebner.Rewriter(P)
         rewriter._validate_triangulation = lambda simplices: None
